@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import log_beta, log_gamma, reg_inc_beta
+from .numerics import log_beta, log_gamma, reg_inc_beta, reg_inc_beta_inv
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -180,18 +180,10 @@ class CompoundGamma:
 
     @staticmethod
     def quantile(p, nu, beta):
-        from .numerics import find_root_1d
-
-        p = np.asarray(p, dtype=float)
-        out = np.empty(p.shape or (1,))
-        flat = p.reshape(-1)
-        for i, pi in enumerate(flat):
-            if pi == 0.0:
-                out.reshape(-1)[i] = 0.0
-                continue
-            u = find_root_1d(lambda t: reg_inc_beta(t, beta, nu) - pi, 0.0, 1.0 - 1e-16, 1e-15)
-            out.reshape(-1)[i] = nu * u / (1.0 - u)
-        return out.reshape(p.shape)
+        # Invert the survival I_v(nu, beta) = 1 - p in v = nu/(x+nu), which
+        # keeps relative accuracy (and finiteness) deep in the heavy tail.
+        v = reg_inc_beta_inv(1.0 - p, nu, beta)
+        return nu * (1.0 - v) / v
 
     @staticmethod
     def moment_order_threshold(nu, beta):

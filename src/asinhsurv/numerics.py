@@ -1,12 +1,14 @@
 """Special functions and numeric utilities.
 
 Everything here is pure and re-entrant: no global mutable state, safe to
-call concurrently.  The special functions (``log_gamma``, ``beta_fn``,
-``reg_inc_beta``, ``digamma``) accept scalars or numpy arrays and are the
-single source of these quantities for the distribution formulas.  The
-quadrature, maximizer and root-finder are deliberately independent of any
-closed forms elsewhere in the package so they can serve as verification
-oracles in tests.
+call concurrently.  The special functions (``log_gamma``, ``log_beta``,
+``beta_fn``, ``reg_inc_beta``, ``reg_inc_beta_inv``, ``digamma``) are thin
+checked wrappers over ``scipy.special``: they accept scalars or numpy
+arrays, return a float for scalar input, raise :class:`DomainError` outside
+their domain or on NaN, and are the single source of these quantities for
+the distribution formulas.  The quadrature, maximizer and root-finder are
+deliberately independent of any closed forms elsewhere in the package so
+they can serve as verification oracles in tests.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.special as sc
 
 from .errors import ConvergenceError, DomainError
 
@@ -26,39 +29,13 @@ __all__ = [
     "beta_fn",
     "log_beta",
     "reg_inc_beta",
+    "reg_inc_beta_inv",
     "digamma",
     "stable_asinh_scaled",
     "adaptive_quadrature",
     "find_max_1d",
     "find_root_1d",
 ]
-
-_LN_SQRT_2PI = 0.9189385332046727417803297364  # ln sqrt(2 pi)
-
-# Stirling correction sum(c[k] / a^(2k+1)); coefficients are
-# B_{2k+2} / ((2k+1)(2k+2)).  Truncation error below 1e-19 for a >= 16.
-_STIRLING_LGAMMA = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
-# Asymptotic digamma: psi(a) ~ ln a - 1/(2a) - sum(c[k] / a^(2k+2)).
-_STIRLING_DIGAMMA = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-
-_SHIFT_CUTOFF = 16.0
 
 
 def _reject_nan(name: str, value) -> None:
@@ -75,12 +52,28 @@ def _maybe_scalar(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
-def log_gamma(a):
-    """Natural log of the gamma function for a > 0.
+def _shape_pair(name: str, a, b):
+    """Float arrays of a, b > 0; NaN fails the comparison, so it is rejected too."""
+    arr_a, scalar_a = _as_float_array(a)
+    arr_b, scalar_b = _as_float_array(b)
+    if not ((arr_a > 0.0).all() and (arr_b > 0.0).all()):
+        raise DomainError(f"{name} requires a > 0 and b > 0 (not NaN)")
+    return arr_a, arr_b, scalar_a and scalar_b
 
-    Uses the Stirling series with Bernoulli corrections after shifting the
-    argument above 16 via ``Gamma(a+1) = a Gamma(a)``.  Relative accuracy
-    is about 1e-14 over [1e-6, 1e6].
+
+def _unit_and_shapes(name: str, u, a, b):
+    """Float array of u in [0, 1] and scalar shapes a, b > 0 (NaN rejected)."""
+    a, b = float(a), float(b)
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"{name} requires a > 0 and b > 0 (not NaN)")
+    arr, scalar = _as_float_array(u)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise DomainError(f"{name} requires its first argument in [0, 1] (not NaN)")
+    return arr, scalar, a, b
+
+
+def log_gamma(a):
+    """Natural log of the gamma function for a > 0 (``scipy.special.gammaln``).
 
     Parameters
     ----------
@@ -88,161 +81,48 @@ def log_gamma(a):
         Strictly positive argument.
     """
     arr, scalar = _as_float_array(a)
-    _reject_nan("a", arr)
-    if np.any(arr <= 0.0):
-        raise DomainError("log_gamma requires a > 0")
-
-    work = np.array(arr, dtype=float, copy=True, ndmin=1)
-    shift_log = np.zeros_like(work)
-    # At most 16 unit shifts are ever needed to exceed the cutoff.
-    for _ in range(int(_SHIFT_CUTOFF)):
-        mask = work < _SHIFT_CUTOFF
-        if not mask.any():
-            break
-        shift_log[mask] += np.log(work[mask])
-        work[mask] += 1.0
-
-    inv2 = 1.0 / (work * work)
-    corr = np.zeros_like(work)
-    for c in reversed(_STIRLING_LGAMMA):
-        corr = corr * inv2 + c
-    corr /= work
-
-    out = (work - 0.5) * np.log(work) - work + _LN_SQRT_2PI + corr - shift_log
-    out = out.reshape(arr.shape)
-    return _maybe_scalar(out, scalar)
+    if not (arr > 0.0).all():
+        raise DomainError("log_gamma requires a > 0 (not NaN)")
+    return _maybe_scalar(sc.gammaln(arr), scalar)
 
 
 def log_beta(a, b):
-    """ln B(a, b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a, float) + np.asarray(b, float))
+    """ln B(a, b) for a, b > 0 (``scipy.special.betaln``)."""
+    arr_a, arr_b, scalar = _shape_pair("log_beta", a, b)
+    return _maybe_scalar(sc.betaln(arr_a, arr_b), scalar)
 
 
 def beta_fn(a, b):
-    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for a, b > 0."""
-    arr_a, scalar_a = _as_float_array(a)
-    arr_b, scalar_b = _as_float_array(b)
-    _reject_nan("a", arr_a)
-    _reject_nan("b", arr_b)
-    if np.any(arr_a <= 0.0) or np.any(arr_b <= 0.0):
-        raise DomainError("beta_fn requires a > 0 and b > 0")
-    out = np.exp(log_gamma(arr_a) + log_gamma(arr_b) - log_gamma(arr_a + arr_b))
-    return _maybe_scalar(np.asarray(out), scalar_a and scalar_b)
+    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for a, b > 0
+    (``scipy.special.beta``)."""
+    arr_a, arr_b, scalar = _shape_pair("beta_fn", a, b)
+    return _maybe_scalar(sc.beta(arr_a, arr_b), scalar)
 
 
 def digamma(a):
-    """Digamma (psi) function for a > 0.
-
-    Shifts the argument above 16 with ``psi(a) = psi(a+1) - 1/a`` and then
-    applies the asymptotic series.  Absolute accuracy ~1e-13 for moderate
-    arguments; ulp-limited once |psi| is large (tiny or huge a).
-    """
+    """Digamma (psi) function for a > 0 (``scipy.special.psi``)."""
     arr, scalar = _as_float_array(a)
-    _reject_nan("a", arr)
-    if np.any(arr <= 0.0):
-        raise DomainError("digamma requires a > 0")
-
-    work = np.array(arr, dtype=float, copy=True, ndmin=1)
-    shift = np.zeros_like(work)
-    for _ in range(int(_SHIFT_CUTOFF)):
-        mask = work < _SHIFT_CUTOFF
-        if not mask.any():
-            break
-        shift[mask] += 1.0 / work[mask]
-        work[mask] += 1.0
-
-    inv2 = 1.0 / (work * work)
-    corr = np.zeros_like(work)
-    for c in reversed(_STIRLING_DIGAMMA):
-        corr = corr * inv2 + c
-    corr *= inv2
-
-    out = np.log(work) - 0.5 / work - corr - shift
-    out = out.reshape(arr.shape)
-    return _maybe_scalar(out, scalar)
-
-
-_BETACF_MAX_ITER = 400
-_FPMIN = 1e-300
-
-
-def _beta_cf(a, b, x):
-    """Continued fraction for the incomplete beta (modified Lentz), vectorized.
-
-    Valid (rapidly convergent) for x <= (a+1)/(a+b+2).
-    """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        h = h * d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < 1e-15):
-            break
-    return h
+    if not (arr > 0.0).all():
+        raise DomainError("digamma requires a > 0 (not NaN)")
+    return _maybe_scalar(sc.psi(arr), scalar)
 
 
 def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1], a, b > 0.
-
-    Continued-fraction evaluation with the symmetry switch
-    ``I_x(a,b) = 1 - I_{1-x}(b,a)`` applied for x > (a+1)/(a+b+2).
-    Absolute accuracy ~1e-14; monotone nondecreasing in x.
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1], scalar a, b > 0
+    (``scipy.special.betainc``).  Monotone nondecreasing in x, exactly 0 at
+    x = 0 and 1 at x = 1.
     """
-    a = float(a)
-    b = float(b)
-    _reject_nan("a", a)
-    _reject_nan("b", b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("reg_inc_beta requires a > 0 and b > 0")
-    arr, scalar = _as_float_array(x)
-    _reject_nan("x", arr)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("reg_inc_beta requires 0 <= x <= 1")
+    arr, scalar, a, b = _unit_and_shapes("reg_inc_beta", x, a, b)
+    return _maybe_scalar(sc.betainc(a, b, arr), scalar)
 
-    xv = np.array(arr, dtype=float, copy=True, ndmin=1)
-    out = np.empty_like(xv)
-    out[xv == 0.0] = 0.0
-    out[xv == 1.0] = 1.0
-    interior = (xv > 0.0) & (xv < 1.0)
-    if interior.any():
-        xi = xv[interior]
-        swap = xi > (a + 1.0) / (a + b + 2.0)
-        xs = np.where(swap, 1.0 - xi, xi)
-        aa = np.where(swap, b, a)
-        bb = np.where(swap, a, b)
-        ln_pref = aa * np.log(xs) + bb * np.log1p(-xs) - log_beta(aa, bb)
-        front = np.exp(ln_pref) / aa
-        # The two swap branches have different (a, b); run the CF twice on
-        # the split subsets to keep the recurrence scalar in its parameters.
-        val = np.empty_like(xs)
-        for flag, av, bv in ((False, a, b), (True, b, a)):
-            sel = swap == flag
-            if sel.any():
-                val[sel] = front[sel] * _beta_cf(av, bv, xs[sel])
-        val = np.where(swap, 1.0 - val, val)
-        out[interior] = np.clip(val, 0.0, 1.0)
-    out = out.reshape(arr.shape)
-    return _maybe_scalar(out, scalar)
+
+def reg_inc_beta_inv(p, a, b):
+    """Inverse of :func:`reg_inc_beta` in x: the x in [0, 1] with
+    I_x(a, b) = p, for p in [0, 1] and scalar a, b > 0
+    (``scipy.special.betaincinv``).  Vectorized over p.
+    """
+    arr, scalar, a, b = _unit_and_shapes("reg_inc_beta_inv", p, a, b)
+    return _maybe_scalar(sc.betaincinv(a, b, arr), scalar)
 
 
 def stable_asinh_scaled(x, nu):
@@ -461,12 +341,26 @@ def find_max_1d(f: Callable[[float], float], lo: float, hi: float,
     return x_best, f(x_best)
 
 
+_ROOT_MAX_STEPS = 200
+
+
 def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
                  tol: float) -> float:
-    """Bracketing secant/bisection hybrid root finder.
+    """Bracketing root finder: false position with the Illinois modification.
 
-    Requires a sign change on [lo, hi]; stops when ``|f(root)| <= tol`` or
-    the bracket width drops below ``tol``.
+    Requires a sign change on [lo, hi]; returns as soon as ``|f(x)| <= tol``
+    or the bracket is narrower than ``tol`` (then its midpoint).  Each step
+    takes the secant through the bracket ends; an end kept twice in a row
+    has its function value halved (Illinois), so neither end can stall.
+    After two steps in a row that fail to halve the bracket the next step
+    bisects, which bounds the work on badly scaled functions.
+
+    Raises
+    ------
+    ConvergenceError
+        If 200 steps reach neither stopping rule, for instance when ``tol``
+        is below the float resolution at the root; ``partial`` holds the
+        midpoint of the last bracket.
     """
     for name, v in (("lo", lo), ("hi", hi), ("tol", tol)):
         _reject_nan(name, v)
@@ -486,23 +380,35 @@ def find_root_1d(f: Callable[[float], float], lo: float, hi: float,
     if fa * fb > 0.0:
         raise DomainError("no sign change on [lo, hi]")
 
-    for _ in range(200):
-        if abs(b - a) <= tol:
-            break
-        # Secant proposal, falling back to bisection when it leaves the
-        # bracket or stalls.
-        denom = fb - fa
-        x = b - fb * (b - a) / denom if denom != 0.0 else 0.5 * (a + b)
-        margin = 0.01 * (b - a)
-        if not (a + margin <= x <= b - margin):
+    steps = 0
+    last = 0   # end replaced by the previous step: -1 lower, +1 upper
+    slow = 0   # consecutive steps that left more than half the bracket
+    while b - a > tol:
+        if steps == _ROOT_MAX_STEPS:
+            raise ConvergenceError(
+                f"root not bracketed to {tol:.3e} in {_ROOT_MAX_STEPS} steps "
+                f"(bracket [{a!r}, {b!r}])",
+                partial=0.5 * (a + b),
+            )
+        steps += 1
+        width = b - a
+        x = b - fb * width / (fb - fa)
+        if slow >= 2 or not a < x < b:
             x = 0.5 * (a + b)
         fx = float(f(x))
         if math.isnan(fx):
             raise DomainError("function returned NaN inside the bracket")
-        if abs(fx) <= tol or fx == 0.0:
+        if abs(fx) <= tol:
             return x
-        if fa * fx < 0.0:
+        if (fx > 0.0) == (fb > 0.0):
             b, fb = x, fx
+            if last == 1:
+                fa *= 0.5
+            last = 1
         else:
             a, fa = x, fx
+            if last == -1:
+                fb *= 0.5
+            last = -1
+        slow = slow + 1 if b - a > 0.5 * width else 0
     return 0.5 * (a + b)

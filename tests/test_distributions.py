@@ -174,6 +174,30 @@ class TestQuantile:
         err = np.abs(h.cdf(h.quantile(ps)) - ps)
         assert np.max(err) < 1e-9
 
+    @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
+    @pytest.mark.parametrize("nu", [1.5, 3.0, 8.0, 20.0, 50.0])
+    def test_beta_type_roundtrip_dense_grid(self, family, nu):
+        ps = np.linspace(0.0, 0.999, 2001)
+        for beta in (0.7, 1.5, 3.0):
+            h = make_handle(family, nu=nu, beta=beta)
+            err = np.abs(h.cdf(h.quantile(ps)) - ps)
+            assert np.max(err) <= 1e-9, (family, nu, beta, np.max(err))
+
+    @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
+    def test_beta_type_far_upper_tail(self, family):
+        # the quantile inverts the survival, so it stays finite and
+        # relatively accurate where the cdf has rounded to 1
+        h = make_handle(family, nu=0.5, beta=2.0)
+        for p in (1.0 - 1e-10, 1.0 - 1e-15):
+            x = h.quantile(p)
+            assert math.isfinite(x)
+            assert h.survival(x) == pytest.approx(1.0 - p, rel=1e-6, abs=0.0)
+
+    def test_cgamma_nu50_known_miss(self):
+        # the per-point root loop returned a point with cdf 0.98154 here
+        h = make_handle("cgamma", nu=50.0, beta=0.7)
+        assert h.cdf(h.quantile(0.98855)) == pytest.approx(0.98855, abs=1e-12)
+
     def test_domain(self):
         h = make_handle("genexp", nu=1.0)
         with pytest.raises(DomainError):

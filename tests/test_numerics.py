@@ -18,8 +18,17 @@ from asinhsurv import (
     reg_inc_beta,
     stable_asinh_scaled,
 )
+from asinhsurv.numerics import log_beta, reg_inc_beta_inv
 
 EULER_GAMMA = 0.5772156649015328606
+
+
+def _beta_integral(x, a, b):
+    """int_0^x t^(a-1) (1-t)^(b-1) dt by quadrature, for b >= 1.
+
+    t = s^(1/a) removes the t = 0 singularity when a < 1."""
+    g = lambda s: (1.0 - s ** (1.0 / a)) ** (b - 1.0) / a
+    return adaptive_quadrature(g, 0.0, x ** a, 1e-13).value
 
 
 class TestLogGamma:
@@ -58,11 +67,33 @@ class TestBetaFn:
         quad = adaptive_quadrature(lambda t: t ** 0.5 * (1.0 - t) ** 2, 0.0, 1.0, 1e-12)
         assert beta_fn(1.5, 3.0) == pytest.approx(quad.value, abs=1e-10)
 
+    @pytest.mark.parametrize("a,b", [(0.7, 2.0), (0.5, 2.5), (10.0, 3.0), (4.0, 8.0)])
+    def test_matches_quadrature_grid(self, a, b):
+        assert beta_fn(a, b) == pytest.approx(_beta_integral(1.0, a, b), rel=1e-9)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_fn(0.0, 1.0)
         with pytest.raises(DomainError):
             beta_fn(1.0, -2.0)
+
+
+class TestLogBeta:
+    def test_known_values(self):
+        assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert log_beta(1.5, 3.0) == pytest.approx(math.log(16.0 / 105.0), rel=1e-13)
+
+    def test_array_and_scalar_contract(self):
+        assert isinstance(log_beta(2.0, 3.0), float)
+        vals = log_beta(np.array([1.0, 2.0]), 2.0)
+        assert vals == pytest.approx([math.log(0.5), math.log(1.0 / 6.0)], rel=1e-13)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (2.0, -0.5),
+                                     (float("nan"), 1.0), (1.0, float("nan")),
+                                     (np.array([1.0, -1.0]), 1.0)])
+    def test_domain(self, a, b):
+        with pytest.raises(DomainError):
+            log_beta(a, b)
 
 
 class TestRegIncBeta:
@@ -103,6 +134,13 @@ class TestRegIncBeta:
                 err = np.abs(reg_inc_beta(xs, a, b) - sc.betainc(a, b, xs))
                 assert np.max(err) < 1e-12
 
+    @pytest.mark.parametrize("x,a,b", [(0.3, 0.7, 2.0), (0.2, 0.5, 2.5), (0.05, 10.0, 3.0),
+                                       (0.6, 4.0, 8.0), (0.999, 1.5, 1.5), (0.07, 0.7, 50.0)])
+    def test_against_quadrature(self, x, a, b):
+        # scipy-free oracle: both integrals of the beta kernel by Gauss-Kronrod
+        ratio = _beta_integral(x, a, b) / _beta_integral(1.0, a, b)
+        assert reg_inc_beta(x, a, b) == pytest.approx(ratio, abs=1e-10)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             reg_inc_beta(-0.1, 1.0, 1.0)
@@ -110,6 +148,28 @@ class TestRegIncBeta:
             reg_inc_beta(1.1, 1.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 0.0, 1.0)
+
+
+class TestRegIncBetaInv:
+    def test_endpoints(self):
+        assert reg_inc_beta_inv(0.0, 0.7, 50.0) == 0.0
+        assert reg_inc_beta_inv(1.0, 0.7, 50.0) == 1.0
+
+    @pytest.mark.parametrize("a,b", [(0.7, 50.0), (25.0, 0.7), (1.5, 1.5), (0.5, 8.0)])
+    def test_inverts_reg_inc_beta(self, a, b):
+        ps = np.linspace(0.0, 0.999, 200)
+        assert reg_inc_beta(reg_inc_beta_inv(ps, a, b), a, b) == pytest.approx(ps, abs=1e-12)
+
+    def test_matches_root_finder(self):
+        root = find_root_1d(lambda t: reg_inc_beta(t, 0.7, 50.0) - 0.98855,
+                            0.0, 1.0 - 1e-16, 1e-15)
+        assert reg_inc_beta_inv(0.98855, 0.7, 50.0) == pytest.approx(root, rel=1e-12)
+
+    def test_domain(self):
+        for p, a, b in [(-0.1, 1.0, 1.0), (1.1, 1.0, 1.0), (float("nan"), 1.0, 1.0),
+                        (0.5, 0.0, 1.0), (0.5, 1.0, float("nan"))]:
+            with pytest.raises(DomainError):
+                reg_inc_beta_inv(p, a, b)
 
 
 class TestDigamma:
@@ -262,3 +322,17 @@ class TestFindRoot1D:
     def test_no_sign_change(self):
         with pytest.raises(DomainError):
             find_root_1d(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+
+    def test_false_position_stall_case(self):
+        # plain false position kept one end fixed here and ran out of steps
+        f = lambda t: reg_inc_beta(t, 0.7, 50.0) - 0.98855
+        root = find_root_1d(f, 0.0, 1.0 - 1e-16, 1e-15)
+        assert abs(f(root)) <= 1e-15
+
+    def test_exhausted_budget_raises_with_partial(self):
+        # a step function has no |f| <= tol point, and tol is below the
+        # float spacing at 0.3, so the bracket can never close
+        step = lambda x: 1.0 if x > 0.3 else -1.0
+        with pytest.raises(ConvergenceError) as err:
+            find_root_1d(step, 0.0, 1.0, 1e-300)
+        assert err.value.partial == pytest.approx(0.3, abs=1e-15)
