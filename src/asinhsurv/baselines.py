@@ -11,6 +11,8 @@ vectorized x and scalar shape parameters ``nu`` (tail index) and ``beta``
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import log_beta, log_gamma, reg_inc_beta, reg_inc_beta_inv
@@ -78,6 +80,23 @@ class Lomax:
     @staticmethod
     def hazard(x, nu, beta):
         return 1.0 / (1.0 + x / nu)
+
+    @staticmethod
+    def nll_score(x, log_tau, theta):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        and its gradient in (log_tau, theta)."""
+        y = x / math.exp(log_tau)
+        z = theta * y
+        # log1p(z) - z/(1+z) cancels to z^2/2 - ... for small z; use its series there.
+        small = z < 1e-4
+        zs = np.where(small, z, 0.0)
+        log1p_z = np.log1p(z)
+        h = np.where(small, zs * zs * (0.5 + zs * (-2.0 / 3.0 + zs * (0.75 - zs * 0.8))),
+                     log1p_z - z / (1.0 + z))
+        nll = log_tau * y.size + (1.0 / theta + 1.0) * float(np.sum(log1p_z))
+        d_log_tau = y.size - float(np.sum((y + z) / (1.0 + z)))
+        d_theta = float(np.sum(y / (1.0 + z) - h / (theta * theta)))
+        return nll, np.array([d_log_tau, d_theta])
 
     @staticmethod
     def quantile(p, nu, beta):

@@ -152,6 +152,26 @@ class _GenExp:
         return 1.0 / np.hypot(1.0, x / nu)
 
     @staticmethod
+    def nll_score(x, log_tau, theta):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        and its gradient in (log_tau, theta)."""
+        y = x / math.exp(log_tau)
+        z = theta * y
+        a = np.arcsinh(z)
+        c = np.hypot(1.0, z)
+        t = z / c
+        # asinh(z) - z/c cancels to z^3/3 + ... for small z; use its series there.
+        small = z < 1e-2
+        zs = np.where(small, z, 0.0)
+        zz = zs * zs
+        series = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * 35.0 / 144.0)))
+        g = np.where(small, series, a - t)
+        nll = log_tau * y.size + float(np.sum(a / theta + np.log(c)))
+        d_log_tau = y.size - float(np.sum(y / c + t * t))
+        d_theta = float(np.sum(y * t / c - g / (theta * theta)))
+        return nll, np.array([d_log_tau, d_theta])
+
+    @staticmethod
     def quantile(p, nu, beta):
         return nu * np.sinh(-np.log1p(-p) / nu)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from asinhsurv import (
     make_stream,
     neg_log_likelihood,
 )
+from asinhsurv import fitting
 
 
 class TestSample:
@@ -144,3 +146,120 @@ class TestFitAll:
             if results[Family.GEN_EXP].neg_log_lik < results[Family.LOMAX].neg_log_lik:
                 wins += 1
         assert wins > trials / 2
+
+
+_BODY = np.concatenate([[0.0], make_handle("exp").sample(40, make_stream(17))])
+_WITH_EXTREMES = np.concatenate([[1e6, 20.0, 10.0], _BODY])
+
+
+def _decimal_nll(family, x, log_tau, theta):
+    """The genexp or Lomax neg-log-likelihood in decimal arithmetic."""
+    tau = log_tau.exp()
+    total = len(x) * log_tau
+    for value in x:
+        z = theta * Decimal(float(value)) / tau
+        if family == "genexp":
+            total += (z + (1 + z * z).sqrt()).ln() / theta + (1 + z * z).ln() / 2
+        else:
+            total += (1 / theta + 1) * (1 + z).ln()
+    return total
+
+
+def _decimal_gradient(family, x, log_tau, theta):
+    """Central differences of :func:`_decimal_nll` at 50 digits: exact to
+    far below double precision, so it also checks the small-z series."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        point = [Decimal(log_tau), Decimal(theta)]
+        grad = []
+        for i, h in enumerate((Decimal("1e-15"), point[1] * Decimal("1e-15"))):
+            up, down = list(point), list(point)
+            up[i] += h
+            down[i] -= h
+            diff = _decimal_nll(family, x, *up) - _decimal_nll(family, x, *down)
+            grad.append(float(diff / (2 * h)))
+    return grad
+
+
+@pytest.mark.parametrize("x", [_BODY, _WITH_EXTREMES], ids=["body", "with-0-and-1e6"])
+@pytest.mark.parametrize("family", ["genexp", "lomax"])
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0])
+@pytest.mark.parametrize("log_tau", [-3.0, 0.0, 3.0])
+def test_nll_score_matches_decimal_reference(x, family, theta, log_tau):
+    kernel = fitting._KERNELS[Family.parse(family)]
+    nll, grad = kernel.nll_score(x, log_tau, theta)
+    handle = make_handle(family, nu=1.0 / theta, tau=math.exp(log_tau))
+    assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
+    assert grad == pytest.approx(_decimal_gradient(family, x, log_tau, theta), rel=1e-10)
+
+
+def _study_like(n, outliers, rep):
+    x = make_handle("exp").sample(n, make_stream(1000 * n + 10 * outliers + rep))
+    return np.concatenate([x, [20.0, 10.0][:outliers]])
+
+
+@pytest.mark.parametrize("family", [Family.GEN_EXP, Family.LOMAX])
+def test_quasi_newton_no_worse_than_nelder_mead(family):
+    opts = FitOptions()
+    names = fitting._free_parameter_names(family, opts)
+    for n in (10, 100, 1000):
+        for outliers in range(3):
+            for rep in range(10):
+                x = _study_like(n, outliers, rep)
+                qn = fitting._fit_quasi_newton(family, x, names, opts)
+                nm = fitting._fit_nelder_mead(family, x, names, opts)
+                # the exponential limit as far as the nu <= 1e6 cap reaches it
+                limit = make_handle(family, nu=1e6, tau=float(np.mean(x)))
+                limit_nll = neg_log_likelihood(limit, Sample(x))
+                assert qn.converged, (n, outliers, rep)
+                assert qn.neg_log_lik <= nm.neg_log_lik + 1e-10 * (1.0 + abs(nm.neg_log_lik))
+                assert qn.neg_log_lik <= limit_nll + 1e-10 * (1.0 + abs(limit_nll))
+
+
+def _record_methods(monkeypatch, lbfgsb_maxiter=None):
+    methods = []
+    original = fitting.minimize
+
+    def recording(fun, x0, method=None, options=None, **kwargs):
+        methods.append(method)
+        if method == "L-BFGS-B" and lbfgsb_maxiter is not None:
+            options = dict(options, maxiter=lbfgsb_maxiter)
+        return original(fun, x0, method=method, options=options, **kwargs)
+
+    monkeypatch.setattr(fitting, "minimize", recording)
+    return methods
+
+
+def test_score_families_take_quasi_newton(monkeypatch):
+    x = _study_like(100, 2, 0)
+    methods = _record_methods(monkeypatch)
+    for family in ("genexp", "lomax"):
+        assert fit_mle(family, Sample(x)).converged
+    assert set(methods) == {"L-BFGS-B"}
+
+
+def test_unconverged_quasi_newton_falls_back_to_nelder_mead(monkeypatch):
+    family = Family.GEN_EXP
+    x = _study_like(100, 2, 1)
+    opts = FitOptions()
+    names = fitting._free_parameter_names(family, opts)
+    expected = fitting._fit_nelder_mead(family, x, names, opts)
+    methods = _record_methods(monkeypatch, lbfgsb_maxiter=1)
+    assert not fitting._fit_quasi_newton(family, x, names, opts).converged
+    methods.clear()
+    res = fit_mle(family, Sample(x), opts)
+    assert "L-BFGS-B" in methods and "Nelder-Mead" in methods
+    assert res == expected
+    assert res.converged
+
+
+@pytest.mark.parametrize("family, options", [
+    ("genexp", FitOptions(free_eta=True)),
+    ("lomax", FitOptions(free_eta=True)),
+    ("genweibull", None),
+])
+def test_other_fits_take_nelder_mead(monkeypatch, family, options):
+    x = 2.0 + _study_like(200, 1, 2)
+    methods = _record_methods(monkeypatch)
+    fit_mle(family, Sample(x), options)
+    assert methods and set(methods) == {"Nelder-Mead"}
