@@ -189,13 +189,15 @@ class CompoundGamma:
     @staticmethod
     def log_survival(x, nu, beta):
         # X/(X+nu) ~ Beta(beta, nu), so S(x) = I_{nu/(x+nu)}(nu, beta).
+        # Each argument comes with its complement: near 0 or in the far
+        # tail one of them rounds to 1 and would lose that tail.
         u = nu / (x + nu)
-        with np.errstate(divide="ignore"):
-            return np.log(reg_inc_beta(u, nu, beta))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(reg_inc_beta(u, nu, beta, one_minus_x=x / (x + nu)))
 
     @staticmethod
     def cdf(x, nu, beta):
-        return reg_inc_beta(x / (x + nu), beta, nu)
+        return reg_inc_beta(x / (x + nu), beta, nu, one_minus_x=nu / (x + nu))
 
     @staticmethod
     def quantile(p, nu, beta):

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .distributions import Family, make_handle
+from .distributions import _KERNELS, Family, make_handle
 from .errors import DomainError
 from .experiments import (
     CURVE_COLUMNS,
@@ -31,7 +31,8 @@ from .fitting import Sample, fit_all
 from .rng import make_stream
 
 _EVAL_WHAT = ("pdf", "cdf", "survival", "hazard", "quantile", "moment", "mode", "entropy")
-_BETA_FAMILIES = {Family.GEN_WEIBULL, Family.GEN_GAMMA, Family.BURR_XII, Family.COMPOUND_GAMMA}
+_FIT_COLUMNS = ("family", "tau_hat", "nu_hat", "beta_hat", "neg_log_lik", "converged",
+                "at_nu_bound")
 
 
 def _fmt(value) -> str:
@@ -68,10 +69,9 @@ def _handle_from_args(args) -> "make_handle":
     family = Family.parse(args.dist)
     nu = args.nu
     if nu is None:
-        if family is Family.EXPONENTIAL:
-            nu = 1.0  # unused by the family
-        else:
+        if _KERNELS[family].uses_nu:
             raise DomainError(f"--nu: required for --dist {family.value}")
+        nu = 1.0  # unused by the family
     try:
         return make_handle(family, nu=nu, beta=args.beta, tau=args.tau, eta=args.eta)
     except DomainError as exc:
@@ -102,31 +102,11 @@ def cmd_eval(args) -> int:
             raise DomainError(f"--at: required for --what {what}")
         ats = _float_list(args.at)
 
-    rows = []
-    for at in ats:
-        if what == "pdf":
-            value = handle.pdf(at)
-        elif what == "cdf":
-            value = handle.cdf(at)
-        elif what == "survival":
-            value = handle.survival(at)
-        elif what == "hazard":
-            value = handle.hazard(at)
-        elif what == "quantile":
-            try:
-                value = handle.quantile(at)
-            except DomainError as exc:
-                raise DomainError(f"--at: {exc}") from None
-        elif what == "moment":
-            try:
-                value = handle.moment(at)
-            except DomainError as exc:
-                raise DomainError(f"--at: {exc}") from None
-        elif what == "mode":
-            value = handle.mode()
-        else:
-            value = handle.entropy()
-        rows.append((at, value))
+    method = getattr(handle, what)
+    try:
+        rows = [(at, method() if at is None else method(at)) for at in ats]
+    except DomainError as exc:
+        raise DomainError(f"--at: {exc}") from None
 
     with _open_out(args.out) as fh:
         if args.format == "json":
@@ -184,27 +164,25 @@ def cmd_fit(args) -> int:
     results = fit_all(sample, families=families)
     payload = []
     for r in results:
+        kernel = _KERNELS[r.family]
         entry = {
             "family": r.family.value,
             "tau_hat": r.estimates.tau,
-            "nu_hat": None if r.family is Family.EXPONENTIAL else r.estimates.nu,
+            "nu_hat": r.estimates.nu if kernel.uses_nu else None,
             "neg_log_lik": r.neg_log_lik,
             "converged": r.converged,
             "at_nu_bound": r.at_nu_bound,
         }
-        if r.family in _BETA_FAMILIES:
+        if kernel.uses_beta:
             entry["beta_hat"] = r.estimates.beta
         payload.append(entry)
     with _open_out(args.out) as fh:
         if args.format == "json":
             fh.write(json.dumps(payload, indent=2) + "\n")
         else:
-            header = ("family", "tau_hat", "nu_hat", "beta_hat", "neg_log_lik",
-                      "converged", "at_nu_bound")
-            rows = [(e["family"], e["tau_hat"], e["nu_hat"], e.get("beta_hat"),
-                     e["neg_log_lik"], int(e["converged"]), int(e["at_nu_bound"]))
+            rows = [[int(v) if isinstance(v, bool) else v for v in map(e.get, _FIT_COLUMNS)]
                     for e in payload]
-            _write_csv(fh, header, rows)
+            _write_csv(fh, _FIT_COLUMNS, rows)
     return 0
 
 

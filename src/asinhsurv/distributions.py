@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _LN_SQRT2 = 0.5 * math.log(2.0)
+_LN_Q_SERIES = math.log(1e-300)
 
 
 @dataclass(frozen=True)
@@ -282,15 +283,32 @@ class _GenGamma:
     uses_nu = True
 
     @staticmethod
-    def log_survival(x, nu, beta):
-        terms = asinh_terms(np.asarray(x, dtype=float), nu)
-        with np.errstate(divide="ignore"):
-            return np.log(reg_inc_beta(np.asarray(terms.q), nu / 2.0, beta))
+    def _tail_terms(x, nu, beta):
+        """q, 1 - q and the far-tail log survival of I_q(nu/2, beta).
 
-    @staticmethod
-    def cdf(x, nu, beta):
-        terms = asinh_terms(np.asarray(x, dtype=float), nu)
-        return reg_inc_beta(1.0 - np.asarray(terms.q), beta, nu / 2.0)
+        q and 1 - q are each formed without cancellation.  Where q < 1e-300
+        (betainc loses accuracy there, and q underflows) the log survival is
+        the leading term log(q^a / (a B(a, beta))), a = nu/2, of its series;
+        elsewhere the third value is NaN.
+        """
+        x = np.asarray(x, dtype=float)
+        a = nu / 2.0
+        ln_q = -2.0 * np.arcsinh(x / nu)
+        series = np.where(ln_q < _LN_Q_SERIES, a * ln_q - math.log(a) - log_beta(a, beta), np.nan)
+        return np.asarray(asinh_terms(x, nu).q), -np.expm1(ln_q), series
+
+    @classmethod
+    def log_survival(cls, x, nu, beta):
+        q, w, series = cls._tail_terms(x, nu, beta)
+        with np.errstate(divide="ignore"):
+            ls = np.log(reg_inc_beta(q, nu / 2.0, beta, one_minus_x=w))
+        return np.where(np.isnan(series), ls, series)
+
+    @classmethod
+    def cdf(cls, x, nu, beta):
+        q, w, series = cls._tail_terms(x, nu, beta)
+        f = reg_inc_beta(w, beta, nu / 2.0, one_minus_x=q)
+        return np.where(np.isnan(series), f, -np.expm1(series))
 
     @staticmethod
     def log_pdf(x, nu, beta):
@@ -373,9 +391,11 @@ class _GenExpType2:
 
     @classmethod
     def cdf(cls, x, nu, beta):
+        # The two terms tend to -nu and -(nu+2) in the tail, and their
+        # rounded sum can exceed 2(nu+1) by an ulp.
         ln_r = cls._log_r(x, nu)
-        return -(nu * np.expm1((nu + 2.0) * ln_r)
-                 + (nu + 2.0) * np.expm1(nu * ln_r)) / (2.0 * (nu + 1.0))
+        return np.minimum(-(nu * np.expm1((nu + 2.0) * ln_r)
+                            + (nu + 2.0) * np.expm1(nu * ln_r)) / (2.0 * (nu + 1.0)), 1.0)
 
     @classmethod
     def log_pdf(cls, x, nu, beta):

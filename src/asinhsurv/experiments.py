@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distributions import Family, make_handle
+from .distributions import _KERNELS, Family, make_handle
 from .errors import DomainError
 from .fitting import FitOptions, FitResult, Sample, fit_all
 from .rng import make_stream
@@ -71,7 +71,7 @@ class MethodFit:
 
     @classmethod
     def from_result(cls, result: FitResult) -> "MethodFit":
-        nu_hat = result.estimates.nu if result.family is not Family.EXPONENTIAL else None
+        nu_hat = result.estimates.nu if _KERNELS[result.family].uses_nu else None
         return cls(result.neg_log_lik, result.estimates.tau, nu_hat,
                    result.converged, result.at_nu_bound)
 
@@ -163,46 +163,30 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {
-                "sample_sizes": list(self.config.sample_sizes),
-                "outlier_values": list(self.config.outlier_values),
-                "true_tau": self.config.true_tau,
-                "replications": self.config.replications,
-                "base_seed": self.config.base_seed,
-            },
+            "config": _plain(asdict(self.config)),
             "cells": [_plain(asdict(c)) for c in self.cells],
             "replications": [_plain(asdict(r)) for r in self.replications],
         }
 
     def replication_rows(self) -> list[tuple]:
-        rows = []
-        for r in self.replications:
-            rows.append((
-                r.n, r.n_outliers, r.replication, r.clean_mean, r.contaminated_mean,
-                r.error_ignore, r.error_lomax, r.error_genexp,
-                r.exp.neg_log_lik, r.exp.tau_hat,
-                r.lomax.neg_log_lik, r.lomax.tau_hat, r.lomax.nu_hat,
-                int(r.lomax.converged), int(r.lomax.at_nu_bound),
-                r.genexp.neg_log_lik, r.genexp.tau_hat, r.genexp.nu_hat,
-                int(r.genexp.converged), int(r.genexp.at_nu_bound),
-            ))
-        return rows
+        return [tuple(_column(r, name) for name in REPLICATION_COLUMNS)
+                for r in self.replications]
 
     def summary_rows(self) -> list[tuple]:
-        rows = []
-        for c in self.cells:
-            rows.append((
-                c.n, c.n_outliers, c.replications,
-                c.error_ignore_median, c.error_ignore_q1, c.error_ignore_q3,
-                c.error_lomax_median, c.error_lomax_q1, c.error_lomax_q3,
-                c.error_genexp_median, c.error_genexp_q1, c.error_genexp_q3,
-                c.exp.neg_log_lik_median, c.exp.tau_hat_median,
-                c.lomax.neg_log_lik_median, c.lomax.tau_hat_median, c.lomax.nu_hat_median,
-                c.lomax.converged_rate, c.lomax.at_nu_bound_rate,
-                c.genexp.neg_log_lik_median, c.genexp.tau_hat_median, c.genexp.nu_hat_median,
-                c.genexp.converged_rate, c.genexp.at_nu_bound_rate,
-            ))
-        return rows
+        return [tuple(_column(c, name) for name in SUMMARY_COLUMNS) for c in self.cells]
+
+
+def _column(row, name: str):
+    """The value of column ``name`` in a replication or cell row.
+
+    A ``<method>_`` prefix selects that method's fit or statistics record;
+    booleans become 0/1.
+    """
+    method, _, field = name.partition("_")
+    if method in _METHODS:
+        row, name = getattr(row, method), field
+    value = getattr(row, name)
+    return int(value) if isinstance(value, bool) else value
 
 
 def _plain(obj):
@@ -225,8 +209,12 @@ def _cell_summary(n: int, k: int, rows: list[ReplicationRow]) -> CellSummary:
     def q(values, which):
         return float(np.quantile(values, which))
 
-    errors = {name: np.array([getattr(r, f"error_{name}") for r in rows])
-              for name in ("ignore", "lomax", "genexp")}
+    errors = {}
+    for name in ("ignore", "lomax", "genexp"):
+        values = np.array([getattr(r, f"error_{name}") for r in rows])
+        errors[f"error_{name}_median"] = med(values)
+        errors[f"error_{name}_q1"] = q(values, 0.25)
+        errors[f"error_{name}_q3"] = q(values, 0.75)
     stats = {}
     for method in _METHODS:
         fits = [getattr(r, method) for r in rows]
@@ -238,19 +226,7 @@ def _cell_summary(n: int, k: int, rows: list[ReplicationRow]) -> CellSummary:
             converged_rate=float(np.mean([f.converged for f in fits])),
             at_nu_bound_rate=float(np.mean([f.at_nu_bound for f in fits])),
         )
-    return CellSummary(
-        n=n, n_outliers=k, replications=len(rows),
-        error_ignore_median=med(errors["ignore"]),
-        error_ignore_q1=q(errors["ignore"], 0.25),
-        error_ignore_q3=q(errors["ignore"], 0.75),
-        error_lomax_median=med(errors["lomax"]),
-        error_lomax_q1=q(errors["lomax"], 0.25),
-        error_lomax_q3=q(errors["lomax"], 0.75),
-        error_genexp_median=med(errors["genexp"]),
-        error_genexp_q1=q(errors["genexp"], 0.25),
-        error_genexp_q3=q(errors["genexp"], 0.75),
-        exp=stats["exp"], lomax=stats["lomax"], genexp=stats["genexp"],
-    )
+    return CellSummary(n=n, n_outliers=k, replications=len(rows), **errors, **stats)
 
 
 def run_robustness_study(config: ExperimentConfig,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import stat
 import numpy as np
 import pytest
 
+from asinhsurv import ExperimentConfig, Family, Sample, fit_all, run_robustness_study
 from asinhsurv.cli import main
 
 
@@ -13,6 +15,32 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _parse_csv(text: str) -> list[dict]:
+    header, *lines = text.splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+def _flatten(fields: dict, prefix: str = "") -> dict:
+    """Nested dataclass fields as one dict: {"lomax": {"tau_hat": 1}} -> {"lomax_tau_hat": 1}."""
+    flat = {}
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}_"))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _assert_cell(text: str, value, name: str) -> None:
+    """A CSV cell holds ``value``: bools as 0/1, None as empty, floats exactly at 17 digits."""
+    if value is None:
+        assert text == "", name
+    elif isinstance(value, (bool, int)):
+        assert text == str(int(value)), name
+    else:
+        assert float(text) == value, name
 
 
 class TestEval:
@@ -53,6 +81,12 @@ class TestEval:
     def test_quantile_domain_error_names_flag(self, capsys):
         code, _, err = run(capsys, "eval", "--dist", "genexp", "--nu", "1",
                            "--what", "quantile", "--at", "1.5")
+        assert code == 2
+        assert "--at" in err
+
+    def test_nan_point_names_flag(self, capsys):
+        code, _, err = run(capsys, "eval", "--dist", "genexp", "--nu", "1",
+                           "--what", "pdf", "--at", "nan")
         assert code == 2
         assert "--at" in err
 
@@ -168,6 +202,25 @@ class TestFit:
         assert code == 0
         assert out.splitlines()[0] == "family,tau_hat,nu_hat,beta_hat,neg_log_lik,converged,at_nu_bound"
 
+    def test_csv_columns_match_fit_results(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run(capsys, "sample", "--dist", "genexp", "--nu", "2", "-n", "60", "--seed", "3",
+            "--out", str(data))
+        families = "exp,lomax,genexp,genweibull"
+        code, out, _ = run(capsys, "fit", str(data), "--families", families, "--format", "csv")
+        assert code == 0
+        rows = _parse_csv(out)
+        results = fit_all(Sample(np.loadtxt(data, skiprows=1)), families=families.split(","))
+        assert [row["family"] for row in rows] == [r.family.value for r in results]
+        for row, r in zip(rows, results):
+            fields = {"tau_hat": r.estimates.tau, "neg_log_lik": r.neg_log_lik,
+                      "converged": r.converged, "at_nu_bound": r.at_nu_bound,
+                      "nu_hat": None if r.family is Family.EXPONENTIAL else r.estimates.nu,
+                      "beta_hat": r.estimates.beta if r.family is Family.GEN_WEIBULL else None}
+            assert set(row) == set(fields) | {"family"}
+            for name, value in fields.items():
+                _assert_cell(row[name], value, name)
+
 
 class TestExperiment:
     def test_small_json_run(self, tmp_path, capsys):
@@ -203,6 +256,23 @@ class TestExperiment:
         assert len(summary) == 4  # header + k in {0,1,2}
         reps = (tmp_path / "exp.csv.replications.csv").read_text().splitlines()
         assert len(reps) == 10  # header + 3 reps x 3 cells
+
+    def test_csv_columns_match_report_fields(self, tmp_path, capsys):
+        out_file = tmp_path / "exp.csv"
+        code, _, _ = run(capsys, "experiment", "--sizes", "8,20", "--reps", "2",
+                         "--seed", "6", "--out", str(out_file), "--format", "csv")
+        assert code == 0
+        report = run_robustness_study(ExperimentConfig(sample_sizes=(8, 20), replications=2,
+                                                       base_seed=6))
+        for path, records in ((out_file, report.cells),
+                              (tmp_path / "exp.csv.replications.csv", report.replications)):
+            rows = _parse_csv(path.read_text())
+            assert len(rows) == len(records)
+            for row, record in zip(rows, records):
+                fields = _flatten(dataclasses.asdict(record))
+                assert set(row) <= set(fields)
+                for name, text in row.items():
+                    _assert_cell(text, fields[name], name)
 
 
 class TestCurves:

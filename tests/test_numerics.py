@@ -141,6 +141,15 @@ class TestRegIncBeta:
         ratio = _beta_integral(x, a, b) / _beta_integral(1.0, a, b)
         assert reg_inc_beta(x, a, b) == pytest.approx(ratio, abs=1e-10)
 
+    @pytest.mark.parametrize("a,b", [(2.0, 0.5), (20.0, 0.01)])  # tail above and below 1/2
+    def test_complement_keeps_the_upper_tail(self, a, b):
+        # x = 1 - 1e-20 rounds to 1; 1 - x still carries the tail
+        expected = 1.0 - reg_inc_beta(1e-20, b, a)
+        assert reg_inc_beta(1.0, a, b) == 1.0
+        assert reg_inc_beta(1.0, a, b, one_minus_x=1e-20) == pytest.approx(expected, rel=1e-12)
+        xs = np.array([0.3, 0.5, 0.9])
+        assert np.array_equal(reg_inc_beta(xs, a, b, one_minus_x=1.0 - xs), reg_inc_beta(xs, a, b))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             reg_inc_beta(-0.1, 1.0, 1.0)
