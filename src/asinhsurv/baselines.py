@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .numerics import log_beta, log_gamma, reg_inc_beta, reg_inc_beta_inv
+from .numerics import (_near_one_from_complement, log_beta, log_gamma, reg_inc_beta,
+                       reg_inc_beta_inv)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -188,16 +189,17 @@ class CompoundGamma:
 
     @staticmethod
     def log_survival(x, nu, beta):
-        # X/(X+nu) ~ Beta(beta, nu), so S(x) = I_{nu/(x+nu)}(nu, beta).
-        # Each argument comes with its complement: near 0 or in the far
-        # tail one of them rounds to 1 and would lose that tail.
+        # X/(X+nu) ~ Beta(beta, nu), so S(x) = I_{nu/(x+nu)}(nu, beta).  Near
+        # x = 0 that argument rounds to 1 (far out, the cdf's does), not its complement.
         u = nu / (x + nu)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(reg_inc_beta(u, nu, beta, one_minus_x=x / (x + nu)))
+            return np.log(_near_one_from_complement(reg_inc_beta(u, nu, beta), x / (x + nu),
+                                                    nu, beta))
 
     @staticmethod
     def cdf(x, nu, beta):
-        return reg_inc_beta(x / (x + nu), beta, nu, one_minus_x=nu / (x + nu))
+        return _near_one_from_complement(reg_inc_beta(x / (x + nu), beta, nu), nu / (x + nu),
+                                         beta, nu)
 
     @staticmethod
     def quantile(p, nu, beta):

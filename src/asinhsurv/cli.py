@@ -137,9 +137,7 @@ def _read_data(path: str) -> Sample:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     values = []
-    start = 0
-    if lines and lines[0].strip().lower() == "x":
-        start = 1
+    start = 1 if lines and lines[0].strip().lower() == "x" else 0
     for i, line in enumerate(lines[start:], start=start + 1):
         text = line.strip()
         if not text:
@@ -195,16 +193,14 @@ def cmd_experiment(args) -> int:
         base_seed=args.seed,
     )
     report = run_robustness_study(config)
-    if args.format == "json":
-        with _open_out(args.out) as fh:
+    with _open_out(args.out) as fh:
+        if args.format == "json":
             fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
-    else:
-        with _open_out(args.out) as fh:
+        else:
             _write_csv(fh, SUMMARY_COLUMNS, report.summary_rows())
-        if args.out not in (None, "-"):
-            reps_path = args.out + ".replications.csv"
-            with _open_out(reps_path) as fh:
-                _write_csv(fh, REPLICATION_COLUMNS, report.replication_rows())
+    if args.format == "csv" and args.out not in (None, "-"):
+        with _open_out(args.out + ".replications.csv") as fh:
+            _write_csv(fh, REPLICATION_COLUMNS, report.replication_rows())
     return 0
 
 

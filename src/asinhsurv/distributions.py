@@ -30,6 +30,7 @@ import numpy as np
 from . import baselines
 from .errors import DomainError, UnsupportedOperationError
 from .numerics import (
+    _near_one_from_complement,
     digamma,
     find_root_1d,  # unused here; bench/tracing.py wraps this name by attribute
     log_beta,
@@ -284,30 +285,30 @@ class _GenGamma:
 
     @staticmethod
     def _tail_terms(x, nu, beta):
-        """q, 1 - q and the far-tail log survival of I_q(nu/2, beta).
-
-        q and 1 - q are each formed without cancellation.  Where q < 1e-300
-        (betainc loses accuracy there, and q underflows) the log survival is
-        the leading term log(q^a / (a B(a, beta))), a = nu/2, of its series;
-        elsewhere the third value is NaN.
-        """
-        x = np.asarray(x, dtype=float)
+        """q and 1 - q, each formed without cancellation, and the log survival
+        log I_q(a, beta), a = nu/2, where q < 1e-300 (betainc loses accuracy
+        there, and q underflows): the leading term log(q^a / (a B(a, beta)))
+        of its series; NaN elsewhere."""
         a = nu / 2.0
-        ln_q = -2.0 * np.arcsinh(x / nu)
-        series = np.where(ln_q < _LN_Q_SERIES, a * ln_q - math.log(a) - log_beta(a, beta), np.nan)
+        ln_q = -2.0 * np.arcsinh(np.asarray(x, dtype=float) / nu)
+        far = ln_q < _LN_Q_SERIES
+        series = np.full(ln_q.shape, np.nan)
+        if far.any():
+            series[far] = a * ln_q[far] - math.log(a) - log_beta(a, beta)
         return np.asarray(asinh_terms(x, nu).q), -np.expm1(ln_q), series
 
     @classmethod
     def log_survival(cls, x, nu, beta):
         q, w, series = cls._tail_terms(x, nu, beta)
+        a = nu / 2.0
         with np.errstate(divide="ignore"):
-            ls = np.log(reg_inc_beta(q, nu / 2.0, beta, one_minus_x=w))
+            ls = np.log(_near_one_from_complement(reg_inc_beta(q, a, beta), w, a, beta))
         return np.where(np.isnan(series), ls, series)
 
     @classmethod
     def cdf(cls, x, nu, beta):
         q, w, series = cls._tail_terms(x, nu, beta)
-        f = reg_inc_beta(w, beta, nu / 2.0, one_minus_x=q)
+        f = _near_one_from_complement(reg_inc_beta(w, beta, nu / 2.0), q, beta, nu / 2.0)
         return np.where(np.isnan(series), f, -np.expm1(series))
 
     @staticmethod

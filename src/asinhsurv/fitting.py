@@ -1,9 +1,9 @@
 """Maximum-likelihood fitting of any family member to a univariate sample.
 
 The optimiser works in transformed coordinates: log tau and log beta are
-free, while the tail index is handled as theta = 1/nu on
-[1/nu_cap, 1e3] so that the exponential limit nu -> infinity is a
-reachable boundary point (nu capped at ``FitOptions.nu_cap``, default 1e6).
+free, while the tail index is handled as theta = 1/nu on [1e-6, 1e3] so
+that the exponential limit nu -> infinity is a reachable boundary point
+(theta -> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).
 Light-tailed data drives theta to that bound; ``FitResult.at_nu_bound``
 flags it.
 
@@ -36,6 +36,7 @@ from .errors import DomainError
 
 __all__ = ["Sample", "FitOptions", "FitResult", "neg_log_likelihood", "fit_mle", "fit_all"]
 
+_THETA_MIN = 1e-6
 _THETA_MAX = 1e3
 _LOG_TAU_BOUND = 40.0
 _LOG_BETA_BOUND = 7.0
@@ -64,24 +65,19 @@ class Sample:
 class FitOptions:
     """Knobs for :func:`fit_mle`; the defaults match the robustness study.
 
-    ``nu_cap`` is the largest tail index a fit may reach (theta = 1/nu is
-    bounded below by 1/nu_cap); it must be finite and above 1e-3.
+    ``nu_cap`` is the fixed cap on the tail index, 1e6 (theta = 1/nu is
+    bounded below by 1e-6); it can be read but not set.
     ``xatol``, ``fatol`` and ``max_restarts`` govern only the Nelder-Mead
     path (the fallback); ``max_iter`` bounds the iterations of either path.
     """
 
     free_eta: bool = False
-    nu_cap: float = 1e6
+    nu_cap: float = field(default=1.0 / _THETA_MIN, init=False)
     xatol: float = 1e-9
     fatol: float = 1e-10
     max_iter: int = 4000
     max_restarts: int = 1
     extra_starts: tuple = field(default=())
-
-    def __post_init__(self):
-        if not (math.isfinite(self.nu_cap) and self.nu_cap > 1.0 / _THETA_MAX):
-            raise DomainError(f"nu_cap must be finite and > {1.0 / _THETA_MAX:g}, "
-                              f"got {self.nu_cap}")
 
 
 @dataclass(frozen=True)
@@ -126,14 +122,14 @@ def _unpack(names: list[str], vec: np.ndarray) -> tuple[float, float, float, flo
     return float(nu), float(beta), math.exp(values["log_tau"]), float(values.get("eta", 0.0))
 
 
-def _bounds(names: list[str], x: np.ndarray, opts: FitOptions) -> Bounds:
+def _bounds(names: list[str], x: np.ndarray) -> Bounds:
     lo, hi = [], []
     for name in names:
         if name == "log_tau":
             lo.append(-_LOG_TAU_BOUND)
             hi.append(_LOG_TAU_BOUND)
         elif name == "theta":
-            lo.append(1.0 / opts.nu_cap)
+            lo.append(_THETA_MIN)
             hi.append(_THETA_MAX)
         elif name == "log_beta":
             lo.append(-_LOG_BETA_BOUND)
@@ -185,10 +181,10 @@ def _objective(kernel, names: list[str], x: np.ndarray):
 
 
 def _result(family: Family, names: list[str], vec: np.ndarray, nll: float,
-            converged: bool, iterations: int, opts: FitOptions) -> FitResult:
+            converged: bool, iterations: int) -> FitResult:
     nu, beta, tau, eta = _unpack(names, vec)
     values = dict(zip(names, vec))
-    at_bound = "theta" in values and values["theta"] <= (1.0 / opts.nu_cap) * (1.0 + 1e-9)
+    at_bound = "theta" in values and values["theta"] <= _THETA_MIN * (1.0 + 1e-9)
     return FitResult(family, Params(nu=nu, beta=beta, tau=tau, eta=eta), nll,
                      converged=bool(converged), iterations=int(iterations),
                      at_nu_bound=bool(at_bound))
@@ -202,7 +198,7 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str],
     (log_tau, theta).
     """
     kernel = _KERNELS[family]
-    bounds = _bounds(names, x, opts)
+    bounds = _bounds(names, x)
     best = None
     iterations = 0
     options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": opts.max_iter}
@@ -221,14 +217,14 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str],
     converged = np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(best.fun))
     # Report the likelihood the Nelder-Mead path would: from the kernel's log_pdf.
     nll = _objective(kernel, names, x)(best.x)
-    return _result(family, names, best.x, nll, converged, iterations, opts)
+    return _result(family, names, best.x, nll, converged, iterations)
 
 
 def _fit_nelder_mead(family: Family, x: np.ndarray, names: list[str],
                      opts: FitOptions) -> FitResult:
     """Nelder-Mead from each start, each run restarted up to ``max_restarts`` times."""
     objective = _objective(_KERNELS[family], names, x)
-    bounds = _bounds(names, x, opts)
+    bounds = _bounds(names, x)
     best = None
     best_simplex = None
     iterations = 0
@@ -252,7 +248,7 @@ def _fit_nelder_mead(family: Family, x: np.ndarray, names: list[str],
             best_simplex = res.final_simplex[0]
 
     converged = bool(best.success) and _relative_simplex_diameter(best_simplex) <= 1e-8
-    return _result(family, names, best.x, float(best.fun), converged, iterations, opts)
+    return _result(family, names, best.x, float(best.fun), converged, iterations)
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:

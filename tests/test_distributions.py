@@ -193,6 +193,17 @@ class TestQuantile:
             assert math.isfinite(x)
             assert h.survival(x) == pytest.approx(1.0 - p, rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("nu,beta,x,expected", [
+        (0.5, 0.8, 1e-12, 2.1952101929033368e-10),  # 50-digit mpmath references
+        (3.0, 2.5, 1e-12, 7.3926807820595264e-31),
+        (3.0, 0.8, 1e-6, 1.6196338137639212e-5),
+    ])
+    def test_gengamma_cdf_near_origin(self, nu, beta, x, expected):
+        # 1 - q cancels near x = 0 (relative error up to 3e-4 here); the
+        # kernel forms it as -expm1(ln q)
+        assert make_handle("gengamma", nu=nu, beta=beta).cdf(x) == pytest.approx(
+            expected, rel=1e-14, abs=0.0)
+
     def test_cgamma_nu50_known_miss(self):
         # the per-point root loop returned a point with cdf 0.98154 here
         h = make_handle("cgamma", nu=50.0, beta=0.7)

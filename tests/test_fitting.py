@@ -83,18 +83,10 @@ class TestFitMLE:
         assert res.estimates.nu == pytest.approx(1e6)
         assert res.estimates.tau == pytest.approx(float(np.mean(x)), rel=0.02)
 
-    @pytest.mark.parametrize("family, free_eta", [("genexp", False), ("lomax", False),
-                                                  ("genexp", True)])  # the last by Nelder-Mead
-    def test_nu_cap_bounds_the_fit(self, family, free_eta):
-        x = make_handle("exp").sample(3000, make_stream(8))
-        res = fit_mle(family, Sample(x), FitOptions(nu_cap=100.0, free_eta=free_eta))
-        assert res.at_nu_bound
-        assert res.estimates.nu == pytest.approx(100.0, rel=1e-9)
-
-    @pytest.mark.parametrize("cap", [float("nan"), float("inf"), 1e-3, 0.0, -5.0])
-    def test_bad_nu_cap_rejected(self, cap):
-        with pytest.raises(DomainError, match="nu_cap"):
-            FitOptions(nu_cap=cap)
+    def test_nu_cap_is_fixed(self):
+        assert FitOptions().nu_cap == 1e6
+        with pytest.raises(TypeError):
+            FitOptions(nu_cap=100.0)
 
     def test_fit_never_worse_than_seed_points(self):
         x = np.concatenate([make_handle("exp").sample(200, make_stream(9)), [20.0]])
