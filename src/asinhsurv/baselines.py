@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .numerics import (_near_one_from_complement, log_beta, log_gamma, reg_inc_beta,
-                       reg_inc_beta_inv)
+from .numerics import (_log_shape_factor, _near_one_from_complement, _scaled_power, log_beta,
+                       log_gamma, reg_inc_beta, reg_inc_beta_inv)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -129,17 +129,35 @@ class BurrXII:
     uses_beta = True
     uses_nu = True
 
+    # Static methods: bench/tracing.py wraps them, unwrapping only staticmethod.
+    @staticmethod
+    def _log1p(x, nu, beta):
+        """log1p(z), z = x^beta/nu, as a new 1-d array."""
+        z, far, log_z = _scaled_power(x, nu, beta)
+        out = np.log1p(z, out=z)
+        out[far] = log_z
+        return out
+
     @staticmethod
     def log_survival(x, nu, beta):
-        with np.errstate(over="ignore"):
-            y = np.power(x, beta)
-        return -nu * np.log1p(y / nu)
+        out = BurrXII._log1p(x, nu, beta)
+        out *= -nu
+        return out.reshape(np.shape(x))
 
     @staticmethod
     def log_pdf(x, nu, beta):
-        with np.errstate(divide="ignore", over="ignore"):
-            y = np.power(x, beta)
-            return np.log(beta) + (beta - 1.0) * np.log(x) - (nu + 1.0) * np.log1p(y / nu)
+        out = _log_shape_factor(x, beta)
+        log1p_z = BurrXII._log1p(x, nu, beta)
+        log1p_z *= nu + 1.0
+        out -= log1p_z
+        return out.reshape(np.shape(x))
+
+    @staticmethod
+    def hazard(x, nu, beta):
+        # Directly, not as log_pdf - log_survival: those cancel to a few ulp of nu log1p(z).
+        out = _log_shape_factor(x, beta)
+        out -= BurrXII._log1p(x, nu, beta)
+        return np.exp(out, out=out).reshape(np.shape(x))
 
     @staticmethod
     def quantile(p, nu, beta):

@@ -30,7 +30,9 @@ import numpy as np
 from . import baselines
 from .errors import DomainError, UnsupportedOperationError
 from .numerics import (
+    _log_shape_factor,
     _near_one_from_complement,
+    _scaled_power,
     digamma,
     find_root_1d,  # unused here; bench/tracing.py wraps this name by attribute
     log_beta,
@@ -53,7 +55,8 @@ __all__ = [
     "gen_gamma_acceptance_rate",
 ]
 
-_LN_SQRT2 = 0.5 * math.log(2.0)
+_LN2 = math.log(2.0)
+_LN_SQRT2 = 0.5 * _LN2
 _LN_Q_SERIES = math.log(1e-300)
 
 
@@ -225,26 +228,45 @@ class _GenWeibull:
     uses_beta = True
     uses_nu = True
 
+    # Both take _scaled_power's output; _asinh overwrites z, so it runs last.
     @staticmethod
-    def log_survival(x, nu, beta):
+    def _log_c(z, far, log_z):
+        """log sqrt(1 + z^2) as a new 1-d array."""
         with np.errstate(over="ignore"):
-            y = np.power(x, beta)
-        return -_nu_asinh(y, nu)
+            out = np.multiply(z, z)
+        np.log1p(out, out=out)
+        out *= 0.5
+        out[far] = log_z
+        return out
 
     @staticmethod
-    def log_pdf(x, nu, beta):
-        with np.errstate(divide="ignore", over="ignore"):
-            y = np.power(x, beta)
-            z = y / nu
-            shape_term = 0.0 if beta == 1.0 else (beta - 1.0) * np.log(x)
-            return math.log(beta) + shape_term - _nu_asinh(y, nu) - _log_c(z)
+    def _asinh(z, far, log_z):
+        """asinh z, in place over z."""
+        out = np.arcsinh(z, out=z)
+        out[far] = log_z + _LN2
+        return out
 
-    @staticmethod
-    def hazard(x, nu, beta):
-        with np.errstate(divide="ignore", over="ignore"):
-            y = np.power(x, beta)
-            pre = beta if beta == 1.0 else beta * np.power(x, beta - 1.0)
-            return pre / np.hypot(1.0, y / nu)
+    @classmethod
+    def log_survival(cls, x, nu, beta):
+        out = cls._asinh(*_scaled_power(x, nu, beta))
+        out *= -nu
+        return out.reshape(np.shape(x))
+
+    @classmethod
+    def log_pdf(cls, x, nu, beta):
+        terms = _scaled_power(x, nu, beta)
+        out = _log_shape_factor(x, beta)
+        out -= cls._log_c(*terms)
+        nu_asinh = cls._asinh(*terms)
+        nu_asinh *= nu
+        out -= nu_asinh
+        return out.reshape(np.shape(x))
+
+    @classmethod
+    def hazard(cls, x, nu, beta):
+        out = _log_shape_factor(x, beta)
+        out -= cls._log_c(*_scaled_power(x, nu, beta))
+        return np.exp(out, out=out).reshape(np.shape(x))
 
     @staticmethod
     def quantile(p, nu, beta):

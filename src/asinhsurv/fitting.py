@@ -7,19 +7,16 @@ that the exponential limit nu -> infinity is a reachable boundary point
 Light-tailed data drives theta to that bound; ``FitResult.at_nu_bound``
 flags it.
 
-Two paths share the same starts and bounds:
-
-* Families whose kernel has a closed-form score (``nll_score``: genexp and
-  Lomax), fitted with the location fixed, are minimised by the bounded
-  quasi-Newton method L-BFGS-B from each start.  Such a fit is
-  ``converged`` when the infinity norm of its projected gradient is at most
-  1e-6 (1 + |nll|); the optimiser's own status is not used, because its
-  line search can stop at the optimum with an "abnormal termination" when
-  the likelihood is flat in theta.
-* Every other fit, and a quasi-Newton fit that is not converged, runs a
-  derivative-free Nelder-Mead simplex with multi-start and restart.  It is
-  ``converged`` when scipy reports success and the relative diameter of
-  the final simplex is at most 1e-8.
+Every fit but the closed-form exponential is made by the bounded
+quasi-Newton method L-BFGS-B from each start.  Its gradient is the
+kernel's closed-form score (``nll_score``: genexp and Lomax, location
+fixed) or else scipy's finite differences.  A fit is ``converged`` when the
+infinity norm of its projected gradient is at most 1e-6 (1 + |nll|); the
+optimiser's own status is not used, because its line search can stop at
+the optimum with an "abnormal termination" when the likelihood is flat.
+Only an unconverged fit falls back to a derivative-free Nelder-Mead
+simplex with multi-start and restart, ``converged`` when scipy reports
+success and the relative diameter of the final simplex is at most 1e-8.
 """
 
 from __future__ import annotations
@@ -82,7 +79,11 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimates and diagnostics from one maximum-likelihood fit."""
+    """Estimates and diagnostics from one maximum-likelihood fit.
+
+    ``iterations`` counts the L-BFGS-B iterations over all starts, or, for
+    a fit that fell back, the Nelder-Mead ones including restarts.
+    """
 
     family: Family
     estimates: Params
@@ -192,32 +193,31 @@ def _result(family: Family, names: list[str], vec: np.ndarray, nll: float,
 
 def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str],
                       opts: FitOptions) -> FitResult:
-    """L-BFGS-B from each start on the kernel's closed-form score.
-
-    Only for kernels with ``nll_score`` and the free parameters
-    (log_tau, theta).
-    """
+    """L-BFGS-B from each start, on the kernel's score where it has one for
+    the free parameters (log_tau, theta), else on finite differences."""
     kernel = _KERNELS[family]
     bounds = _bounds(names, x)
+    objective = _objective(kernel, names, x)
     best = None
     iterations = 0
     options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": opts.max_iter}
-
-    def fun(vec: np.ndarray):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return kernel.nll_score(x, vec[0], vec[1])
+    fun, jac = objective, None
+    if hasattr(kernel, "nll_score") and names == ["log_tau", "theta"]:
+        def fun(vec: np.ndarray):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return kernel.nll_score(x, vec[0], vec[1])
+        jac = True
 
     for start in _starts(names, x, opts):
         start = np.clip(start, bounds.lb, bounds.ub)
-        res = minimize(fun, start, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
+        res = minimize(fun, start, method="L-BFGS-B", jac=jac, bounds=bounds, options=options)
         iterations += res.nit
         if best is None or res.fun < best.fun:
             best = res
     projected = np.clip(best.x - best.jac, bounds.lb, bounds.ub) - best.x
     converged = np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(best.fun))
     # Report the likelihood the Nelder-Mead path would: from the kernel's log_pdf.
-    nll = _objective(kernel, names, x)(best.x)
-    return _result(family, names, best.x, nll, converged, iterations)
+    return _result(family, names, best.x, objective(best.x), converged, iterations)
 
 
 def _fit_nelder_mead(family: Family, x: np.ndarray, names: list[str],
@@ -254,9 +254,9 @@ def _fit_nelder_mead(family: Family, x: np.ndarray, names: list[str],
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
-    Kernels with a closed-form score are fitted by L-BFGS-B when the
-    location is fixed; any other fit, or one L-BFGS-B leaves unconverged,
-    is made by Nelder-Mead (see the module docstring).
+    The exponential with fixed location has a closed form.  Every other fit
+    runs L-BFGS-B, and Nelder-Mead only if that leaves it unconverged (see
+    the module docstring).
     """
     family = Family.parse(family)
     opts = options or FitOptions()
@@ -276,11 +276,8 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
         return FitResult(family, params, nll, converged=True, iterations=0,
                          at_nu_bound=False)
 
-    if hasattr(_KERNELS[family], "nll_score") and not opts.free_eta:
-        result = _fit_quasi_newton(family, x, names, opts)
-        if result.converged:
-            return result
-    return _fit_nelder_mead(family, x, names, opts)
+    result = _fit_quasi_newton(family, x, names, opts)
+    return result if result.converged else _fit_nelder_mead(family, x, names, opts)
 
 
 _DEFAULT_FAMILIES = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)

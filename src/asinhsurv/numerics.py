@@ -132,6 +132,37 @@ def _near_one_from_complement(value, one_minus_x, a, b):
     return out
 
 
+# The genweibull and Burr XII kernels take z = x^beta/nu, which overflows
+# for moderate x and beta, from log z past z = 1e150: there log1p z = log z,
+# log sqrt(1 + z^2) = log z and asinh z = log z + ln 2 to double precision.
+# They update their arrays in place: on 1e5 points each fresh temporary
+# costs more than the arithmetic it holds.
+_Z_FAR = 1e150
+
+
+def _scaled_power(x, nu, beta):
+    """z = x^beta / nu for x >= 0 as a new 1-d array (inf where it
+    overflows), the mask of z > 1e150, and log z at those points."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(over="ignore"):
+        z = np.power(x, beta)
+        z /= nu
+    far = z > _Z_FAR
+    return z, far, beta * np.log(x[far]) - math.log(nu)
+
+
+def _log_shape_factor(x, beta):
+    """log(beta x^(beta-1)) for x >= 0 as a new 1-d array (0 at beta = 1, also at x = 0)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if beta == 1.0:
+        return np.zeros(x.shape)
+    with np.errstate(divide="ignore"):
+        out = np.log(x)
+    out *= beta - 1.0
+    out += math.log(beta)
+    return out
+
+
 def reg_inc_beta_inv(p, a, b):
     """Inverse of :func:`reg_inc_beta` in x: the x in [0, 1] with
     I_x(a, b) = p, for p in [0, 1] and scalar a, b > 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ class TestHazard:
         xs = np.array([0.1, 1.0, 5.0, 50.0])
         ratio = h.pdf(xs) / h.survival(xs)
         assert h.hazard(xs) == pytest.approx(ratio, rel=1e-10)
+
+    # x^beta = 20^300 overflows; 50-digit mpmath references.  The hazard
+    # there is beta x^(beta-1) / z to double precision, = beta nu / x = 45.
+    @pytest.mark.parametrize("family, log_pdf, log_survival", [
+        ("genweibull", -2691.1359883844971, -2694.9426508742674),
+        ("burr12", -2689.0565468428172, -2692.8632093325876),
+    ], ids=["genweibull", "burr12"])
+    def test_finite_where_x_to_the_beta_overflows(self, family, log_pdf, log_survival):
+        h = make_handle(family, nu=3.0, beta=300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert h.log_pdf(20.0) == pytest.approx(log_pdf, rel=1e-13)
+            assert h.log_survival(20.0) == pytest.approx(log_survival, rel=1e-13)
+            assert h.hazard(20.0) == pytest.approx(45.0, rel=1e-13)
 
 
 class TestQuantile:

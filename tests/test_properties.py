@@ -2,8 +2,12 @@
 
 For every family, at any (nu, beta, tau, eta) and any x from 0 up to
 1e300: the cdf and the survival are probabilities, they add up to one,
-and the cdf never decreases.
+and the cdf never decreases.  For genweibull and burr12, whose z = x^beta/nu
+overflows first, log_pdf, log_survival and hazard stay finite without a
+warning for x in [1e-300, 1e300], and the hazard is pdf/survival.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -40,3 +44,33 @@ def test_cdf_and_survival_are_complementary_probabilities(family, nu, beta, tau,
     assert np.all((survival >= 0.0) & (survival <= 1.0)), survival
     assert np.max(np.abs(cdf + survival - 1.0)) <= 1e-12
     assert np.all(np.diff(cdf) >= 0.0), cdf
+
+
+_WIDE_POINTS = st.lists(
+    st.one_of(st.floats(min_value=1e-300, max_value=1e300),
+              st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)),
+    min_size=1, max_size=30)
+
+
+@pytest.mark.parametrize("family", ["genweibull", "burr12"])
+@given(nu=st.floats(min_value=0.01, max_value=1000.0),
+       beta=st.floats(min_value=0.05, max_value=20.0),
+       points=_WIDE_POINTS)
+@example(nu=3.0, beta=20.0, points=[1e-300, 20.0, 1e300])
+@example(nu=0.01, beta=0.05, points=[1e-300, 1e300])
+@settings(max_examples=150, deadline=None)
+def test_finite_at_extreme_x_and_hazard_is_pdf_over_survival(family, nu, beta, points):
+    handle = make_handle(family, nu=nu, beta=beta)
+    x = np.array(points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        log_pdf = handle.log_pdf(x)
+        log_survival = handle.log_survival(x)
+        hazard = handle.hazard(x)
+    assert np.all(np.isfinite(log_pdf)), log_pdf
+    assert np.all(np.isfinite(log_survival)), log_survival
+    assert np.all(np.isfinite(hazard)), hazard
+    # An underflowed (zero or subnormal) hazard has no accurate log to compare.
+    normal = hazard >= np.finfo(float).tiny
+    gap = np.abs(np.log(hazard[normal]) - (log_pdf - log_survival)[normal])
+    assert np.all(gap <= 1e-12 * (1.0 + np.abs(log_survival[normal]))), gap
