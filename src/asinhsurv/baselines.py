@@ -6,7 +6,9 @@ are judged against.  Each kernel implements the standard member (scale 1,
 location 0) on x >= 0; location-scale wrapping happens in
 :class:`asinhsurv.distributions.DistributionHandle`.  Kernel methods take
 vectorized x and scalar shape parameters ``nu`` (tail index) and ``beta``
-(Weibull/gamma shape, ignored where marked).
+(Weibull/gamma shape, ignored where ``uses_beta`` is false).  The Lomax is
+the beta = 1 Burr XII: it subclasses :class:`BurrXII`, adds only its
+likelihood score, and is handed beta = 1.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import math
 
 import numpy as np
 
-from .numerics import (_log_shape_factor, _near_one_from_complement, _scaled_power, log_beta,
-                       log_gamma, reg_inc_beta, reg_inc_beta_inv)
+from .numerics import (_log_hazard_far, _log_shape_factor, _near_one_from_complement,
+                       _scaled_power, log_beta, log_gamma, reg_inc_beta, reg_inc_beta_inv)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -60,69 +62,6 @@ class Exponential:
         return rng.standard_exponential(n)
 
 
-class Lomax:
-    """Type-2 Pareto on [0, inf): S(x) = (1 + x/nu)^(-nu).
-
-    The single parameter plays both the shape and the scale role, which is
-    what makes the family tend to the unit exponential as nu grows.
-    """
-
-    uses_beta = False
-    uses_nu = True
-
-    @staticmethod
-    def log_survival(x, nu, beta):
-        return -nu * np.log1p(x / nu)
-
-    @staticmethod
-    def log_pdf(x, nu, beta):
-        return -(nu + 1.0) * np.log1p(x / nu)
-
-    @staticmethod
-    def hazard(x, nu, beta):
-        return 1.0 / (1.0 + x / nu)
-
-    @staticmethod
-    def nll_score(x, log_tau, theta):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        and its gradient in (log_tau, theta)."""
-        y = x / math.exp(log_tau)
-        z = theta * y
-        # log1p(z) - z/(1+z) cancels to z^2/2 - ... for small z; use its series there.
-        small = z < 1e-4
-        zs = np.where(small, z, 0.0)
-        log1p_z = np.log1p(z)
-        h = np.where(small, zs * zs * (0.5 + zs * (-2.0 / 3.0 + zs * (0.75 - zs * 0.8))),
-                     log1p_z - z / (1.0 + z))
-        nll = log_tau * y.size + (1.0 / theta + 1.0) * float(np.sum(log1p_z))
-        d_log_tau = y.size - float(np.sum((y + z) / (1.0 + z)))
-        d_theta = float(np.sum(y / (1.0 + z) - h / (theta * theta)))
-        return nll, np.array([d_log_tau, d_theta])
-
-    @staticmethod
-    def quantile(p, nu, beta):
-        return nu * np.expm1(-np.log1p(-p) / nu)
-
-    @staticmethod
-    def moment_order_threshold(nu, beta):
-        return nu
-
-    @staticmethod
-    def raw_moment(n, nu, beta):
-        if n >= nu:
-            return None
-        return float(n * np.exp(n * np.log(nu) + log_gamma(n) + log_gamma(nu - n) - log_gamma(nu)))
-
-    @staticmethod
-    def mode(nu, beta):
-        return 0.0
-
-    @staticmethod
-    def sample(n, nu, beta, rng):
-        e = rng.standard_exponential(n)
-        return nu * np.expm1(e / nu)
-
-
 class BurrXII:
     """Singh-Maddala / Burr type 12: S(x) = (1 + x^beta/nu)^(-nu)."""
 
@@ -131,32 +70,37 @@ class BurrXII:
 
     # Static methods: bench/tracing.py wraps them, unwrapping only staticmethod.
     @staticmethod
-    def _log1p(x, nu, beta):
-        """log1p(z), z = x^beta/nu, as a new 1-d array."""
-        z, far, log_z = _scaled_power(x, nu, beta)
+    def _log1p(z, far, log_z):
+        """log1p z from _scaled_power's output, in place over z."""
         out = np.log1p(z, out=z)
         out[far] = log_z
         return out
 
     @staticmethod
     def log_survival(x, nu, beta):
-        out = BurrXII._log1p(x, nu, beta)
+        out = BurrXII._log1p(*_scaled_power(x, nu, beta))
         out *= -nu
         return out.reshape(np.shape(x))
 
     @staticmethod
     def log_pdf(x, nu, beta):
+        z, far, log_z = _scaled_power(x, nu, beta)
         out = _log_shape_factor(x, beta)
-        log1p_z = BurrXII._log1p(x, nu, beta)
+        log1p_z = BurrXII._log1p(z, far, log_z)
         log1p_z *= nu + 1.0
-        out -= log1p_z
+        with np.errstate(invalid="ignore"):  # inf - inf at x = inf, a far point
+            out -= log1p_z
+        out[far] = _log_hazard_far(log_z, nu, beta) - nu * log_z
         return out.reshape(np.shape(x))
 
     @staticmethod
     def hazard(x, nu, beta):
         # Directly, not as log_pdf - log_survival: those cancel to a few ulp of nu log1p(z).
+        z, far, log_z = _scaled_power(x, nu, beta)
         out = _log_shape_factor(x, beta)
-        out -= BurrXII._log1p(x, nu, beta)
+        with np.errstate(invalid="ignore"):  # inf - inf at x = inf, a far point
+            out -= BurrXII._log1p(z, far, log_z)
+        out[far] = _log_hazard_far(log_z, nu, beta)
         return np.exp(out, out=out).reshape(np.shape(x))
 
     @staticmethod
@@ -184,6 +128,34 @@ class BurrXII:
     def sample(n, nu, beta, rng):
         e = rng.standard_exponential(n)
         return np.power(nu * np.expm1(e / nu), 1.0 / beta)
+
+
+class Lomax(BurrXII):
+    """Type-2 Pareto on [0, inf): S(x) = (1 + x/nu)^(-nu).
+
+    The single parameter plays both the shape and the scale role, which is
+    what makes the family tend to the unit exponential as nu grows.  It is
+    the beta = 1 Burr XII, which supplies every kernel method but the score.
+    """
+
+    uses_beta = False
+
+    @staticmethod
+    def nll_score(x, log_tau, theta):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        and its gradient in (log_tau, theta)."""
+        y = x / math.exp(log_tau)
+        z = theta * y
+        # log1p(z) - z/(1+z) cancels to z^2/2 - ... for small z; use its series there.
+        small = z < 1e-4
+        zs = np.where(small, z, 0.0)
+        log1p_z = np.log1p(z)
+        h = np.where(small, zs * zs * (0.5 + zs * (-2.0 / 3.0 + zs * (0.75 - zs * 0.8))),
+                     log1p_z - z / (1.0 + z))
+        nll = log_tau * y.size + (1.0 / theta + 1.0) * float(np.sum(log1p_z))
+        d_log_tau = y.size - float(np.sum((y + z) / (1.0 + z)))
+        d_theta = float(np.sum(y / (1.0 + z) - h / (theta * theta)))
+        return nll, np.array([d_log_tau, d_theta])
 
 
 class CompoundGamma:

@@ -14,6 +14,11 @@ plus the classical comparators from :mod:`asinhsurv.baselines`.  All of
 them share one evaluation contract through :class:`DistributionHandle`,
 which also applies the location-scale extension x -> (x - eta)/tau.
 
+The generalised exponential is the generalised Weibull at beta = 1, as the
+Lomax is the Burr XII at beta = 1: each is a subclass that only adds what
+has a closed form at beta = 1, and the handle passes beta = 1 to the kernel
+of every family that ignores beta.
+
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
 """
@@ -30,6 +35,7 @@ import numpy as np
 from . import baselines
 from .errors import DomainError, UnsupportedOperationError
 from .numerics import (
+    _log_hazard_far,
     _log_shape_factor,
     _near_one_from_complement,
     _scaled_power,
@@ -133,95 +139,6 @@ def _log_c(z: np.ndarray) -> np.ndarray:
         return np.where(finite, 0.5 * np.log1p(np.where(finite, zz, 0.0)), np.log(z))
 
 
-def _nu_asinh(x: np.ndarray, nu: float) -> np.ndarray:
-    return nu * np.arcsinh(x / nu)
-
-
-class _GenExp:
-    """Generalised exponential: survival exp(-nu asinh(x/nu))."""
-
-    uses_beta = False
-    uses_nu = True
-
-    @staticmethod
-    def log_survival(x, nu, beta):
-        return -_nu_asinh(x, nu)
-
-    @staticmethod
-    def log_pdf(x, nu, beta):
-        z = x / nu
-        return -_nu_asinh(x, nu) - _log_c(z)
-
-    @staticmethod
-    def hazard(x, nu, beta):
-        return 1.0 / np.hypot(1.0, x / nu)
-
-    @staticmethod
-    def nll_score(x, log_tau, theta):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        and its gradient in (log_tau, theta)."""
-        y = x / math.exp(log_tau)
-        z = theta * y
-        a = np.arcsinh(z)
-        c = np.hypot(1.0, z)
-        t = z / c
-        # asinh(z) - z/c cancels to z^3/3 + ... for small z; use its series there.
-        small = z < 1e-2
-        zs = np.where(small, z, 0.0)
-        zz = zs * zs
-        series = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * 35.0 / 144.0)))
-        g = np.where(small, series, a - t)
-        nll = log_tau * y.size + float(np.sum(a / theta + np.log(c)))
-        d_log_tau = y.size - float(np.sum(y / c + t * t))
-        d_theta = float(np.sum(y * t / c - g / (theta * theta)))
-        return nll, np.array([d_log_tau, d_theta])
-
-    @staticmethod
-    def quantile(p, nu, beta):
-        return nu * np.sinh(-np.log1p(-p) / nu)
-
-    @staticmethod
-    def moment_order_threshold(nu, beta):
-        return nu
-
-    @staticmethod
-    def raw_moment(n, nu, beta):
-        if n >= nu:
-            return None
-        return float(np.exp((1.0 + n) * math.log(nu / 2.0)
-                            + log_beta((nu - n) / 2.0, 1.0 + n)))
-
-    @staticmethod
-    def variance(nu, beta):
-        if nu <= 2.0:
-            return None
-        nu2 = nu * nu
-        return nu2 * (nu2 * nu2 + 2.0) / ((nu2 - 1.0) ** 2 * (nu2 - 4.0))
-
-    @staticmethod
-    def skewness(nu, beta):
-        if nu <= 3.0:
-            return None
-        nu2 = nu * nu
-        num = 2.0 * nu * (nu2 ** 3 + 2.0 * nu2 ** 2 + 6.0 * nu2 + 15.0) * math.sqrt(nu2 - 4.0)
-        den = (nu2 - 9.0) * (nu2 * nu2 + 2.0) ** 1.5
-        return num / den
-
-    @staticmethod
-    def entropy(nu, beta):
-        return 1.0 - 1.0 / nu + 0.5 * (digamma((nu + 2.0) / 4.0) - digamma(nu / 4.0))
-
-    @staticmethod
-    def mode(nu, beta):
-        return 0.0
-
-    @staticmethod
-    def sample(n, nu, beta, rng):
-        e = rng.standard_exponential(n)
-        with np.errstate(over="ignore"):
-            return nu * np.sinh(e / nu)
-
-
 class _GenWeibull:
     """Generalised Weibull: survival exp(-nu asinh(x^beta/nu))."""
 
@@ -230,13 +147,17 @@ class _GenWeibull:
 
     # Both take _scaled_power's output; _asinh overwrites z, so it runs last.
     @staticmethod
-    def _log_c(z, far, log_z):
-        """log sqrt(1 + z^2) as a new 1-d array."""
-        with np.errstate(over="ignore"):
-            out = np.multiply(z, z)
-        np.log1p(out, out=out)
-        out *= 0.5
-        out[far] = log_z
+    def _log_hazard(x, nu, beta, z, far, log_z):
+        """log(beta x^(beta-1) / sqrt(1 + z^2)) as a new 1-d array."""
+        out = _log_shape_factor(x, beta)
+        # z^2 overflows, and at x = inf the difference is inf - inf, only at
+        # far points, which are set from the limit below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_c = np.multiply(z, z)
+            np.log1p(log_c, out=log_c)
+            log_c *= 0.5
+            out -= log_c
+        out[far] = _log_hazard_far(log_z, nu, beta)
         return out
 
     @staticmethod
@@ -255,8 +176,7 @@ class _GenWeibull:
     @classmethod
     def log_pdf(cls, x, nu, beta):
         terms = _scaled_power(x, nu, beta)
-        out = _log_shape_factor(x, beta)
-        out -= cls._log_c(*terms)
+        out = cls._log_hazard(x, nu, beta, *terms)
         nu_asinh = cls._asinh(*terms)
         nu_asinh *= nu
         out -= nu_asinh
@@ -264,8 +184,7 @@ class _GenWeibull:
 
     @classmethod
     def hazard(cls, x, nu, beta):
-        out = _log_shape_factor(x, beta)
-        out -= cls._log_c(*_scaled_power(x, nu, beta))
+        out = cls._log_hazard(x, nu, beta, *_scaled_power(x, nu, beta))
         return np.exp(out, out=out).reshape(np.shape(x))
 
     @staticmethod
@@ -297,6 +216,53 @@ class _GenWeibull:
         e = rng.standard_exponential(n)
         with np.errstate(over="ignore"):
             return np.power(nu * np.sinh(e / nu), 1.0 / beta)
+
+
+class _GenExp(_GenWeibull):
+    """Generalised exponential: survival exp(-nu asinh(x/nu)), the beta = 1
+    generalised Weibull.  It adds the closed forms that exist only at beta = 1."""
+
+    uses_beta = False
+
+    @staticmethod
+    def nll_score(x, log_tau, theta):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        and its gradient in (log_tau, theta)."""
+        y = x / math.exp(log_tau)
+        z = theta * y
+        a = np.arcsinh(z)
+        c = np.hypot(1.0, z)
+        t = z / c
+        # asinh(z) - z/c cancels to z^3/3 + ... for small z; use its series there.
+        small = z < 1e-2
+        zs = np.where(small, z, 0.0)
+        zz = zs * zs
+        series = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * 35.0 / 144.0)))
+        g = np.where(small, series, a - t)
+        nll = log_tau * y.size + float(np.sum(a / theta + np.log(c)))
+        d_log_tau = y.size - float(np.sum(y / c + t * t))
+        d_theta = float(np.sum(y * t / c - g / (theta * theta)))
+        return nll, np.array([d_log_tau, d_theta])
+
+    @staticmethod
+    def variance(nu, beta):
+        if nu <= 2.0:
+            return None
+        nu2 = nu * nu
+        return nu2 * (nu2 * nu2 + 2.0) / ((nu2 - 1.0) ** 2 * (nu2 - 4.0))
+
+    @staticmethod
+    def skewness(nu, beta):
+        if nu <= 3.0:
+            return None
+        nu2 = nu * nu
+        num = 2.0 * nu * (nu2 ** 3 + 2.0 * nu2 ** 2 + 6.0 * nu2 + 15.0) * math.sqrt(nu2 - 4.0)
+        den = (nu2 - 9.0) * (nu2 * nu2 + 2.0) ** 1.5
+        return num / den
+
+    @staticmethod
+    def entropy(nu, beta):
+        return 1.0 - 1.0 / nu + 0.5 * (digamma((nu + 2.0) / 4.0) - digamma(nu / 4.0))
 
 
 class _GenGamma:
@@ -527,6 +493,12 @@ class DistributionHandle:
         return _KERNELS[self.family]
 
     @property
+    def _kernel_beta(self) -> float:
+        """beta as the kernel sees it: 1 for the families that ignore beta, so
+        genexp and Lomax run the beta = 1 members of genweibull and Burr XII."""
+        return self.beta if self._kernel.uses_beta else 1.0
+
+    @property
     def nu(self) -> float:
         return self.params.nu
 
@@ -559,31 +531,31 @@ class DistributionHandle:
 
     def log_survival(self, x):
         y, below, scalar = self._standardized(x)
-        ls = self._kernel.log_survival(y, self.nu, self.beta)
+        ls = self._kernel.log_survival(y, self.nu, self._kernel_beta)
         return self._out(np.where(below, 0.0, ls), scalar)
 
     def survival(self, x):
         y, below, scalar = self._standardized(x)
-        ls = self._kernel.log_survival(y, self.nu, self.beta)
+        ls = self._kernel.log_survival(y, self.nu, self._kernel_beta)
         return self._out(np.where(below, 1.0, np.exp(ls)), scalar)
 
     def cdf(self, x):
         y, below, scalar = self._standardized(x)
         kernel = self._kernel
         if hasattr(kernel, "cdf"):
-            f = kernel.cdf(y, self.nu, self.beta)
+            f = kernel.cdf(y, self.nu, self._kernel_beta)
         else:
-            f = -np.expm1(kernel.log_survival(y, self.nu, self.beta))
+            f = -np.expm1(kernel.log_survival(y, self.nu, self._kernel_beta))
         return self._out(np.where(below, 0.0, f), scalar)
 
     def log_pdf(self, x):
         y, below, scalar = self._standardized(x)
-        lp = self._kernel.log_pdf(y, self.nu, self.beta) - math.log(self.tau)
+        lp = self._kernel.log_pdf(y, self.nu, self._kernel_beta) - math.log(self.tau)
         return self._out(np.where(below, -np.inf, lp), scalar)
 
     def pdf(self, x):
         y, below, scalar = self._standardized(x)
-        lp = self._kernel.log_pdf(y, self.nu, self.beta) - math.log(self.tau)
+        lp = self._kernel.log_pdf(y, self.nu, self._kernel_beta) - math.log(self.tau)
         with np.errstate(over="ignore"):
             return self._out(np.where(below, 0.0, np.exp(lp)), scalar)
 
@@ -591,11 +563,11 @@ class DistributionHandle:
         y, below, scalar = self._standardized(x)
         kernel = self._kernel
         if hasattr(kernel, "hazard"):
-            h = kernel.hazard(y, self.nu, self.beta)
+            h = kernel.hazard(y, self.nu, self._kernel_beta)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                h = np.exp(kernel.log_pdf(y, self.nu, self.beta)
-                           - kernel.log_survival(y, self.nu, self.beta))
+                h = np.exp(kernel.log_pdf(y, self.nu, self._kernel_beta)
+                           - kernel.log_survival(y, self.nu, self._kernel_beta))
         return self._out(np.where(below, 0.0, h / self.tau), scalar)
 
     def quantile(self, p):
@@ -604,7 +576,7 @@ class DistributionHandle:
             raise DomainError("p must not be NaN")
         if np.any((arr < 0.0) | (arr >= 1.0)):
             raise DomainError("quantile requires 0 <= p < 1")
-        q = self._kernel.quantile(arr, self.nu, self.beta)
+        q = self._kernel.quantile(arr, self.nu, self._kernel_beta)
         return self._out(self.eta + self.tau * np.asarray(q), arr.ndim == 0)
 
     def median(self) -> float:
@@ -617,42 +589,42 @@ class DistributionHandle:
             raise DomainError("moment order must be > 0")
         kernel = self._kernel
         if self.eta == 0.0:
-            m = kernel.raw_moment(n, self.nu, self.beta)
+            m = kernel.raw_moment(n, self.nu, self._kernel_beta)
             return None if m is None else self.tau ** n * m
         if n != int(n):
             raise DomainError("fractional moments need eta == 0")
         n_int = int(n)
-        if kernel.raw_moment(n, self.nu, self.beta) is None:
+        if kernel.raw_moment(n, self.nu, self._kernel_beta) is None:
             return None
         total = 0.0
         for k in range(n_int + 1):
-            mk = 1.0 if k == 0 else kernel.raw_moment(float(k), self.nu, self.beta)
+            mk = 1.0 if k == 0 else kernel.raw_moment(float(k), self.nu, self._kernel_beta)
             total += math.comb(n_int, k) * self.eta ** (n_int - k) * self.tau ** k * mk
         return total
 
     def moment_order_threshold(self) -> float:
-        return float(self._kernel.moment_order_threshold(self.nu, self.beta))
+        return float(self._kernel.moment_order_threshold(self.nu, self._kernel_beta))
 
     def moment_report(self) -> MomentReport:
         thr = self.moment_order_threshold()
         kernel = self._kernel
         mean = variance = skew = None
-        m1 = kernel.raw_moment(1.0, self.nu, self.beta) if 1.0 < thr else None
+        m1 = kernel.raw_moment(1.0, self.nu, self._kernel_beta) if 1.0 < thr else None
         if m1 is not None:
             mean = self.eta + self.tau * m1
         if 2.0 < thr:
             if hasattr(kernel, "variance"):
-                var_std = kernel.variance(self.nu, self.beta)
+                var_std = kernel.variance(self.nu, self._kernel_beta)
             else:
-                m2 = kernel.raw_moment(2.0, self.nu, self.beta)
+                m2 = kernel.raw_moment(2.0, self.nu, self._kernel_beta)
                 var_std = m2 - m1 * m1
             variance = self.tau ** 2 * var_std
         if 3.0 < thr:
             if hasattr(kernel, "skewness"):
-                skew = kernel.skewness(self.nu, self.beta)
+                skew = kernel.skewness(self.nu, self._kernel_beta)
             else:
-                m2 = kernel.raw_moment(2.0, self.nu, self.beta)
-                m3 = kernel.raw_moment(3.0, self.nu, self.beta)
+                m2 = kernel.raw_moment(2.0, self.nu, self._kernel_beta)
+                m3 = kernel.raw_moment(3.0, self.nu, self._kernel_beta)
                 var_std = m2 - m1 * m1
                 skew = (m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3) / var_std ** 1.5
         return MomentReport(mean, variance, skew, thr)
@@ -662,17 +634,17 @@ class DistributionHandle:
         if self.family is not Family.GEN_EXP:
             raise UnsupportedOperationError(
                 f"skewness closed form is only available for genexp, not {self.family.value}")
-        return self._kernel.skewness(self.nu, self.beta)
+        return self._kernel.skewness(self.nu, self._kernel_beta)
 
     def entropy(self) -> float:
         """Differential entropy; generalised exponential only."""
         if self.family is not Family.GEN_EXP:
             raise UnsupportedOperationError(
                 f"entropy is only available for genexp, not {self.family.value}")
-        return float(self._kernel.entropy(self.nu, self.beta)) + math.log(self.tau)
+        return float(self._kernel.entropy(self.nu, self._kernel_beta)) + math.log(self.tau)
 
     def mode(self) -> float:
-        return self.eta + self.tau * float(self._kernel.mode(self.nu, self.beta))
+        return self.eta + self.tau * float(self._kernel.mode(self.nu, self._kernel_beta))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` variates; reproducible given the generator's seed."""
@@ -681,7 +653,7 @@ class DistributionHandle:
             raise DomainError("sample size must be >= 0")
         if n == 0:
             return np.empty(0, dtype=float)
-        values = self._kernel.sample(n, self.nu, self.beta, rng)
+        values = self._kernel.sample(n, self.nu, self._kernel_beta, rng)
         return self.eta + self.tau * values
 
 

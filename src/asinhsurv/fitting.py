@@ -17,6 +17,8 @@ the optimum with an "abnormal termination" when the likelihood is flat.
 Only an unconverged fit falls back to a derivative-free Nelder-Mead
 simplex with multi-start and restart, ``converged`` when scipy reports
 success and the relative diameter of the final simplex is at most 1e-8.
+The fit then returned is whichever of the two has the lower negative log
+likelihood, with its own ``converged`` flag.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ _THETA_MIN = 1e-6
 _THETA_MAX = 1e3
 _LOG_TAU_BOUND = 40.0
 _LOG_BETA_BOUND = 7.0
+_MAX_ITER = 4000  # per optimiser run, on either path
+_NM_XATOL = 1e-9
+_NM_FATOL = 1e-10
+_NM_MAX_RESTARTS = 1
 
 
 @dataclass(frozen=True)
@@ -62,27 +68,23 @@ class Sample:
 class FitOptions:
     """Knobs for :func:`fit_mle`; the defaults match the robustness study.
 
-    ``nu_cap`` is the fixed cap on the tail index, 1e6 (theta = 1/nu is
-    bounded below by 1e-6); it can be read but not set.
-    ``xatol``, ``fatol`` and ``max_restarts`` govern only the Nelder-Mead
-    path (the fallback); ``max_iter`` bounds the iterations of either path.
+    ``free_eta`` also fits the location eta (below the smallest
+    observation); by default it is fixed at 0.  ``nu_cap`` is the fixed cap
+    on the tail index, 1e6 (theta = 1/nu is bounded below by 1e-6); it can
+    be read but not set.  The optimisers' tolerances and iteration limits
+    are fixed module constants.
     """
 
     free_eta: bool = False
     nu_cap: float = field(default=1.0 / _THETA_MIN, init=False)
-    xatol: float = 1e-9
-    fatol: float = 1e-10
-    max_iter: int = 4000
-    max_restarts: int = 1
-    extra_starts: tuple = field(default=())
 
 
 @dataclass(frozen=True)
 class FitResult:
     """Estimates and diagnostics from one maximum-likelihood fit.
 
-    ``iterations`` counts the L-BFGS-B iterations over all starts, or, for
-    a fit that fell back, the Nelder-Mead ones including restarts.
+    ``iterations`` counts the iterations, over all starts, of the method
+    whose fit is returned: L-BFGS-B, or Nelder-Mead including restarts.
     """
 
     family: Family
@@ -141,7 +143,7 @@ def _bounds(names: list[str], x: np.ndarray) -> Bounds:
     return Bounds(np.array(lo), np.array(hi))
 
 
-def _starts(names: list[str], x: np.ndarray, opts: FitOptions) -> list[np.ndarray]:
+def _starts(names: list[str], x: np.ndarray) -> list[np.ndarray]:
     mean = float(np.mean(x))
     median = float(np.median(x))
     scale_exp = max(mean, 1e-12)
@@ -152,9 +154,7 @@ def _starts(names: list[str], x: np.ndarray, opts: FitOptions) -> list[np.ndarra
     heavy = {
         "log_tau": math.log(scale_mom), "theta": 0.5, "log_beta": 0.0, "eta": 0.0,
     }
-    starts = [np.array([cfg[name] for name in names]) for cfg in (base, heavy)]
-    starts.extend(np.asarray(s, dtype=float) for s in opts.extra_starts)
-    return starts
+    return [np.array([cfg[name] for name in names]) for cfg in (base, heavy)]
 
 
 def _relative_simplex_diameter(simplex: np.ndarray) -> float:
@@ -191,8 +191,7 @@ def _result(family: Family, names: list[str], vec: np.ndarray, nll: float,
                      at_nu_bound=bool(at_bound))
 
 
-def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str],
-                      opts: FitOptions) -> FitResult:
+def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str]) -> FitResult:
     """L-BFGS-B from each start, on the kernel's score where it has one for
     the free parameters (log_tau, theta), else on finite differences."""
     kernel = _KERNELS[family]
@@ -200,7 +199,7 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str],
     objective = _objective(kernel, names, x)
     best = None
     iterations = 0
-    options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": opts.max_iter}
+    options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER}
     fun, jac = objective, None
     if hasattr(kernel, "nll_score") and names == ["log_tau", "theta"]:
         def fun(vec: np.ndarray):
@@ -208,7 +207,7 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str],
                 return kernel.nll_score(x, vec[0], vec[1])
         jac = True
 
-    for start in _starts(names, x, opts):
+    for start in _starts(names, x):
         start = np.clip(start, bounds.lb, bounds.ub)
         res = minimize(fun, start, method="L-BFGS-B", jac=jac, bounds=bounds, options=options)
         iterations += res.nit
@@ -220,22 +219,21 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str],
     return _result(family, names, best.x, objective(best.x), converged, iterations)
 
 
-def _fit_nelder_mead(family: Family, x: np.ndarray, names: list[str],
-                     opts: FitOptions) -> FitResult:
-    """Nelder-Mead from each start, each run restarted up to ``max_restarts`` times."""
+def _fit_nelder_mead(family: Family, x: np.ndarray, names: list[str]) -> FitResult:
+    """Nelder-Mead from each start, each run restarted up to ``_NM_MAX_RESTARTS`` times."""
     objective = _objective(_KERNELS[family], names, x)
     bounds = _bounds(names, x)
     best = None
     best_simplex = None
     iterations = 0
-    nm_options = {"xatol": opts.xatol, "fatol": opts.fatol,
-                  "maxiter": opts.max_iter, "maxfev": 2 * opts.max_iter}
-    for start in _starts(names, x, opts):
+    nm_options = {"xatol": _NM_XATOL, "fatol": _NM_FATOL,
+                  "maxiter": _MAX_ITER, "maxfev": 2 * _MAX_ITER}
+    for start in _starts(names, x):
         start = np.clip(start, bounds.lb, bounds.ub)
         res = minimize(objective, start, method="Nelder-Mead", bounds=bounds,
                        options=nm_options)
         iterations += res.nit
-        for _ in range(opts.max_restarts):
+        for _ in range(_NM_MAX_RESTARTS):
             res2 = minimize(objective, res.x, method="Nelder-Mead", bounds=bounds,
                             options=nm_options)
             iterations += res2.nit
@@ -255,8 +253,8 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
     The exponential with fixed location has a closed form.  Every other fit
-    runs L-BFGS-B, and Nelder-Mead only if that leaves it unconverged (see
-    the module docstring).
+    runs L-BFGS-B, and Nelder-Mead only if that leaves it unconverged; the
+    lower of the two negative log likelihoods wins (see the module docstring).
     """
     family = Family.parse(family)
     opts = options or FitOptions()
@@ -276,8 +274,11 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
         return FitResult(family, params, nll, converged=True, iterations=0,
                          at_nu_bound=False)
 
-    result = _fit_quasi_newton(family, x, names, opts)
-    return result if result.converged else _fit_nelder_mead(family, x, names, opts)
+    result = _fit_quasi_newton(family, x, names)
+    if result.converged:
+        return result
+    fallback = _fit_nelder_mead(family, x, names)
+    return fallback if fallback.neg_log_lik <= result.neg_log_lik else result
 
 
 _DEFAULT_FAMILIES = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)

@@ -134,7 +134,8 @@ def _near_one_from_complement(value, one_minus_x, a, b):
 
 # The genweibull and Burr XII kernels take z = x^beta/nu, which overflows
 # for moderate x and beta, from log z past z = 1e150: there log1p z = log z,
-# log sqrt(1 + z^2) = log z and asinh z = log z + ln 2 to double precision.
+# log sqrt(1 + z^2) = log z and asinh z = log z + ln 2 to double precision,
+# and both kernels' hazard is beta nu / x.
 # They update their arrays in place: on 1e5 points each fresh temporary
 # costs more than the arithmetic it holds.
 _Z_FAR = 1e150
@@ -161,6 +162,14 @@ def _log_shape_factor(x, beta):
     out *= beta - 1.0
     out += math.log(beta)
     return out
+
+
+def _log_hazard_far(log_z, nu, beta):
+    """log(beta nu / x) from :func:`_scaled_power`'s log z = beta log x - log nu
+    at its far points: there the log hazard of the generalised Weibull and of
+    the Burr XII, formed without the inf - inf of their log(beta x^(beta-1))
+    and log z terms at x = inf."""
+    return (math.log(beta) + (1.0 - 1.0 / beta) * math.log(nu)) - log_z / beta
 
 
 def reg_inc_beta_inv(p, a, b):

@@ -66,12 +66,25 @@ class TestBurrXII:
     def test_survival_at_zero(self):
         assert make_handle("burr12", nu=1.5, beta=2.0).survival(0.0) == 1.0
 
-    def test_beta1_reduces_to_lomax(self):
+    def test_beta1_reduces_to_lomax(self, handle_evaluations):
         xs = np.geomspace(1e-3, 1e3, 40)
         b = make_handle("burr12", nu=2.5, beta=1.0)
         l = make_handle("lomax", nu=2.5)
         assert b.survival(xs) == pytest.approx(l.survival(xs), rel=1e-14)
         assert b.pdf(xs) == pytest.approx(l.pdf(xs), rel=1e-13)
+        # Lomax runs the Burr XII kernel at beta = 1, whatever beta it is given.
+        for nu in (0.7, 2.5, 10.0):
+            expected = handle_evaluations(make_handle("burr12", nu=nu, beta=1.0))
+            for beta in (1.0, 3.0):
+                got = handle_evaluations(make_handle("lomax", nu=nu, beta=beta))
+                for key, value in got.items():
+                    np.testing.assert_array_equal(value, expected[key], err_msg=key)
+        # Clean limits at x = inf, also where log(beta x^(beta-1)) is infinite.
+        for beta in (0.7, 1.0, 1.5):
+            for name in ("lomax", "burr12"):
+                got = handle_evaluations(make_handle(name, nu=2.5, beta=beta))
+                at_inf = [got[m][-1] for m in ("pdf", "log_pdf", "hazard", "cdf", "survival")]
+                assert at_inf == [0.0, -np.inf, 0.0, 1.0, 0.0], (name, beta)
 
     def test_normalisation(self):
         h = make_handle("burr12", nu=1.5, beta=2.0)

@@ -420,13 +420,30 @@ class TestAnalyticInvariants:
             assert np.max(np.abs(gg.pdf(xs[1:]) - gamma_pdf[1:])) < 1e-6
 
     @pytest.mark.parametrize("family", ["genweibull", "gengamma"])
-    def test_beta_one_reduction_pointwise(self, family):
+    def test_beta_one_reduction_pointwise(self, family, handle_evaluations):
         xs = np.geomspace(1e-3, 1e3, 50)
         for nu in (0.7, 2.0, 10.0):
             reduced = make_handle(family, nu=nu, beta=1.0)
             genexp = make_handle("genexp", nu=nu)
             assert reduced.survival(xs) == pytest.approx(genexp.survival(xs), rel=1e-12, abs=1e-300)
             assert reduced.pdf(xs) == pytest.approx(genexp.pdf(xs), rel=1e-12, abs=1e-300)
+        if family != "genweibull":
+            return
+        # genexp runs the genweibull kernel at beta = 1, whatever beta it is given.
+        for nu in (0.7, 2.0, 10.0):
+            expected = handle_evaluations(make_handle("genweibull", nu=nu, beta=1.0))
+            for beta in (1.0, 3.0):
+                got = handle_evaluations(make_handle("genexp", nu=nu, beta=beta))
+                for key in ("variance", "skewness"):  # genexp's own closed forms
+                    assert got.pop(key) == pytest.approx(expected[key], rel=1e-13, nan_ok=True)
+                for key, value in got.items():
+                    np.testing.assert_array_equal(value, expected[key], err_msg=key)
+        # Clean limits at x = inf, also where log(beta x^(beta-1)) is infinite.
+        for beta in (0.7, 1.0, 1.5):
+            for name in ("genexp", "genweibull"):
+                got = handle_evaluations(make_handle(name, nu=2.0, beta=beta))
+                at_inf = [got[m][-1] for m in ("pdf", "log_pdf", "hazard", "cdf", "survival")]
+                assert at_inf == [0.0, -np.inf, 0.0, 1.0, 0.0], (name, beta)
 
     def test_body_closer_to_exponential_than_lomax(self):
         ge = make_handle("genexp", nu=1.0)

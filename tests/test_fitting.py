@@ -211,8 +211,8 @@ def test_quasi_newton_no_worse_than_nelder_mead(family):
         for outliers in range(3):
             for rep in range(10):
                 x = _study_like(n, outliers, rep)
-                qn = fitting._fit_quasi_newton(family, x, names, opts)
-                nm = fitting._fit_nelder_mead(family, x, names, opts)
+                qn = fitting._fit_quasi_newton(family, x, names)
+                nm = fitting._fit_nelder_mead(family, x, names)
                 # the exponential limit as far as the nu <= 1e6 cap reaches it
                 limit = make_handle(family, nu=1e6, tau=float(np.mean(x)))
                 limit_nll = neg_log_likelihood(limit, Sample(x))
@@ -248,14 +248,27 @@ def test_unconverged_quasi_newton_falls_back_to_nelder_mead(monkeypatch):
     x = _study_like(100, 2, 1)
     opts = FitOptions()
     names = fitting._free_parameter_names(family, opts)
-    expected = fitting._fit_nelder_mead(family, x, names, opts)
+    expected = fitting._fit_nelder_mead(family, x, names)
     methods = _record_methods(monkeypatch, lbfgsb_maxiter=1)
-    assert not fitting._fit_quasi_newton(family, x, names, opts).converged
+    assert not fitting._fit_quasi_newton(family, x, names).converged
     methods.clear()
     res = fit_mle(family, Sample(x), opts)
     assert "L-BFGS-B" in methods and "Nelder-Mead" in methods
     assert res == expected
     assert res.converged
+
+
+def test_fallback_keeps_the_lower_nll():
+    # L-BFGS-B stops unconverged with beta at its bound e^7; the Nelder-Mead
+    # fallback converges to a worse fit near the nu cap.
+    family = Family.GEN_GAMMA
+    x = make_handle(family, nu=50.0, beta=2.0).sample(10, make_stream(2))
+    names = fitting._free_parameter_names(family, FitOptions())
+    qn = fitting._fit_quasi_newton(family, x, names)
+    nm = fitting._fit_nelder_mead(family, x, names)
+    assert not qn.converged and nm.converged
+    assert qn.neg_log_lik < nm.neg_log_lik - 0.5
+    assert fit_mle(family, Sample(x)) == qn
 
 
 # The fits that take finite differences, on draws of the family itself as
@@ -282,8 +295,8 @@ def test_finite_difference_fits_no_worse_than_nelder_mead(family, beta, free_eta
         (n, nu) for n in (100, 1000) for nu in (1.5, 5.0, 50.0)]
     for n, nu in grid:
         x = _workload_like(family, beta, free_eta, n, nu, seed=n)
-        qn = fitting._fit_quasi_newton(fam, x, names, opts)
-        nm = fitting._fit_nelder_mead(fam, x, names, opts)
+        qn = fitting._fit_quasi_newton(fam, x, names)
+        nm = fitting._fit_nelder_mead(fam, x, names)
         assert qn.converged, (n, nu)
         assert qn.neg_log_lik <= nm.neg_log_lik + 1e-10 * (1.0 + abs(nm.neg_log_lik)), (n, nu)
 
