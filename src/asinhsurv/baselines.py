@@ -8,7 +8,8 @@ location 0) on x >= 0; location-scale wrapping happens in
 vectorized x and scalar shape parameters ``nu`` (tail index) and ``beta``
 (Weibull/gamma shape, ignored where ``uses_beta`` is false).  The Lomax is
 the beta = 1 Burr XII: it subclasses :class:`BurrXII`, adds only its
-likelihood score, and is handed beta = 1.
+likelihood score, and is handed beta = 1.  The compound gamma runs
+``_IncompleteBeta``, the kernel it shares with the generalised gamma.
 """
 
 from __future__ import annotations
@@ -158,45 +159,90 @@ class Lomax(BurrXII):
         return nll, np.array([d_log_tau, d_theta])
 
 
-class CompoundGamma:
-    """Gamma with gamma-mixed scale (Pearson VI, a scaled F distribution).
-
-    pdf(x) = (x/nu)^(beta-1) (1 + x/nu)^(-(nu+beta)) / (nu B(nu, beta));
-    equivalently nu * G1/G2 with G1 ~ Gamma(beta), G2 ~ Gamma(nu).  Used
-    both as a fitting baseline and as the rejection-sampling proposal for
-    the generalised gamma.
-    """
+class _IncompleteBeta:
+    """Kernel of a family with S(x) = I_v(a, beta) for v in (0, 1] decreasing
+    in x, so that v(X) ~ Beta(a, beta).  A subclass gives a = ``_a(nu)``, the
+    pair (v, 1 - v), each without cancellation, from ``_unit(x, nu)``, log v
+    where v < 1e-300 from ``_log_unit(x, nu)``, and ``_x_from(w, v, nu)``,
+    the x at which (1 - v(x))/v(x) = w/v."""
 
     uses_beta = True
     uses_nu = True
 
+    @classmethod
+    def _evaluate(cls, x, nu, beta, cdf):
+        """The cdf or the log survival; where v < 1e-300, as betainc loses accuracy
+        and v underflows, log S is its series' leading term log(v^a / (a B(a, beta)))."""
+        x = np.asarray(x, dtype=float)
+        a = cls._a(nu)
+        v, w = cls._unit(x, nu)
+        if cdf:
+            out = _near_one_from_complement(reg_inc_beta(w, beta, a), v, beta, a)
+        else:
+            out = _near_one_from_complement(reg_inc_beta(v, a, beta), w, a, beta)
+            with np.errstate(divide="ignore"):
+                np.log(out, out=out)
+        far = v < 1e-300
+        if far.any():
+            series = a * cls._log_unit(x[far], nu) - math.log(a) - log_beta(a, beta)
+            out[far] = -np.expm1(series) if cdf else series
+        return out
+
+    @classmethod
+    def log_survival(cls, x, nu, beta):
+        return cls._evaluate(x, nu, beta, cdf=False)
+
+    @classmethod
+    def cdf(cls, x, nu, beta):
+        return cls._evaluate(x, nu, beta, cdf=True)
+
+    @classmethod
+    def quantile(cls, p, nu, beta):
+        # Invert I_v(a, beta) = 1 - p in v: 1 - p is exact in the heavy tail.
+        v = reg_inc_beta_inv(1.0 - p, cls._a(nu), beta)
+        return cls._x_from(1.0 - v, v, nu)
+
+    @classmethod
+    def sample(cls, n, nu, beta, rng):
+        # v(X) = G_a / (G_a + G_beta) for independent gamma variates.
+        w = rng.gamma(beta, size=n)
+        v = rng.gamma(cls._a(nu), size=n)
+        with np.errstate(divide="ignore"):  # G_a underflows to 0: x = inf
+            return cls._x_from(w, v, nu)
+
+
+class CompoundGamma(_IncompleteBeta):
+    """Gamma with gamma-mixed scale (Pearson VI, a scaled F distribution).
+
+    pdf(x) = (x/nu)^(beta-1) (1 + x/nu)^(-(nu+beta)) / (nu B(nu, beta));
+    equivalently nu * G1/G2 with G1 ~ Gamma(beta), G2 ~ Gamma(nu), and
+    S(x) = I_v(nu, beta) in v = nu/(x+nu).  Used as a fitting baseline and
+    as the proposal of the public generalised-gamma rejection sampler.
+    """
+
+    @staticmethod
+    def _a(nu):
+        return nu
+
+    @staticmethod
+    def _unit(x, nu):  # 1 - v is 1 at x = inf
+        return nu / (x + nu), np.divide(x, x + nu, out=np.ones_like(x), where=x < np.inf)
+
+    @staticmethod
+    def _log_unit(x, nu):  # where v < 1e-300, x + nu rounds to x
+        return math.log(nu) - np.log(x)
+
+    @staticmethod
+    def _x_from(w, v, nu):
+        return nu * w / v
+
     @staticmethod
     def log_pdf(x, nu, beta):
         with np.errstate(divide="ignore"):
-            return ((beta - 1.0) * (np.log(x) - np.log(nu))
+            shape_term = 0.0 if beta == 1.0 else (beta - 1.0) * (np.log(x) - np.log(nu))
+            return (shape_term
                     - (nu + beta) * np.log1p(x / nu)
                     - np.log(nu) - log_beta(nu, beta))
-
-    @staticmethod
-    def log_survival(x, nu, beta):
-        # X/(X+nu) ~ Beta(beta, nu), so S(x) = I_{nu/(x+nu)}(nu, beta).  Near
-        # x = 0 that argument rounds to 1 (far out, the cdf's does), not its complement.
-        u = nu / (x + nu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(_near_one_from_complement(reg_inc_beta(u, nu, beta), x / (x + nu),
-                                                    nu, beta))
-
-    @staticmethod
-    def cdf(x, nu, beta):
-        return _near_one_from_complement(reg_inc_beta(x / (x + nu), beta, nu), nu / (x + nu),
-                                         beta, nu)
-
-    @staticmethod
-    def quantile(p, nu, beta):
-        # Invert the survival I_v(nu, beta) = 1 - p in v = nu/(x+nu), which
-        # keeps relative accuracy (and finiteness) deep in the heavy tail.
-        v = reg_inc_beta_inv(1.0 - p, nu, beta)
-        return nu * (1.0 - v) / v
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -214,9 +260,3 @@ class CompoundGamma:
         if beta <= 1.0:
             return 0.0
         return float(nu * (beta - 1.0) / (nu + 1.0))
-
-    @staticmethod
-    def sample(n, nu, beta, rng):
-        g1 = rng.gamma(beta, size=n)
-        g2 = rng.gamma(nu, size=n)
-        return nu * g1 / g2

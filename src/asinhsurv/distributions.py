@@ -17,7 +17,8 @@ which also applies the location-scale extension x -> (x - eta)/tau.
 The generalised exponential is the generalised Weibull at beta = 1, as the
 Lomax is the Burr XII at beta = 1: each is a subclass that only adds what
 has a closed form at beta = 1, and the handle passes beta = 1 to the kernel
-of every family that ignores beta.
+of every family that ignores beta.  The generalised gamma runs the compound
+gamma's incomplete-beta kernel: q(X) ~ Beta(nu/2, beta) gives exact draws.
 
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
@@ -37,13 +38,11 @@ from .errors import DomainError, UnsupportedOperationError
 from .numerics import (
     _log_hazard_far,
     _log_shape_factor,
-    _near_one_from_complement,
     _scaled_power,
     digamma,
     find_root_1d,  # unused here; bench/tracing.py wraps this name by attribute
     log_beta,
-    reg_inc_beta,
-    reg_inc_beta_inv,
+    reg_inc_beta,  # unused here; bench/tracing.py wraps this name by attribute
     stable_asinh_scaled,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN_SQRT2 = 0.5 * _LN2
-_LN_Q_SERIES = math.log(1e-300)
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ class _GenWeibull:
     # Both take _scaled_power's output; _asinh overwrites z, so it runs last.
     @staticmethod
     def _log_hazard(x, nu, beta, z, far, log_z):
-        """log(beta x^(beta-1) / sqrt(1 + z^2)) as a new 1-d array."""
+        """log(beta x^(beta-1) / sqrt(1 + z^2)), a new array shaped like atleast_1d(x)."""
         out = _log_shape_factor(x, beta)
         # z^2 overflows, and at x = inf the difference is inf - inf, only at
         # far points, which are set from the limit below.
@@ -265,39 +263,26 @@ class _GenExp(_GenWeibull):
         return 1.0 - 1.0 / nu + 0.5 * (digamma((nu + 2.0) / 4.0) - digamma(nu / 4.0))
 
 
-class _GenGamma:
+class _GenGamma(baselines._IncompleteBeta):
     """Generalised gamma: survival I_q(nu/2, beta) in q = (C+S)^(-2)."""
 
-    uses_beta = True
-    uses_nu = True
+    @staticmethod
+    def _a(nu):
+        return nu / 2.0
 
     @staticmethod
-    def _tail_terms(x, nu, beta):
-        """q and 1 - q, each formed without cancellation, and the log survival
-        log I_q(a, beta), a = nu/2, where q < 1e-300 (betainc loses accuracy
-        there, and q underflows): the leading term log(q^a / (a B(a, beta)))
-        of its series; NaN elsewhere."""
-        a = nu / 2.0
-        ln_q = -2.0 * np.arcsinh(np.asarray(x, dtype=float) / nu)
-        far = ln_q < _LN_Q_SERIES
-        series = np.full(ln_q.shape, np.nan)
-        if far.any():
-            series[far] = a * ln_q[far] - math.log(a) - log_beta(a, beta)
-        return np.asarray(asinh_terms(x, nu).q), -np.expm1(ln_q), series
+    def _unit(x, nu):  # q = r^2 with r = 1/(C+S), and 1 - q = 1 - exp(-2 asinh(x/nu))
+        z = x / nu
+        r = 1.0 / (np.hypot(1.0, z) + z)
+        return r * r, -np.expm1(-2.0 * np.arcsinh(z))
 
-    @classmethod
-    def log_survival(cls, x, nu, beta):
-        q, w, series = cls._tail_terms(x, nu, beta)
-        a = nu / 2.0
-        with np.errstate(divide="ignore"):
-            ls = np.log(_near_one_from_complement(reg_inc_beta(q, a, beta), w, a, beta))
-        return np.where(np.isnan(series), ls, series)
+    @staticmethod
+    def _log_unit(x, nu):
+        return -2.0 * np.arcsinh(x / nu)
 
-    @classmethod
-    def cdf(cls, x, nu, beta):
-        q, w, series = cls._tail_terms(x, nu, beta)
-        f = _near_one_from_complement(reg_inc_beta(w, beta, nu / 2.0), q, beta, nu / 2.0)
-        return np.where(np.isnan(series), f, -np.expm1(series))
+    @staticmethod
+    def _x_from(w, v, nu):  # nu (1 - q) / (2 sqrt q) at q = v/(v+w); +inf, not NaN, at v = 0
+        return 0.5 * nu * w / np.sqrt(v * (v + w))
 
     @staticmethod
     def log_pdf(x, nu, beta):
@@ -307,13 +292,6 @@ class _GenGamma:
             return (beta * math.log(2.0 / nu) + shape_term
                     - (nu + beta - 1.0) * np.arcsinh(z) - _log_c(z)
                     - log_beta(nu / 2.0, beta))
-
-    @staticmethod
-    def quantile(p, nu, beta):
-        # Invert the survival I_q(nu/2, beta) = 1 - p in q, then x from
-        # q = (C+S)^-2; 1 - p is exact in the upper tail, where x is large.
-        q = reg_inc_beta_inv(1.0 - p, nu / 2.0, beta)
-        return nu * (1.0 - q) / (2.0 * np.sqrt(q))
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -334,10 +312,6 @@ class _GenGamma:
         b = nu * nu + (beta - 1.0) * (2.0 * nu - beta + 3.0)
         disc = b * b + 4.0 * (nu + 2.0 * beta - 3.0) * (nu + 1.0) * (beta - 1.0) ** 2
         return math.sqrt(2.0) * nu * (beta - 1.0) / math.sqrt(b + math.sqrt(disc))
-
-    @staticmethod
-    def sample(n, nu, beta, rng):
-        return _gen_gamma_sample(n, nu, beta, rng)
 
 
 def _type2_survival_from_r(r, nu: float):
@@ -698,22 +672,6 @@ def gen_gamma_acceptance_probability(x, nu: float, beta: float):
             - (nu + beta - 1.0) * np.arcsinh(z) - _LN_SQRT2)
     out = np.exp(ln_p)
     return float(out) if arr.ndim == 0 else out
-
-
-def _gen_gamma_sample(n: int, nu: float, beta: float, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty(n, dtype=float)
-    got = 0
-    # Mean acceptance is at least 1/sqrt(2); modest over-draw keeps the
-    # number of rounds small without wasting the stream.
-    while got < n:
-        m = max(int((n - got) * 1.6) + 8, 8)
-        x = baselines.CompoundGamma.sample(m, nu, beta, rng)
-        u = rng.random(m)
-        accepted = x[u <= gen_gamma_acceptance_probability(x, nu, beta)]
-        take = min(accepted.size, n - got)
-        out[got:got + take] = accepted[:take]
-        got += take
-    return out
 
 
 def gen_gamma_rejection(params: Params, rng: np.random.Generator) -> float:

@@ -142,8 +142,8 @@ _Z_FAR = 1e150
 
 
 def _scaled_power(x, nu, beta):
-    """z = x^beta / nu for x >= 0 as a new 1-d array (inf where it
-    overflows), the mask of z > 1e150, and log z at those points."""
+    """z = x^beta / nu for x >= 0 as a new array shaped like atleast_1d(x) (inf
+    where it overflows), the mask of z > 1e150, and log z at those points."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
         z = np.power(x, beta)
@@ -153,7 +153,7 @@ def _scaled_power(x, nu, beta):
 
 
 def _log_shape_factor(x, beta):
-    """log(beta x^(beta-1)) for x >= 0 as a new 1-d array (0 at beta = 1, also at x = 0)."""
+    """log(beta x^(beta-1)) for x >= 0, a new array shaped like atleast_1d(x) (0 at beta = 1)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if beta == 1.0:
         return np.zeros(x.shape)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestCompoundGamma:
         h = make_handle("cgamma", nu=2.5, beta=1.5)
         xs = np.array([0.1, 1.0, 10.0])
         assert h.cdf(xs) + h.survival(xs) == pytest.approx(np.ones(3), abs=1e-12)
+
+    def test_pdf_at_zero_with_beta_one(self):
+        # pdf(0) = 1 / (nu B(nu, 1)) = 1: the shape term (beta - 1) log x is 0, not 0 * -inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_handle("cgamma", nu=2.0, beta=1.0).pdf(0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_mode(self):
         assert make_handle("cgamma", nu=3.0, beta=2.0).mode() == pytest.approx(0.75, rel=1e-14)

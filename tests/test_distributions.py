@@ -132,6 +132,44 @@ class TestPdfExamples:
             assert lp < -20.0
 
 
+class TestIncompleteBetaFamilies:
+    """gengamma and cgamma: S(x) = I_v(a, beta) for a decreasing v(x)."""
+
+    @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
+    def test_limits_at_infinity(self, family):
+        h = make_handle(family, nu=2.5, beta=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [h.cdf(np.inf), h.survival(np.inf), h.log_survival(np.inf)]
+        assert got == [1.0, 0.0, -np.inf]
+
+    @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
+    def test_far_tail_power_law(self, family):
+        # Past v = 1e-300, where I_v underflows, the log survival still falls
+        # by nu ln 10 per decade of x: the tail index.
+        h = make_handle(family, nu=2.5, beta=1.5)
+        ls = h.log_survival(np.array([1e302, 1e303, 1e306, 1e307]))
+        assert np.all(np.isfinite(ls))
+        np.testing.assert_allclose(np.diff(ls)[[0, 2]], -2.5 * math.log(10.0), rtol=1e-12)
+
+    def test_gengamma_is_cgamma_at_mapped_points(self):
+        # q = (C+S)^-2 equals (nu/2)/(y + nu/2) at y = x e^asinh(x/nu), so
+        # gengamma(nu, beta) at x is cgamma(nu/2, beta) at y; back, x = y / sqrt(1 + 2y/nu).
+        xs = np.geomspace(1e-3, 1e6, 60)
+        ps = np.linspace(0.0, 0.999, 40)
+        for nu in (0.3, 1.5, 5.0, 50.0):
+            y = xs * np.exp(np.arcsinh(xs / nu))
+            for beta in (0.5, 1.0, 2.0, 7.0):
+                gg = make_handle("gengamma", nu=nu, beta=beta)
+                cg = make_handle("cgamma", nu=nu / 2.0, beta=beta)
+                for m in ("survival", "cdf"):
+                    np.testing.assert_allclose(getattr(gg, m)(xs), getattr(cg, m)(y),
+                                               rtol=1e-12, atol=0, err_msg=f"{m} {nu} {beta}")
+                yq = cg.quantile(ps)
+                np.testing.assert_allclose(gg.quantile(ps), yq / np.sqrt(1.0 + 2.0 * yq / nu),
+                                           rtol=1e-12, atol=0, err_msg=f"quantile {nu} {beta}")
+
+
 class TestHazard:
     @pytest.mark.parametrize("nu", [0.5, 1.0, 4.0])
     def test_genexp_at_zero(self, nu):

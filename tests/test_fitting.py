@@ -258,11 +258,20 @@ def test_unconverged_quasi_newton_falls_back_to_nelder_mead(monkeypatch):
     assert res.converged
 
 
+@pytest.mark.parametrize("family", [f.value for f in Family])
+def test_fits_a_sample_containing_zero(family):
+    result = fit_mle(family, Sample([0, 0.5, 1, 2, 3, 7, 0.2, 1.4]))
+    assert result.converged and math.isfinite(result.neg_log_lik)
+
+
 def test_fallback_keeps_the_lower_nll():
     # L-BFGS-B stops unconverged with beta at its bound e^7; the Nelder-Mead
-    # fallback converges to a worse fit near the nu cap.
+    # fallback converges to a worse fit near the nu cap.  Ten gengamma
+    # (nu = 50, beta = 2) draws, as the earlier rejection sampler gave them.
     family = Family.GEN_GAMMA
-    x = make_handle(family, nu=50.0, beta=2.0).sample(10, make_stream(2))
+    x = np.array([2.556671971408851, 1.0364627546774947, 5.158863179016862, 1.2735018316917888,
+                  1.5044516084229809, 3.4307097098362522, 1.1744105508735625, 2.315249890327525,
+                  2.5648401294525685, 1.7441348942617036])
     names = fitting._free_parameter_names(family, FitOptions())
     qn = fitting._fit_quasi_newton(family, x, names)
     nm = fitting._fit_nelder_mead(family, x, names)

@@ -16,11 +16,16 @@ KS_N = 100_000
 KS_BOUND = 1.63 / math.sqrt(KS_N)  # alpha ~ 0.01
 
 
-def ks_statistic(handle, n, seed):
-    x = np.sort(handle.sample(n, make_stream(seed)))
+def ks_distance(x, handle):
+    """Kolmogorov-Smirnov distance between the draws ``x`` and ``handle``'s cdf."""
+    x = np.sort(x)
     cdf = handle.cdf(x)
-    i = np.arange(n)
-    return max(float(np.max(cdf - i / n)), float(np.max((i + 1) / n - cdf)))
+    i = np.arange(x.size)
+    return max(float(np.max(cdf - i / x.size)), float(np.max((i + 1) / x.size - cdf)))
+
+
+def ks_statistic(handle, n, seed):
+    return ks_distance(handle.sample(n, make_stream(seed)), handle)
 
 
 class TestSamplers:
@@ -61,6 +66,8 @@ class TestSamplers:
         ("burr12", dict(nu=1.5, beta=2.0), 16),
         ("cgamma", dict(nu=2.5, beta=1.5), 17),
         ("exp", {}, 18),
+        ("gengamma", dict(nu=0.5, beta=0.7), 20),
+        ("gengamma", dict(nu=20.0, beta=5.0), 21),
     ])
     def test_kolmogorov_smirnov(self, family, kw, seed):
         h = make_handle(family, **kw)
@@ -98,8 +105,13 @@ class TestGenGammaRejection:
         # beta = 1 collapses the target to the generalised exponential
         gg = make_handle("gengamma", nu=2.0, beta=1.0)
         ge = make_handle("genexp", nu=2.0)
-        x = np.sort(gg.sample(50_000, make_stream(31)))
-        cdf = ge.cdf(x)
-        i = np.arange(x.size)
-        d = max(float(np.max(cdf - i / x.size)), float(np.max((i + 1) / x.size - cdf)))
-        assert d < 1.63 / math.sqrt(x.size)
+        assert ks_distance(gg.sample(50_000, make_stream(31)), ge) < 1.63 / math.sqrt(50_000)
+
+    def test_rejection_draws_ks(self):
+        # The handle draws gengamma in closed form; the public rejection
+        # sampler must draw from the same law.
+        params = Params(nu=3.0, beta=2.0)
+        rng = make_stream(32)
+        n = 20_000
+        x = np.array([gen_gamma_rejection(params, rng) for _ in range(n)])
+        assert ks_distance(x, make_handle("gengamma", nu=3.0, beta=2.0)) < 1.63 / math.sqrt(n)
