@@ -199,8 +199,19 @@ class _IncompleteBeta:
     @classmethod
     def quantile(cls, p, nu, beta):
         # Invert I_v(a, beta) = 1 - p in v: 1 - p is exact in the heavy tail.
-        v = reg_inc_beta_inv(1.0 - p, cls._a(nu), beta)
-        return cls._x_from(1.0 - v, v, nu)
+        # Where v > 1/2 that rounds the lower tail away (v = 1 at small beta),
+        # so invert the cdf I_w(beta, a) = p in w = 1 - v there instead,
+        # unless betaincinv gives NaN, as it does at some tiny p.
+        a, shape = cls._a(nu), np.shape(p)
+        p = np.atleast_1d(p)
+        v = reg_inc_beta_inv(1.0 - p, a, beta)
+        w = 1.0 - v
+        low = np.flatnonzero(v > 0.5)
+        w_low = reg_inc_beta_inv(p[low], beta, a)
+        solved = ~np.isnan(w_low)
+        w[low[solved]] = w_low[solved]
+        v[low[solved]] = 1.0 - w_low[solved]
+        return cls._x_from(w, v, nu).reshape(shape)
 
     @classmethod
     def sample(cls, n, nu, beta, rng):

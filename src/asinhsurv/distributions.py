@@ -314,29 +314,14 @@ class _GenGamma(baselines._IncompleteBeta):
         return math.sqrt(2.0) * nu * (beta - 1.0) / math.sqrt(b + math.sqrt(disc))
 
 
-def _type2_survival_from_r(r, nu: float):
-    r = np.asarray(r, dtype=float)
-    return (nu * r ** (nu + 2.0) + (nu + 2.0) * r ** nu) / (2.0 * (nu + 1.0))
-
-
-def _type2_r_from_survival(s, nu: float) -> np.ndarray:
-    """Invert the type-2 survival in r by vectorized bisection on (0, 1]."""
-    s = np.asarray(s, dtype=float)
-    lo = np.zeros_like(s)
-    hi = np.ones_like(s)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = _type2_survival_from_r(mid, nu) < s
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 class _GenExpType2:
     """Second exponential type: the density, not the survival, is the kernel.
 
     pdf(x) = (nu+2)/(nu+1) * r^(nu+1) with r = sqrt(1+(x/nu)^2) - x/nu;
-    survival (nu r^(nu+2) + (nu+2) r^nu) / (2 (nu+1)).
+    survival (nu r^(nu+2) + (nu+2) r^nu) / (2 (nu+1)); hazard
+    2 (nu+2) r / (nu r^2 + nu + 2) = (nu+2) / ((nu+1) C + S).  The survival
+    has no closed-form inverse: the quantile and the sampler solve it by four
+    Newton steps in a = asinh(x/nu), see ``_x_from_log_survival``.
     """
 
     uses_beta = False
@@ -365,10 +350,36 @@ class _GenExpType2:
         return math.log((nu + 2.0) / (nu + 1.0)) + (nu + 1.0) * cls._log_r(x, nu)
 
     @staticmethod
-    def quantile(p, nu, beta):
-        p = np.asarray(p, dtype=float)
-        r = _type2_r_from_survival(1.0 - p, nu)
-        return nu * (1.0 - r) * (1.0 + r) / (2.0 * r)
+    def hazard(x, nu, beta):
+        # A sum of positive terms: accurate to a few ulp, and 0 at x = inf.
+        z = np.asarray(x, dtype=float) / nu
+        return (nu + 2.0) / ((nu + 1.0) * np.hypot(1.0, z) + z)
+
+    @staticmethod
+    def _x_from_log_survival(log_s, nu):
+        """The x with log S(x) = ``log_s``, by Newton's method in a = asinh(x/nu).
+
+        With k = nu/(2(nu+1)), f(a) = -nu a + log1p(k expm1(-2a)) - log_s is
+        convex and decreasing, its slope in [-nu - nu/(nu+1), -nu].  The
+        start, the tail asymptote a0 = (log(1 - k) - log_s)/nu clamped at 0,
+        lies at or below the root, since log1p(k expm1(-2a)) >= log(1 - k).
+        From there every Newton iterate stays below the root and rises to it,
+        quadratically near it.  For nu in [0.02, 1e6] and p in [0, 1 - 1e-16],
+        four steps leave |cdf(quantile(p)) - p| <= 3.3e-16 and three 4.1e-9.
+        Working in a, not in r = e^-a, avoids the 1 - r cancellation at small x.
+        """
+        k = nu / (2.0 * (nu + 1.0))
+        a = np.maximum((math.log1p(-k) - log_s) / nu, 0.0)
+        for _ in range(4):
+            e = np.expm1(-2.0 * a)  # r^2 - 1
+            f = np.log1p(k * e) - nu * a - log_s
+            slope = nu * (1.0 + 2.0 * (1.0 + e) / (nu * e + 2.0 * nu + 2.0))  # -f'(a)
+            a = a + f / slope
+        return nu * np.sinh(a)
+
+    @classmethod
+    def quantile(cls, p, nu, beta):
+        return cls._x_from_log_survival(np.log1p(-p), nu)
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -387,11 +398,11 @@ class _GenExpType2:
     def mode(nu, beta):
         return 0.0
 
-    @staticmethod
-    def sample(n, nu, beta, rng):
-        u = 1.0 - rng.random(n)
-        r = _type2_r_from_survival(u, nu)
-        return nu * (1.0 - r) * (1.0 + r) / (2.0 * r)
+    @classmethod
+    def sample(cls, n, nu, beta, rng):
+        log_s = np.log1p(-rng.random(n))
+        with np.errstate(over="ignore"):
+            return cls._x_from_log_survival(log_s, nu)
 
 
 class Family(enum.Enum):

@@ -206,6 +206,29 @@ class TestHazard:
             assert h.log_survival(20.0) == pytest.approx(log_survival, rel=1e-13)
             assert h.hazard(20.0) == pytest.approx(45.0, rel=1e-13)
 
+    def test_genexp2_is_zero_at_infinity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_handle("genexp2", nu=1.5).hazard(np.inf) == 0.0
+
+    @pytest.mark.parametrize("nu", [0.2, 1.5, 50.0, 1e4])
+    def test_genexp2_matches_mpmath(self, nu):
+        # pdf / survival from their definitions in r = exp(-asinh(x/nu)), at 40 digits
+        import mpmath
+        xs = np.concatenate([[0.0], np.logspace(-300.0, 300.0, 121)])
+
+        def reference(x):
+            nu_mp = mpmath.mpf(nu)
+            r = mpmath.exp(-mpmath.asinh(mpmath.mpf(x) / nu_mp))
+            pdf = (nu_mp + 2) / (nu_mp + 1) * r ** (nu_mp + 1)
+            survival = (nu_mp * r ** (nu_mp + 2) + (nu_mp + 2) * r ** nu_mp) / (2 * (nu_mp + 1))
+            return float(pdf / survival)
+
+        with mpmath.workdps(40):
+            expected = np.array([reference(x) for x in xs])
+        np.testing.assert_allclose(make_handle("genexp2", nu=nu).hazard(xs), expected,
+                                   rtol=1e-15, atol=0.0)
+
 
 class TestQuantile:
     def test_genexp_median(self):
@@ -216,7 +239,8 @@ class TestQuantile:
         assert h.quantile(0.5) == pytest.approx(math.sqrt(0.75), rel=1e-14)
         assert h.median() == h.quantile(0.5)
 
-    @pytest.mark.parametrize("family,kw", ALL_FAMILIES)
+    # genexp2 at nu = 0.2: the bisection in r this replaced returned 4.4e-17
+    @pytest.mark.parametrize("family,kw", ALL_FAMILIES + [("genexp2", dict(nu=0.2))])
     def test_p_zero_gives_origin(self, family, kw):
         assert make_handle(family, **kw).quantile(0.0) == 0.0
 
@@ -261,6 +285,23 @@ class TestQuantile:
         # the per-point root loop returned a point with cdf 0.98154 here
         h = make_handle("cgamma", nu=50.0, beta=0.7)
         assert h.cdf(h.quantile(0.98855)) == pytest.approx(0.98855, abs=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.2, 1.5, 50.0, 1e4])
+    @pytest.mark.parametrize("p", [1e-15, 1e-8])
+    def test_genexp2_lower_tail_matches_mpmath(self, nu, p):
+        # the root in a = asinh(x/nu) of log S = log(1 - p), at 40 digits
+        import mpmath
+        with mpmath.workdps(40):
+            nu_mp, log_s = mpmath.mpf(nu), mpmath.log(1 - mpmath.mpf(p))
+
+            def f(a):
+                survival = (nu_mp * mpmath.exp(-(nu_mp + 2) * a)
+                            + (nu_mp + 2) * mpmath.exp(-nu_mp * a)) / (2 * (nu_mp + 1))
+                return mpmath.log(survival) - log_s
+
+            a = mpmath.findroot(f, (mpmath.mpf(0), -2 * log_s / nu_mp), solver="anderson")
+            expected = float(nu_mp * mpmath.sinh(a))
+        assert make_handle("genexp2", nu=nu).quantile(p) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_domain(self):
         h = make_handle("genexp", nu=1.0)
