@@ -105,8 +105,53 @@ class BurrXII:
         return np.exp(out, out=out).reshape(np.shape(x))
 
     @staticmethod
+    def nll_score(x, log_tau, theta, log_beta=0.0):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
+
+        With y = x/tau, z = theta y^beta and q = z/(1+z): NLL = n log tau
+        - n log beta - (beta - 1) sum log y + (nu + 1) sum log1p z, and its
+        gradient is beta (n - (nu + 1) sum q), nu sum q - nu^2 sum
+        (log1p z - q) and beta sum ((nu + 1) q - 1) log y - n.
+        """
+        nu, beta = 1.0 / theta, math.exp(log_beta)
+        n = np.size(x)
+        y = x / math.exp(log_tau)  # before the power: tau^-beta alone can overflow
+        z, far, log_z = _scaled_power(y, nu, beta)
+        # In place where it can be: on large samples every fresh array costs
+        # more than its arithmetic.  log y is -inf at a point x = 0, and q is
+        # inf/inf only where far.
+        q = z + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_y = np.log(y, out=y)
+            np.divide(z, q, out=q)
+        small = z < 1e-4
+        zs = z[small]
+        h = BurrXII._log1p(z, far, log_z)
+        q[far] = 1.0
+        sum_q = float(np.sum(q))
+        nll = n * (log_tau - log_beta) + (nu + 1.0) * float(np.sum(h))
+        if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
+            nll -= (beta - 1.0) * float(np.sum(log_y))
+        # log1p(z) - q cancels to z^2/2 - ... for small z; use its series there.
+        h -= q
+        h[small] = zs * zs * (0.5 + zs * (-2.0 / 3.0 + zs * (0.75 - zs * 0.8)))
+        q *= nu + 1.0
+        q -= 1.0
+        grad = np.array([beta * (n - (nu + 1.0) * sum_q),
+                         nu * sum_q - nu * nu * float(np.sum(h)),
+                         beta * float(np.dot(q, log_y)) - n])
+        return nll, grad
+
+    @staticmethod
+    def _x_from_hazard(h, nu, beta):
+        """The x with cumulative hazard -log S(x) = h; inf, quietly, where it overflows."""
+        with np.errstate(over="ignore"):
+            return np.power(nu * np.expm1(h / nu), 1.0 / beta)
+
+    @staticmethod
     def quantile(p, nu, beta):
-        return np.power(nu * np.expm1(-np.log1p(-p) / nu), 1.0 / beta)
+        return BurrXII._x_from_hazard(-np.log1p(-p), nu, beta)
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -127,8 +172,7 @@ class BurrXII:
 
     @staticmethod
     def sample(n, nu, beta, rng):
-        e = rng.standard_exponential(n)
-        return np.power(nu * np.expm1(e / nu), 1.0 / beta)
+        return BurrXII._x_from_hazard(rng.standard_exponential(n), nu, beta)
 
 
 class Lomax(BurrXII):
@@ -211,14 +255,15 @@ class _IncompleteBeta:
         solved = ~np.isnan(w_low)
         w[low[solved]] = w_low[solved]
         v[low[solved]] = 1.0 - w_low[solved]
-        return cls._x_from(w, v, nu).reshape(shape)
+        with np.errstate(divide="ignore", over="ignore"):  # v underflows: x = inf
+            return cls._x_from(w, v, nu).reshape(shape)
 
     @classmethod
     def sample(cls, n, nu, beta, rng):
         # v(X) = G_a / (G_a + G_beta) for independent gamma variates.
         w = rng.gamma(beta, size=n)
         v = rng.gamma(cls._a(nu), size=n)
-        with np.errstate(divide="ignore"):  # G_a underflows to 0: x = inf
+        with np.errstate(divide="ignore", over="ignore"):  # G_a underflows: x = inf
             return cls._x_from(w, v, nu)
 
 

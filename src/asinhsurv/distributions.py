@@ -185,9 +185,61 @@ class _GenWeibull:
         out = cls._log_hazard(x, nu, beta, *_scaled_power(x, nu, beta))
         return np.exp(out, out=out).reshape(np.shape(x))
 
+    @classmethod
+    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
+
+        With y = x/tau, z = theta y^beta, c = sqrt(1 + z^2), t = z/c and
+        k = t (nu + t): NLL = n log tau - n log beta - (beta - 1) sum log y
+        + sum (nu asinh z + log c), and its gradient is beta (n - sum k),
+        nu sum t^2 - nu^2 sum (asinh z - t) and beta sum (k - 1) log y - n.
+        """
+        nu, beta = 1.0 / theta, math.exp(log_beta)
+        n = np.size(x)
+        y = x / math.exp(log_tau)  # before the power: tau^-beta alone can overflow
+        z, far, log_z = _scaled_power(y, nu, beta)
+        # In place where it can be: on large samples every fresh array costs more
+        # than its arithmetic.  log y is -inf at a point x = 0; z^2 overflows,
+        # and t is inf/inf, only where far.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_y = np.log(y, out=y)
+            c = np.multiply(z, z)
+            c += 1.0
+            np.sqrt(c, out=c)
+            t = np.divide(z, c)
+        log_c = np.log(c, out=c)
+        small = z < 1e-2
+        zs = z[small]
+        g = cls._asinh(z, far, log_z)
+        t[far] = 1.0
+        log_c[far] = log_z
+        nll = n * (log_tau - log_beta) + nu * float(np.sum(g)) + float(np.sum(log_c))
+        if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
+            nll -= (beta - 1.0) * float(np.sum(log_y))
+        # asinh(z) - t cancels to z^3/3 + ... for small z; use its series there.
+        g -= t
+        zz = zs * zs
+        g[small] = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * 35.0 / 144.0)))
+        sum_t2 = float(np.dot(t, t))
+        k = t + nu
+        k *= t
+        sum_k = float(np.sum(k))
+        k -= 1.0
+        grad = np.array([beta * (n - sum_k),
+                         nu * sum_t2 - nu * nu * float(np.sum(g)),
+                         beta * float(np.dot(k, log_y)) - n])
+        return nll, grad
+
     @staticmethod
-    def quantile(p, nu, beta):
-        return np.power(nu * np.sinh(-np.log1p(-p) / nu), 1.0 / beta)
+    def _x_from_hazard(h, nu, beta):
+        """The x with cumulative hazard -log S(x) = h; inf, quietly, where it overflows."""
+        with np.errstate(over="ignore"):
+            return np.power(nu * np.sinh(h / nu), 1.0 / beta)
+
+    @classmethod
+    def quantile(cls, p, nu, beta):
+        return cls._x_from_hazard(-np.log1p(-p), nu, beta)
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -209,11 +261,9 @@ class _GenWeibull:
         den = nb * nb + 2.0 * (beta - 1.0) + math.sqrt(nb ** 4 + 4.0 * nb * nb * beta * (beta - 1.0))
         return (2.0 * (beta - 1.0) ** 2 * nu * nu / den) ** (1.0 / (2.0 * beta))
 
-    @staticmethod
-    def sample(n, nu, beta, rng):
-        e = rng.standard_exponential(n)
-        with np.errstate(over="ignore"):
-            return np.power(nu * np.sinh(e / nu), 1.0 / beta)
+    @classmethod
+    def sample(cls, n, nu, beta, rng):
+        return cls._x_from_hazard(rng.standard_exponential(n), nu, beta)
 
 
 class _GenExp(_GenWeibull):
@@ -375,7 +425,8 @@ class _GenExpType2:
             f = np.log1p(k * e) - nu * a - log_s
             slope = nu * (1.0 + 2.0 * (1.0 + e) / (nu * e + 2.0 * nu + 2.0))  # -f'(a)
             a = a + f / slope
-        return nu * np.sinh(a)
+        with np.errstate(over="ignore"):  # x = inf past the float range
+            return nu * np.sinh(a)
 
     @classmethod
     def quantile(cls, p, nu, beta):
@@ -400,9 +451,7 @@ class _GenExpType2:
 
     @classmethod
     def sample(cls, n, nu, beta, rng):
-        log_s = np.log1p(-rng.random(n))
-        with np.errstate(over="ignore"):
-            return cls._x_from_log_survival(log_s, nu)
+        return cls._x_from_log_survival(np.log1p(-rng.random(n)), nu)
 
 
 class Family(enum.Enum):

@@ -8,12 +8,14 @@ Light-tailed data drives theta to that bound; ``FitResult.at_nu_bound``
 flags it.
 
 Every fit but the closed-form exponential is made by the bounded
-quasi-Newton method L-BFGS-B from each start.  Its gradient is the
-kernel's closed-form score (``nll_score``: genexp and Lomax, location
-fixed) or else scipy's finite differences.  A fit is ``converged`` when the
-infinity norm of its projected gradient is at most 1e-6 (1 + |nll|); the
-optimiser's own status is not used, because its line search can stop at
-the optimum with an "abnormal termination" when the likelihood is flat.
+quasi-Newton method L-BFGS-B from each start.  With the location fixed,
+its gradient is the kernel's closed-form score (``nll_score``: genexp and
+Lomax in (log_tau, theta), genweibull and Burr XII also in log_beta);
+otherwise, and for genexp2, gengamma and cgamma, it is scipy's finite
+differences.  A fit is ``converged`` when the infinity norm of its
+projected gradient is at most 1e-6 (1 + |nll|); the optimiser's own status
+is not used, because its line search can stop at the optimum with an
+"abnormal termination" when the likelihood is flat.
 Only an unconverged fit falls back to a derivative-free Nelder-Mead
 simplex with multi-start and restart, ``converged`` when scipy reports
 success and the relative diameter of the final simplex is at most 1e-8.
@@ -105,12 +107,14 @@ def neg_log_likelihood(handle: DistributionHandle, sample: Sample) -> float:
     return float(-total)
 
 
-def _free_parameter_names(family: Family, opts: FitOptions) -> list[str]:
+def _free_parameter_names(family: Family, opts: FitOptions, x: np.ndarray) -> list[str]:
     kernel = _KERNELS[family]
     names = ["log_tau"]
     if kernel.uses_nu:
         names.append("theta")
-    if kernel.uses_beta:
+    # At a fixed location a point x = 0 makes the likelihood 0 for beta > 1 and
+    # unbounded for beta < 1, so beta is pinned at 1.
+    if kernel.uses_beta and (opts.free_eta or not np.any(x == 0.0)):
         names.append("log_beta")
     if opts.free_eta:
         names.append("eta")
@@ -192,8 +196,8 @@ def _result(family: Family, names: list[str], vec: np.ndarray, nll: float,
 
 
 def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str]) -> FitResult:
-    """L-BFGS-B from each start, on the kernel's score where it has one for
-    the free parameters (log_tau, theta), else on finite differences."""
+    """L-BFGS-B from each start, on the kernel's score where it has one and
+    the location is fixed, else on finite differences."""
     kernel = _KERNELS[family]
     bounds = _bounds(names, x)
     objective = _objective(kernel, names, x)
@@ -201,10 +205,13 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str]) -> FitRes
     iterations = 0
     options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER}
     fun, jac = objective, None
-    if hasattr(kernel, "nll_score") and names == ["log_tau", "theta"]:
+    if hasattr(kernel, "nll_score") and "eta" not in names:
         def fun(vec: np.ndarray):
+            # The names are a prefix of (log_tau, theta, log_beta); a pinned
+            # log_beta takes the score's default 0 and its component is dropped.
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return kernel.nll_score(x, vec[0], vec[1])
+                nll, grad = kernel.nll_score(x, *vec)
+            return nll, grad[:vec.size]
         jac = True
 
     for start in _starts(names, x):
@@ -255,11 +262,16 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     The exponential with fixed location has a closed form.  Every other fit
     runs L-BFGS-B, and Nelder-Mead only if that leaves it unconverged; the
     lower of the two negative log likelihoods wins (see the module docstring).
+
+    With the location fixed, a sample holding an exact 0 has no maximum in
+    beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The
+    families with a shape beta (genweibull, gengamma, Burr XII, cgamma) are
+    then fitted at beta = 1, where they are genexp or the Lomax.
     """
     family = Family.parse(family)
     opts = options or FitOptions()
     x = sample.values
-    names = _free_parameter_names(family, opts)
+    names = _free_parameter_names(family, opts, x)
     if len(sample) < len(names):
         raise DomainError(
             f"need at least {len(names)} observations to fit {family.value}, got {len(sample)}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -157,27 +158,37 @@ _BODY = np.concatenate([[0.0], make_handle("exp").sample(40, make_stream(17))])
 _WITH_EXTREMES = np.concatenate([[1e6, 20.0, 10.0], _BODY])
 
 
-def _decimal_nll(family, x, log_tau, theta):
-    """The genexp or Lomax neg-log-likelihood in decimal arithmetic."""
-    tau = log_tau.exp()
-    total = len(x) * log_tau
+def _decimal_nll(family, x, log_tau, theta, log_beta=Decimal(0)):
+    """The genexp, Lomax, genweibull or Burr XII neg-log-likelihood in
+    decimal arithmetic; genexp and Lomax take beta = 1."""
+    tau, beta = log_tau.exp(), log_beta.exp()
+    total = len(x) * (log_tau - log_beta)
     for value in x:
-        z = theta * Decimal(float(value)) / tau
-        if family == "genexp":
+        y = Decimal(float(value)) / tau
+        if log_beta:
+            total -= (beta - 1) * y.ln()
+            y = (beta * y.ln()).exp()
+        z = theta * y
+        if family in ("genexp", "genweibull"):
             total += (z + (1 + z * z).sqrt()).ln() / theta + (1 + z * z).ln() / 2
         else:
             total += (1 / theta + 1) * (1 + z).ln()
     return total
 
 
-def _decimal_gradient(family, x, log_tau, theta):
+def _decimal_gradient(family, x, log_tau, theta, log_beta=None):
     """Central differences of :func:`_decimal_nll` at 50 digits: exact to
-    far below double precision, so it also checks the small-z series."""
+    far below double precision, so it also checks the small-z series.  In
+    (log_tau, theta), and log_beta too unless it is None."""
     with localcontext() as ctx:
         ctx.prec = 50
         point = [Decimal(log_tau), Decimal(theta)]
+        steps = [Decimal("1e-15"), point[1] * Decimal("1e-15")]
+        if log_beta is not None:
+            point.append(Decimal(log_beta))
+            steps.append(Decimal("1e-15"))
         grad = []
-        for i, h in enumerate((Decimal("1e-15"), point[1] * Decimal("1e-15"))):
+        for i, h in enumerate(steps):
             up, down = list(point), list(point)
             up[i] += h
             down[i] -= h
@@ -198,6 +209,51 @@ def test_nll_score_matches_decimal_reference(x, family, theta, log_tau):
     assert grad == pytest.approx(_decimal_gradient(family, x, log_tau, theta), rel=1e-10)
 
 
+# At beta != 1 a point x = 0 has density 0 or +inf, so these samples leave it out.
+_POSITIVE_BODY = _BODY[1:]
+_POSITIVE_WITH_EXTREMES = np.concatenate([[1e6, 20.0, 10.0], _POSITIVE_BODY])
+
+
+@pytest.mark.parametrize("x", [_POSITIVE_BODY, _POSITIVE_WITH_EXTREMES], ids=["body", "with-1e6"])
+@pytest.mark.parametrize("family", ["genweibull", "burr12"])
+@pytest.mark.parametrize("log_beta", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0])
+@pytest.mark.parametrize("log_tau", [-3.0, 0.0, 3.0])
+def test_beta_nll_score_matches_decimal_reference(x, family, log_beta, theta, log_tau):
+    kernel = fitting._KERNELS[Family.parse(family)]
+    nll, grad = kernel.nll_score(x, log_tau, theta, log_beta)
+    handle = make_handle(family, nu=1.0 / theta, beta=math.exp(log_beta), tau=math.exp(log_tau))
+    assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
+    reference = _decimal_gradient(family, x, log_tau, theta, log_beta)
+    assert list(grad) == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["genweibull", "burr12"])
+def test_beta_nll_score_at_far_points(family):
+    # z = theta y^beta passes 1e150 at the first four points, and y^beta
+    # overflows at the first two.
+    x = np.concatenate([[1e300, 1e200, 1e120, 1e80], _POSITIVE_BODY])
+    kernel = fitting._KERNELS[Family.parse(family)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nll, grad = kernel.nll_score(x, 0.5, 0.5, 1.0)
+    handle = make_handle(family, nu=2.0, beta=math.e, tau=math.exp(0.5))
+    assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
+    reference = _decimal_gradient(family, x, 0.5, 0.5, 1.0)
+    assert list(grad) == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("x", [_BODY, _WITH_EXTREMES], ids=["body", "with-0-and-1e6"])
+@pytest.mark.parametrize("family, beta_one", [("genweibull", "genexp"), ("burr12", "lomax")])
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0])
+@pytest.mark.parametrize("log_tau", [-3.0, 0.0, 3.0])
+def test_beta_nll_score_at_beta_one_is_the_nested_score(x, family, beta_one, theta, log_tau):
+    nll, grad = fitting._KERNELS[Family.parse(family)].nll_score(x, log_tau, theta, 0.0)
+    nested_nll, nested_grad = fitting._KERNELS[Family.parse(beta_one)].nll_score(x, log_tau, theta)
+    assert nll == pytest.approx(nested_nll, rel=1e-13)
+    assert list(grad[:2]) == pytest.approx(list(nested_grad), rel=1e-12)
+
+
 def _study_like(n, outliers, rep):
     x = make_handle("exp").sample(n, make_stream(1000 * n + 10 * outliers + rep))
     return np.concatenate([x, [20.0, 10.0][:outliers]])
@@ -206,11 +262,11 @@ def _study_like(n, outliers, rep):
 @pytest.mark.parametrize("family", [Family.GEN_EXP, Family.LOMAX])
 def test_quasi_newton_no_worse_than_nelder_mead(family):
     opts = FitOptions()
-    names = fitting._free_parameter_names(family, opts)
     for n in (10, 100, 1000):
         for outliers in range(3):
             for rep in range(10):
                 x = _study_like(n, outliers, rep)
+                names = fitting._free_parameter_names(family, opts, x)
                 qn = fitting._fit_quasi_newton(family, x, names)
                 nm = fitting._fit_nelder_mead(family, x, names)
                 # the exponential limit as far as the nu <= 1e6 cap reaches it
@@ -247,7 +303,7 @@ def test_unconverged_quasi_newton_falls_back_to_nelder_mead(monkeypatch):
     family = Family.GEN_EXP
     x = _study_like(100, 2, 1)
     opts = FitOptions()
-    names = fitting._free_parameter_names(family, opts)
+    names = fitting._free_parameter_names(family, opts, x)
     expected = fitting._fit_nelder_mead(family, x, names)
     methods = _record_methods(monkeypatch, lbfgsb_maxiter=1)
     assert not fitting._fit_quasi_newton(family, x, names).converged
@@ -258,10 +314,56 @@ def test_unconverged_quasi_newton_falls_back_to_nelder_mead(monkeypatch):
     assert res.converged
 
 
+_WITH_ZERO = [0, 0.5, 1, 2, 3, 7, 0.2, 1.4]
+
+
 @pytest.mark.parametrize("family", [f.value for f in Family])
 def test_fits_a_sample_containing_zero(family):
-    result = fit_mle(family, Sample([0, 0.5, 1, 2, 3, 7, 0.2, 1.4]))
+    result = fit_mle(family, Sample(_WITH_ZERO))
     assert result.converged and math.isfinite(result.neg_log_lik)
+
+
+# Each beta family with its beta = 1 member: gengamma and genweibull at
+# beta = 1 are genexp, cgamma and Burr XII at beta = 1 are the Lomax.
+_NESTED = [("genweibull", "genexp"), ("gengamma", "genexp"),
+           ("burr12", "lomax"), ("cgamma", "lomax")]
+
+
+@pytest.mark.parametrize("family, beta_one", _NESTED)
+def test_zero_in_the_sample_pins_beta_at_one(family, beta_one):
+    # At eta = 0 a point x = 0 has density 0 for beta > 1 and +inf for beta < 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = fit_mle(family, Sample(_WITH_ZERO))
+    nested = fit_mle(beta_one, Sample(_WITH_ZERO))
+    assert result.converged and result.estimates.beta == 1.0
+    assert result.neg_log_lik == pytest.approx(nested.neg_log_lik, rel=1e-10)
+    free = fitting._free_parameter_names(Family.parse(family), FitOptions(free_eta=True),
+                                         np.array(_WITH_ZERO))
+    assert "log_beta" in free
+
+
+def _nesting_sample(kind, n):
+    if kind == "with-zero":
+        return np.array(_WITH_ZERO, dtype=float)
+    if kind == "weibull":
+        return make_stream(n).weibull(1.5, n)
+    return make_handle(kind, nu=3.0).sample(n, make_stream(n + 1))
+
+
+_NESTING_SAMPLES = [(kind, n) for kind in ("weibull", "genexp", "lomax")
+                    for n in (10, 100, 1000)] + [("with-zero", 8)]
+
+
+@pytest.mark.parametrize("kind, n", _NESTING_SAMPLES,
+                         ids=[f"{kind}-{n}" for kind, n in _NESTING_SAMPLES])
+@pytest.mark.parametrize("family, beta_one", [("genweibull", "genexp"), ("burr12", "lomax")])
+def test_beta_fit_no_worse_than_its_beta_one_member(family, beta_one, kind, n):
+    x = Sample(_nesting_sample(kind, n))
+    result = fit_mle(family, x)
+    nested = fit_mle(beta_one, x)
+    assert result.converged
+    assert result.neg_log_lik <= nested.neg_log_lik + 1e-10 * abs(nested.neg_log_lik)
 
 
 def test_fallback_keeps_the_lower_nll():
@@ -272,7 +374,7 @@ def test_fallback_keeps_the_lower_nll():
     x = np.array([2.556671971408851, 1.0364627546774947, 5.158863179016862, 1.2735018316917888,
                   1.5044516084229809, 3.4307097098362522, 1.1744105508735625, 2.315249890327525,
                   2.5648401294525685, 1.7441348942617036])
-    names = fitting._free_parameter_names(family, FitOptions())
+    names = fitting._free_parameter_names(family, FitOptions(), x)
     qn = fitting._fit_quasi_newton(family, x, names)
     nm = fitting._fit_nelder_mead(family, x, names)
     assert not qn.converged and nm.converged
@@ -297,13 +399,13 @@ def _workload_like(family, beta, free_eta, n, nu, seed):
 def test_finite_difference_fits_no_worse_than_nelder_mead(family, beta, free_eta):
     opts = FitOptions(free_eta=free_eta)
     fam = Family.parse(family)
-    names = fitting._free_parameter_names(fam, opts)
     # gengamma and cgamma L-BFGS-B fits can end unconverged (and fall back)
     # at n = 10 or 100 or at nu = 50, so they are checked at n = 1000 only.
     grid = [(1000, 1.5), (1000, 5.0)] if family in ("gengamma", "cgamma") else [
         (n, nu) for n in (100, 1000) for nu in (1.5, 5.0, 50.0)]
     for n, nu in grid:
         x = _workload_like(family, beta, free_eta, n, nu, seed=n)
+        names = fitting._free_parameter_names(fam, opts, x)
         qn = fitting._fit_quasi_newton(fam, x, names)
         nm = fitting._fit_nelder_mead(fam, x, names)
         assert qn.converged, (n, nu)

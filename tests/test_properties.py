@@ -6,7 +6,8 @@ and the cdf never decreases.  For genweibull and burr12, whose z = x^beta/nu
 overflows first, log_pdf, log_survival and hazard stay finite without a
 warning for x in [1e-300, 1e300], and the hazard is pdf/survival.  For
 every family the cdf inverts the quantile, wherever the quantile is finite,
-for p from 0 up to 1 - 1e-12.
+for p from 0 up to 1 - 1e-12, and a quantile or a draw past the float range
+is inf without a warning.
 """
 
 import warnings
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asinhsurv import Family, make_handle
+from asinhsurv import Family, make_handle, make_stream
 
 _POINTS = st.lists(
     st.one_of(st.just(0.0),
@@ -100,8 +101,23 @@ _PROBABILITIES = st.lists(
 def test_cdf_inverts_quantile(family, nu, beta, probabilities):
     handle = make_handle(family, nu=nu, beta=beta)
     p = np.array(probabilities)
-    with np.errstate(over="ignore"):  # genweibull and burr12 overflow to inf at small beta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         x = handle.quantile(p)
     assert not np.any(np.isnan(x)), x
     finite = np.isfinite(x)
     assert np.all(np.abs(handle.cdf(x[finite]) - p[finite]) <= 1e-12), (x, handle.cdf(x) - p)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_quantile_and_draws_past_the_float_range_are_quietly_inf(family, beta):
+    handle = make_handle(family, nu=0.01, beta=beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = handle.quantile(np.array([0.5, 1.0 - 1e-12]))
+        draws = handle.sample(1000, make_stream(1))
+    assert not np.any(np.isnan(x)) and not np.any(np.isnan(draws))
+    assert np.all(draws >= 0.0)
+    if family.value in ("genexp2", "genexp", "lomax", "genweibull", "burr12"):
+        assert x[1] == np.inf
