@@ -7,9 +7,9 @@ location 0) on x >= 0; location-scale wrapping happens in
 :class:`asinhsurv.distributions.DistributionHandle`.  Kernel methods take
 vectorized x and scalar shape parameters ``nu`` (tail index) and ``beta``
 (Weibull/gamma shape, ignored where ``uses_beta`` is false).  The Lomax is
-the beta = 1 Burr XII: it subclasses :class:`BurrXII`, adds only its
-likelihood score, and is handed beta = 1.  The compound gamma runs
-``_IncompleteBeta``, the kernel it shares with the generalised gamma.
+the beta = 1 Burr XII: it subclasses :class:`BurrXII`, adds nothing, and
+is handed beta = 1.  The compound gamma runs ``_IncompleteBeta``, the
+kernel it shares with the generalised gamma.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class BurrXII:
         (log1p z - q) and beta sum ((nu + 1) q - 1) log y - n.
         """
         nu, beta = 1.0 / theta, math.exp(log_beta)
-        n = np.size(x)
+        n = x.size
         y = x / math.exp(log_tau)  # before the power: tau^-beta alone can overflow
         z, far, log_z = _scaled_power(y, nu, beta)
         # In place where it can be: on large samples every fresh array costs
@@ -129,18 +129,18 @@ class BurrXII:
         zs = z[small]
         h = BurrXII._log1p(z, far, log_z)
         q[far] = 1.0
-        sum_q = float(np.sum(q))
-        nll = n * (log_tau - log_beta) + (nu + 1.0) * float(np.sum(h))
+        sum_q = q.sum()
+        nll = n * (log_tau - log_beta) + (nu + 1.0) * h.sum()
         if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
-            nll -= (beta - 1.0) * float(np.sum(log_y))
+            nll -= (beta - 1.0) * log_y.sum()
         # log1p(z) - q cancels to z^2/2 - ... for small z; use its series there.
         h -= q
         h[small] = zs * zs * (0.5 + zs * (-2.0 / 3.0 + zs * (0.75 - zs * 0.8)))
         q *= nu + 1.0
         q -= 1.0
         grad = np.array([beta * (n - (nu + 1.0) * sum_q),
-                         nu * sum_q - nu * nu * float(np.sum(h)),
-                         beta * float(np.dot(q, log_y)) - n])
+                         nu * sum_q - nu * nu * h.sum(),
+                         beta * q.dot(log_y) - n])
         return nll, grad
 
     @staticmethod
@@ -180,27 +180,11 @@ class Lomax(BurrXII):
 
     The single parameter plays both the shape and the scale role, which is
     what makes the family tend to the unit exponential as nu grows.  It is
-    the beta = 1 Burr XII, which supplies every kernel method but the score.
+    the beta = 1 Burr XII, which supplies every kernel method and the
+    likelihood score.
     """
 
     uses_beta = False
-
-    @staticmethod
-    def nll_score(x, log_tau, theta):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        and its gradient in (log_tau, theta)."""
-        y = x / math.exp(log_tau)
-        z = theta * y
-        # log1p(z) - z/(1+z) cancels to z^2/2 - ... for small z; use its series there.
-        small = z < 1e-4
-        zs = np.where(small, z, 0.0)
-        log1p_z = np.log1p(z)
-        h = np.where(small, zs * zs * (0.5 + zs * (-2.0 / 3.0 + zs * (0.75 - zs * 0.8))),
-                     log1p_z - z / (1.0 + z))
-        nll = log_tau * y.size + (1.0 / theta + 1.0) * float(np.sum(log1p_z))
-        d_log_tau = y.size - float(np.sum((y + z) / (1.0 + z)))
-        d_theta = float(np.sum(y / (1.0 + z) - h / (theta * theta)))
-        return nll, np.array([d_log_tau, d_theta])
 
 
 class _IncompleteBeta:

@@ -15,10 +15,12 @@ them share one evaluation contract through :class:`DistributionHandle`,
 which also applies the location-scale extension x -> (x - eta)/tau.
 
 The generalised exponential is the generalised Weibull at beta = 1, as the
-Lomax is the Burr XII at beta = 1: each is a subclass that only adds what
-has a closed form at beta = 1, and the handle passes beta = 1 to the kernel
-of every family that ignores beta.  The generalised gamma runs the compound
-gamma's incomplete-beta kernel: q(X) ~ Beta(nu/2, beta) gives exact draws.
+Lomax is the Burr XII at beta = 1: each is a subclass that runs its
+parent's kernel and likelihood score (genexp adds only its closed-form
+variance, skewness and entropy), and the handle passes beta = 1 to the
+kernel of every family that ignores beta.  The generalised gamma runs the
+compound gamma's incomplete-beta kernel: q(X) ~ Beta(nu/2, beta) gives
+exact draws.
 
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
@@ -196,7 +198,7 @@ class _GenWeibull:
         nu sum t^2 - nu^2 sum (asinh z - t) and beta sum (k - 1) log y - n.
         """
         nu, beta = 1.0 / theta, math.exp(log_beta)
-        n = np.size(x)
+        n = x.size
         y = x / math.exp(log_tau)  # before the power: tau^-beta alone can overflow
         z, far, log_z = _scaled_power(y, nu, beta)
         # In place where it can be: on large samples every fresh array costs more
@@ -214,21 +216,21 @@ class _GenWeibull:
         g = cls._asinh(z, far, log_z)
         t[far] = 1.0
         log_c[far] = log_z
-        nll = n * (log_tau - log_beta) + nu * float(np.sum(g)) + float(np.sum(log_c))
+        nll = n * (log_tau - log_beta) + nu * g.sum() + log_c.sum()
         if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
-            nll -= (beta - 1.0) * float(np.sum(log_y))
+            nll -= (beta - 1.0) * log_y.sum()
         # asinh(z) - t cancels to z^3/3 + ... for small z; use its series there.
         g -= t
         zz = zs * zs
-        g[small] = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * 35.0 / 144.0)))
-        sum_t2 = float(np.dot(t, t))
+        g[small] = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * (35.0 / 144.0))))
+        sum_t2 = t.dot(t)
         k = t + nu
         k *= t
-        sum_k = float(np.sum(k))
+        sum_k = k.sum()
         k -= 1.0
         grad = np.array([beta * (n - sum_k),
-                         nu * sum_t2 - nu * nu * float(np.sum(g)),
-                         beta * float(np.dot(k, log_y)) - n])
+                         nu * sum_t2 - nu * nu * g.sum(),
+                         beta * k.dot(log_y) - n])
         return nll, grad
 
     @staticmethod
@@ -268,29 +270,10 @@ class _GenWeibull:
 
 class _GenExp(_GenWeibull):
     """Generalised exponential: survival exp(-nu asinh(x/nu)), the beta = 1
-    generalised Weibull.  It adds the closed forms that exist only at beta = 1."""
+    generalised Weibull, whose kernel and score it runs.  It adds the closed
+    forms that exist only at beta = 1: variance, skewness and entropy."""
 
     uses_beta = False
-
-    @staticmethod
-    def nll_score(x, log_tau, theta):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        and its gradient in (log_tau, theta)."""
-        y = x / math.exp(log_tau)
-        z = theta * y
-        a = np.arcsinh(z)
-        c = np.hypot(1.0, z)
-        t = z / c
-        # asinh(z) - z/c cancels to z^3/3 + ... for small z; use its series there.
-        small = z < 1e-2
-        zs = np.where(small, z, 0.0)
-        zz = zs * zs
-        series = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * 35.0 / 144.0)))
-        g = np.where(small, series, a - t)
-        nll = log_tau * y.size + float(np.sum(a / theta + np.log(c)))
-        d_log_tau = y.size - float(np.sum(y / c + t * t))
-        d_theta = float(np.sum(y * t / c - g / (theta * theta)))
-        return nll, np.array([d_log_tau, d_theta])
 
     @staticmethod
     def variance(nu, beta):
@@ -549,6 +532,8 @@ class DistributionHandle:
         return self.params.eta
 
     def _standardized(self, x):
+        """A new array y = (x - eta)/tau, 0 below eta, the mask of those points
+        and whether x is a scalar."""
         arr = np.asarray(x, dtype=float)
         if np.any(np.isnan(arr)):
             raise DomainError("x must not be NaN")
@@ -582,16 +567,23 @@ class DistributionHandle:
             f = -np.expm1(kernel.log_survival(y, self.nu, self._kernel_beta))
         return self._out(np.where(below, 0.0, f), scalar)
 
-    def log_pdf(self, x):
+    def _log_pdf(self, x):
+        """The log density and the scalar flag.  The density is 0 below eta
+        and at x = inf, decided here: at inf the gengamma and cgamma kernels'
+        log density is inf - inf when beta != 1."""
         y, below, scalar = self._standardized(x)
-        lp = self._kernel.log_pdf(y, self.nu, self._kernel_beta) - math.log(self.tau)
-        return self._out(np.where(below, -np.inf, lp), scalar)
+        top = y == np.inf
+        y[top] = 0.0
+        lp = self._kernel.log_pdf(y, self.nu, self._kernel_beta)
+        return np.where(below | top, -np.inf, lp - math.log(self.tau)), scalar
+
+    def log_pdf(self, x):
+        return self._out(*self._log_pdf(x))
 
     def pdf(self, x):
-        y, below, scalar = self._standardized(x)
-        lp = self._kernel.log_pdf(y, self.nu, self._kernel_beta) - math.log(self.tau)
+        lp, scalar = self._log_pdf(x)
         with np.errstate(over="ignore"):
-            return self._out(np.where(below, 0.0, np.exp(lp)), scalar)
+            return self._out(np.exp(lp), scalar)
 
     def hazard(self, x):
         y, below, scalar = self._standardized(x)
@@ -599,9 +591,14 @@ class DistributionHandle:
         if hasattr(kernel, "hazard"):
             h = kernel.hazard(y, self.nu, self._kernel_beta)
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
+            # gengamma and cgamma: pdf/survival, 0/0 at x = inf, where their
+            # power-law tails take the hazard to 0.
+            top = y == np.inf
+            y[top] = 0.0
+            with np.errstate(over="ignore"):
                 h = np.exp(kernel.log_pdf(y, self.nu, self._kernel_beta)
                            - kernel.log_survival(y, self.nu, self._kernel_beta))
+            h = np.where(top, 0.0, h)
         return self._out(np.where(below, 0.0, h / self.tau), scalar)
 
     def quantile(self, p):

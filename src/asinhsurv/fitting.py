@@ -9,10 +9,10 @@ flags it.
 
 Every fit but the closed-form exponential is made by the bounded
 quasi-Newton method L-BFGS-B from each start.  With the location fixed,
-its gradient is the kernel's closed-form score (``nll_score``: genexp and
-Lomax in (log_tau, theta), genweibull and Burr XII also in log_beta);
-otherwise, and for genexp2, gengamma and cgamma, it is scipy's finite
-differences.  A fit is ``converged`` when the infinity norm of its
+its gradient is the kernel's closed-form score (``nll_score`` of
+genweibull and Burr XII in (log_tau, theta, log_beta), which genexp and
+Lomax run at log_beta = 0 in (log_tau, theta)); otherwise, and for genexp2,
+gengamma and cgamma, it is scipy's finite differences.  A fit is ``converged`` when the infinity norm of its
 projected gradient is at most 1e-6 (1 + |nll|); the optimiser's own status
 is not used, because its line search can stop at the optimum with an
 "abnormal termination" when the likelihood is flat.

@@ -137,11 +137,15 @@ class TestIncompleteBetaFamilies:
 
     @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
     def test_limits_at_infinity(self, family):
-        h = make_handle(family, nu=2.5, beta=1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = [h.cdf(np.inf), h.survival(np.inf), h.log_survival(np.inf)]
-        assert got == [1.0, 0.0, -np.inf]
+        for beta in (1.5, 1.0):
+            h = make_handle(family, nu=2.5, beta=beta, tau=2.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [h.cdf(np.inf), h.survival(np.inf), h.log_survival(np.inf),
+                       h.pdf(np.inf), h.log_pdf(np.inf), h.hazard(np.inf)]
+                batched = h.hazard(np.array([1.0, np.inf]))
+            assert got == [1.0, 0.0, -np.inf, 0.0, -np.inf, 0.0], beta
+            assert batched[0] > 0.0 and batched[1] == 0.0, beta
 
     @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
     def test_far_tail_power_law(self, family):

@@ -206,7 +206,9 @@ def test_nll_score_matches_decimal_reference(x, family, theta, log_tau):
     nll, grad = kernel.nll_score(x, log_tau, theta)
     handle = make_handle(family, nu=1.0 / theta, tau=math.exp(log_tau))
     assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
-    assert grad == pytest.approx(_decimal_gradient(family, x, log_tau, theta), rel=1e-10)
+    # genexp and Lomax run the genweibull and Burr XII scores, whose log_beta
+    # component is inf on a sample holding 0; the fitter drops it.
+    assert list(grad[:2]) == pytest.approx(_decimal_gradient(family, x, log_tau, theta), rel=1e-10)
 
 
 # At beta != 1 a point x = 0 has density 0 or +inf, so these samples leave it out.
@@ -241,17 +243,6 @@ def test_beta_nll_score_at_far_points(family):
     assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
     reference = _decimal_gradient(family, x, 0.5, 0.5, 1.0)
     assert list(grad) == pytest.approx(reference, rel=1e-10)
-
-
-@pytest.mark.parametrize("x", [_BODY, _WITH_EXTREMES], ids=["body", "with-0-and-1e6"])
-@pytest.mark.parametrize("family, beta_one", [("genweibull", "genexp"), ("burr12", "lomax")])
-@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0])
-@pytest.mark.parametrize("log_tau", [-3.0, 0.0, 3.0])
-def test_beta_nll_score_at_beta_one_is_the_nested_score(x, family, beta_one, theta, log_tau):
-    nll, grad = fitting._KERNELS[Family.parse(family)].nll_score(x, log_tau, theta, 0.0)
-    nested_nll, nested_grad = fitting._KERNELS[Family.parse(beta_one)].nll_score(x, log_tau, theta)
-    assert nll == pytest.approx(nested_nll, rel=1e-13)
-    assert list(grad[:2]) == pytest.approx(list(nested_grad), rel=1e-12)
 
 
 def _study_like(n, outliers, rep):
@@ -337,7 +328,11 @@ def test_zero_in_the_sample_pins_beta_at_one(family, beta_one):
         result = fit_mle(family, Sample(_WITH_ZERO))
     nested = fit_mle(beta_one, Sample(_WITH_ZERO))
     assert result.converged and result.estimates.beta == 1.0
-    assert result.neg_log_lik == pytest.approx(nested.neg_log_lik, rel=1e-10)
+    if family in ("genweibull", "burr12"):
+        # Pinned at beta = 1, each runs the same kernel and score as its beta = 1 member.
+        assert (result.estimates, result.neg_log_lik) == (nested.estimates, nested.neg_log_lik)
+    else:
+        assert result.neg_log_lik == pytest.approx(nested.neg_log_lik, rel=1e-10)
     free = fitting._free_parameter_names(Family.parse(family), FitOptions(free_eta=True),
                                          np.array(_WITH_ZERO))
     assert "log_beta" in free
