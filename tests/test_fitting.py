@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from asinhsurv import (
     DomainError,
@@ -287,7 +288,77 @@ def test_score_families_take_quasi_newton(monkeypatch):
     methods = _record_methods(monkeypatch)
     for family in ("genexp", "lomax"):
         assert fit_mle(family, Sample(x)).converged
-    assert set(methods) == {"L-BFGS-B"}
+        assert methods == ["L-BFGS-B"], family
+        methods.clear()
+
+
+def _two_start_oracle(family, x):
+    """(nll, converged, at_nu_bound) of L-BFGS-B on the genexp or Lomax score
+    from each of the fitter's two starts, without the fitter's start rule."""
+    family = Family.parse(family)
+    kernel = fitting._KERNELS[family]
+    names = fitting._free_parameter_names(family, FitOptions(), x)
+    bounds = fitting._bounds(names, x)
+
+    def score(vec):
+        # The genweibull and Burr XII scores at beta = 1: drop the log_beta component.
+        nll, grad = kernel.nll_score(x, *vec)
+        return nll, grad[:2]
+
+    runs = []
+    for start in fitting._starts(names, x):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            res = scipy.optimize.minimize(
+                score, np.clip(start, bounds.lb, bounds.ub), method="L-BFGS-B", jac=True,
+                bounds=bounds, options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 4000})
+        projected = np.clip(res.x - res.jac, bounds.lb, bounds.ub) - res.x
+        runs.append((res.fun, bool(np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))),
+                     bool(res.x[1] <= 1e-6 * (1.0 + 1e-9))))
+    return runs
+
+
+# Samples where genexp has two optima: the study's replication 168 at seed 1,
+# n = 10, with the outlier 20 (the base fit stops at an interior point), and
+# replication 1 at seed 74, n = 10, clean (the base fit stops at the nu cap).
+_TWO_OPTIMA = [
+    (np.append(make_stream(1, 0, 168).standard_exponential(10), 20.0),
+     15.694647793696062, 16.410054169010216),
+    (make_stream(74, 0, 1).standard_exponential(10), 7.4568448920074655, 7.598083973393223),
+]
+
+
+@pytest.mark.parametrize("x, nll, base_only_nll", _TWO_OPTIMA, ids=["interior", "at-nu-cap"])
+def test_genexp_keeps_the_lower_of_two_optima(monkeypatch, x, nll, base_only_nll):
+    base, heavy = _two_start_oracle("genexp", x)
+    assert base[0] == pytest.approx(base_only_nll, rel=1e-12)
+    assert heavy[0] == pytest.approx(nll, rel=1e-12)
+    methods = _record_methods(monkeypatch)
+    result = fit_mle("genexp", Sample(x))
+    assert methods == ["L-BFGS-B", "L-BFGS-B"]
+    assert result.neg_log_lik == pytest.approx(nll, rel=1e-12)
+    assert result.converged and not result.at_nu_bound
+
+
+def _oracle_samples():
+    for n in (10, 100):
+        for rep in range(50):
+            clean = make_stream(5, n, rep).standard_exponential(n)
+            for outliers in range(3):
+                yield np.concatenate([clean, [20.0, 10.0][:outliers]])
+        for family in ("lomax", "genexp"):
+            for nu in (0.5, 1.0, 2.0, 5.0):
+                for rep in range(5):
+                    stream = make_stream(6, n, rep, int(10 * nu))
+                    yield make_handle(family, nu=nu).sample(n, stream)
+
+
+def test_one_start_rule_matches_a_two_start_oracle():
+    for x in _oracle_samples():
+        for family in ("genexp", "lomax"):
+            result = fit_mle(family, Sample(x))
+            nll, converged, at_bound = min(_two_start_oracle(family, x), key=lambda run: run[0])
+            assert result.neg_log_lik <= nll + 1e-10 * abs(nll), (family, x)
+            assert (result.converged, result.at_nu_bound) == (converged, at_bound), (family, x)
 
 
 def test_unconverged_quasi_newton_falls_back_to_nelder_mead(monkeypatch):
