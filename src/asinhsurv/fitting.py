@@ -27,13 +27,14 @@ can hold two genexp optima, one of them interior.  A fit on finite
 differences always runs both starts: its base fit can pass the convergence
 test yet stop short of the optimum the heavy start reaches (in 37 of 300
 free-location genexp fits to the benchmark's fit-shapes data, by up to
-8e-5 relative).  Of the starts that ran, the lower negative log likelihood
-wins.
-Only an unconverged fit falls back to a derivative-free Nelder-Mead
-simplex with multi-start and restart, ``converged`` when scipy reports
-success and the relative diameter of the final simplex is at most 1e-8.
-The fit then returned is whichever of the two has the lower negative log
-likelihood, with its own ``converged`` flag.
+8e-5 relative).  Of the starts that ran, the lower negative log
+likelihood wins, with its own ``converged`` flag.  There is no second
+optimiser: a fit that fails the convergence test from every start it ran is
+returned with ``converged`` False.  Mostly there is no interior maximum to
+find: beta runs to its bound e^7 on a small sample, or, with a free
+location and beta < 1, the likelihood grows without bound as eta approaches
+the smallest observation (Smith 1985, Biometrika 72:67).  The rest are
+interior optima that a finite-difference gradient cannot certify.
 """
 
 from __future__ import annotations
@@ -54,10 +55,7 @@ _THETA_MIN = 1e-6
 _THETA_MAX = 1e3
 _LOG_TAU_BOUND = 40.0
 _LOG_BETA_BOUND = 7.0
-_MAX_ITER = 4000  # per optimiser run, on either path
-_NM_XATOL = 1e-9
-_NM_FATOL = 1e-10
-_NM_MAX_RESTARTS = 1
+_MAX_ITER = 4000  # per L-BFGS-B run
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ class FitOptions:
     ``free_eta`` also fits the location eta (below the smallest
     observation); by default it is fixed at 0.  ``nu_cap`` is the fixed cap
     on the tail index, 1e6 (theta = 1/nu is bounded below by 1e-6); it can
-    be read but not set.  The optimisers' tolerances and iteration limits
+    be read but not set.  The optimiser's tolerances and iteration limit
     are fixed module constants.
     """
 
@@ -98,9 +96,7 @@ class FitOptions:
 class FitResult:
     """Estimates and diagnostics from one maximum-likelihood fit.
 
-    ``iterations`` counts the iterations, over the starts that ran, of the
-    method whose fit is returned: L-BFGS-B, or Nelder-Mead including
-    restarts.
+    ``iterations`` counts the L-BFGS-B iterations over the starts that ran.
     """
 
     family: Family
@@ -173,12 +169,6 @@ def _starts(names: list[str], x: np.ndarray) -> list[np.ndarray]:
         "log_tau": math.log(scale_mom), "theta": 0.5, "log_beta": 0.0, "eta": 0.0,
     }
     return [np.array([cfg[name] for name in names]) for cfg in (base, heavy)]
-
-
-def _relative_simplex_diameter(simplex: np.ndarray) -> float:
-    best = simplex[0]
-    spread = np.max(simplex, axis=0) - np.min(simplex, axis=0)
-    return float(np.max(spread / (1.0 + np.abs(best))))
 
 
 def _objective(kernel, names: list[str], x: np.ndarray):
@@ -255,50 +245,20 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str]) -> FitRes
         iterations += res.nit
         if res.fun < best.fun:
             best, converged = res, res_converged
-    # Report the likelihood the Nelder-Mead path would: from the kernel's log_pdf.
+    # Report the likelihood from the kernel's log_pdf, as neg_log_likelihood does.
     return _result(family, names, best.x, objective(best.x), converged, iterations)
-
-
-def _fit_nelder_mead(family: Family, x: np.ndarray, names: list[str]) -> FitResult:
-    """Nelder-Mead from each start, each run restarted up to ``_NM_MAX_RESTARTS`` times."""
-    objective = _objective(_KERNELS[family], names, x)
-    bounds = _bounds(names, x)
-    best = None
-    best_simplex = None
-    iterations = 0
-    nm_options = {"xatol": _NM_XATOL, "fatol": _NM_FATOL,
-                  "maxiter": _MAX_ITER, "maxfev": 2 * _MAX_ITER}
-    for start in _starts(names, x):
-        start = np.clip(start, bounds.lb, bounds.ub)
-        res = minimize(objective, start, method="Nelder-Mead", bounds=bounds,
-                       options=nm_options)
-        iterations += res.nit
-        for _ in range(_NM_MAX_RESTARTS):
-            res2 = minimize(objective, res.x, method="Nelder-Mead", bounds=bounds,
-                            options=nm_options)
-            iterations += res2.nit
-            improved = res2.fun < res.fun - 1e-9 * (1.0 + abs(res.fun))
-            res = res2 if res2.fun < res.fun else res
-            if not improved:
-                break
-        if best is None or res.fun < best.fun:
-            best = res
-            best_simplex = res.final_simplex[0]
-
-    converged = bool(best.success) and _relative_simplex_diameter(best_simplex) <= 1e-8
-    return _result(family, names, best.x, float(best.fun), converged, iterations)
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
     The exponential with fixed location has a closed form.  Every other fit
-    runs L-BFGS-B, and Nelder-Mead only if that leaves it unconverged; the
-    lower of the two negative log likelihoods wins (see the module docstring).
-    L-BFGS-B runs from the base start, and from the heavy-tail start too
+    runs L-BFGS-B from the base start, and from the heavy-tail start too
     unless the fit runs on a closed-form score (genexp, Lomax, genweibull
     and Burr XII at a fixed location) and its base fit converges away from
-    the nu cap, on a slope that falls all the way from the heavy start.
+    the nu cap, on a slope that falls all the way from the heavy start.  A
+    fit that fails the convergence test is returned with ``converged``
+    False (see the module docstring).
 
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The
@@ -323,11 +283,7 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
         return FitResult(family, params, nll, converged=True, iterations=0,
                          at_nu_bound=False)
 
-    result = _fit_quasi_newton(family, x, names)
-    if result.converged:
-        return result
-    fallback = _fit_nelder_mead(family, x, names)
-    return fallback if fallback.neg_log_lik <= result.neg_log_lik else result
+    return _fit_quasi_newton(family, x, names)
 
 
 _DEFAULT_FAMILIES = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)

@@ -88,6 +88,19 @@ class TestLogBeta:
         vals = log_beta(np.array([1.0, 2.0]), 2.0)
         assert vals == pytest.approx([math.log(0.5), math.log(1.0 / 6.0)], rel=1e-13)
 
+    def test_matches_mpmath(self):
+        # Up to the fitter's nu cap 1e6 in either argument; scipy's betaln is
+        # off by up to 2.6e-9 once the larger shape passes 100.
+        import mpmath
+        a, b = np.meshgrid(np.geomspace(1e-3, 1e6, 46), np.geomspace(0.05, 1100.0, 23))
+        a, b = np.concatenate([a.ravel(), b.ravel()]), np.concatenate([b.ravel(), a.ravel()])
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.beta(p, q))) for p, q in zip(a, b)])
+        scalars = np.array([log_beta(p, q) for p, q in zip(a.tolist(), b.tolist())])
+        assert np.array_equal(log_beta(a, b), scalars)
+        err = np.abs(scalars - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(err) <= 5e-14, (a[np.argmax(err)], b[np.argmax(err)])
+
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (2.0, -0.5),
                                      (float("nan"), 1.0), (1.0, float("nan")),
                                      (np.array([1.0, -1.0]), 1.0)])
