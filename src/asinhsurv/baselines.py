@@ -18,8 +18,9 @@ import math
 
 import numpy as np
 
-from .numerics import (_log_hazard_far, _log_shape_factor, _near_one_from_complement,
-                       _scaled_power, log_beta, log_gamma, reg_inc_beta, reg_inc_beta_inv)
+from .numerics import (_log_hazard_far, _log_inc_beta_far, _log_shape_factor,
+                       _near_one_from_complement, _scaled_power, log_beta, log_gamma,
+                       reg_inc_beta, reg_inc_beta_inv)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -189,32 +190,32 @@ class Lomax(BurrXII):
 
 class _IncompleteBeta:
     """Kernel of a family with S(x) = I_v(a, beta) for v in (0, 1] decreasing
-    in x, so that v(X) ~ Beta(a, beta).  A subclass gives a = ``_a(nu)``, the
-    pair (v, 1 - v), each without cancellation, from ``_unit(x, nu)``, log v
-    where v < 1e-300 from ``_log_unit(x, nu)``, and ``_x_from(w, v, nu)``,
-    the x at which (1 - v(x))/v(x) = w/v."""
+    in x, so that v(X) ~ Beta(a, beta).  A subclass gives a = ``_a(nu)``, log v
+    = ``_log_unit(x, nu)``, exact up to the float maximum of x, ``_x_from(w, v,
+    nu)``, the x at which (1 - v(x))/v(x) = w/v, and a log_pdf -inf at inf."""
 
     uses_beta = True
     uses_nu = True
 
     @classmethod
     def _evaluate(cls, x, nu, beta, cdf):
-        """The cdf or the log survival; where v < 1e-300, as betainc loses accuracy
-        and v underflows, log S is its series' leading term log(v^a / (a B(a, beta)))."""
-        x = np.asarray(x, dtype=float)
-        a = cls._a(nu)
-        v, w = cls._unit(x, nu)
+        """The cdf, or log S; from log v where v < 1e-300 and, for log S, where
+        I_v < 1e-200: betainc can be off below 1e-238 and is 0 below 1e-243."""
+        a, shape = cls._a(nu), np.shape(x)
+        log_v = cls._log_unit(np.atleast_1d(np.asarray(x, dtype=float)), nu)
+        v, w = np.exp(log_v), -np.expm1(log_v)
         if cdf:
             out = _near_one_from_complement(reg_inc_beta(w, beta, a), v, beta, a)
+            far = v < 1e-300  # elsewhere a far S is below an ulp of 1
         else:
             out = _near_one_from_complement(reg_inc_beta(v, a, beta), w, a, beta)
+            far = (v < 1e-300) | (out < 1e-200)
             with np.errstate(divide="ignore"):
                 np.log(out, out=out)
-        far = v < 1e-300
         if far.any():
-            series = a * cls._log_unit(x[far], nu) - math.log(a) - log_beta(a, beta)
-            out[far] = -np.expm1(series) if cdf else series
-        return out
+            log_s = _log_inc_beta_far(log_v[far], a, beta)
+            out[far] = -np.expm1(log_s) if cdf else log_s
+        return out.reshape(shape)
 
     @classmethod
     def log_survival(cls, x, nu, beta):
@@ -223,6 +224,12 @@ class _IncompleteBeta:
     @classmethod
     def cdf(cls, x, nu, beta):
         return cls._evaluate(x, nu, beta, cdf=True)
+
+    @classmethod
+    def hazard(cls, x, nu, beta):
+        with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf at x = inf
+            h = np.exp(cls.log_pdf(x, nu, beta) - cls.log_survival(x, nu, beta))
+        return np.where(np.asarray(x) == np.inf, 0.0, h)
 
     @classmethod
     def quantile(cls, p, nu, beta):
@@ -265,12 +272,12 @@ class CompoundGamma(_IncompleteBeta):
         return nu
 
     @staticmethod
-    def _unit(x, nu):  # 1 - v is 1 at x = inf
-        return nu / (x + nu), np.divide(x, x + nu, out=np.ones_like(x), where=x < np.inf)
-
-    @staticmethod
-    def _log_unit(x, nu):  # where v < 1e-300, x + nu rounds to x
-        return math.log(nu) - np.log(x)
+    def _log_unit(x, nu):  # -log1p(x/nu), and log(nu/x) where x/nu overflows
+        with np.errstate(over="ignore"):
+            out = -np.log1p(x / nu)
+        top = np.isinf(out)
+        out[top] = math.log(nu) - np.log(x[top])
+        return out
 
     @staticmethod
     def _x_from(w, v, nu):
@@ -278,11 +285,15 @@ class CompoundGamma(_IncompleteBeta):
 
     @staticmethod
     def log_pdf(x, nu, beta):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            z = x / nu
             shape_term = 0.0 if beta == 1.0 else (beta - 1.0) * (np.log(x) - np.log(nu))
-            return (shape_term
-                    - (nu + beta) * np.log1p(x / nu)
-                    - np.log(nu) - log_beta(nu, beta))
+            out = shape_term - (nu + beta) * np.log1p(z) - np.log(nu) - log_beta(nu, beta)
+            top = np.isinf(z)  # x/nu overflows: the terms in z make one power of x
+            if top.any():
+                out = np.where(top, nu * math.log(nu) - log_beta(nu, beta)
+                               - (nu + 1.0) * np.log(x), out)
+        return out
 
     @staticmethod
     def moment_order_threshold(nu, beta):

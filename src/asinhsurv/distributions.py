@@ -131,6 +131,14 @@ def asinh_terms(x, nu: float) -> AsinhTerms:
     return AsinhTerms(c, z, q, r)
 
 
+def _asinh_ratio(x, nu):
+    """asinh(x/nu) for an array x >= 0, as log(2x/nu) where x/nu overflows."""
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.arcsinh(x / nu)
+        top = np.isinf(out)
+        return np.where(top, np.log(x) + math.log(2.0 / nu), out) if top.any() else out
+
+
 def _log_c(z: np.ndarray) -> np.ndarray:
     """log sqrt(1 + z^2), safe for z up to the float maximum."""
     with np.errstate(over="ignore", divide="ignore"):
@@ -304,14 +312,8 @@ class _GenGamma(baselines._IncompleteBeta):
         return nu / 2.0
 
     @staticmethod
-    def _unit(x, nu):  # q = r^2 with r = 1/(C+S), and 1 - q = 1 - exp(-2 asinh(x/nu))
-        z = x / nu
-        r = 1.0 / (np.hypot(1.0, z) + z)
-        return r * r, -np.expm1(-2.0 * np.arcsinh(z))
-
-    @staticmethod
-    def _log_unit(x, nu):
-        return -2.0 * np.arcsinh(x / nu)
+    def _log_unit(x, nu):  # log q = -2 asinh(x/nu)
+        return -2.0 * _asinh_ratio(x, nu)
 
     @staticmethod
     def _x_from(w, v, nu):  # nu (1 - q) / (2 sqrt q) at q = v/(v+w); +inf, not NaN, at v = 0
@@ -319,12 +321,17 @@ class _GenGamma(baselines._IncompleteBeta):
 
     @staticmethod
     def log_pdf(x, nu, beta):
-        z = np.asarray(x, dtype=float) / nu
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            z = np.asarray(x, dtype=float) / nu
             shape_term = 0.0 if beta == 1.0 else (beta - 1.0) * np.log(x)
-            return (beta * math.log(2.0 / nu) + shape_term
-                    - (nu + beta - 1.0) * np.arcsinh(z) - _log_c(z)
-                    - log_beta(nu / 2.0, beta))
+            out = (beta * math.log(2.0 / nu) + shape_term
+                   - (nu + beta - 1.0) * np.arcsinh(z) - _log_c(z)
+                   - log_beta(nu / 2.0, beta))
+            top = np.isinf(z)  # x/nu overflows: the terms in z make one power of x
+            if top.any():
+                out = np.where(top, nu * math.log(nu / 2.0) + _LN2 - log_beta(nu / 2.0, beta)
+                               - (nu + 1.0) * np.log(x), out)
+        return out
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -362,7 +369,7 @@ class _GenExpType2:
 
     @staticmethod
     def _log_r(x, nu):
-        return -np.arcsinh(np.asarray(x, dtype=float) / nu)
+        return -_asinh_ratio(x, nu)
 
     @classmethod
     def log_survival(cls, x, nu, beta):
@@ -384,9 +391,12 @@ class _GenExpType2:
 
     @staticmethod
     def hazard(x, nu, beta):
-        # A sum of positive terms: accurate to a few ulp, and 0 at x = inf.
-        z = np.asarray(x, dtype=float) / nu
-        return (nu + 2.0) / ((nu + 1.0) * np.hypot(1.0, z) + z)
+        # A sum of positive terms: accurate to a few ulp, 0 at x = inf, nu/x where it overflows.
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            z = x / nu
+            h = (nu + 2.0) / ((nu + 1.0) * np.hypot(1.0, z) + z)
+            return h if h.all() else np.where(h > 0.0, h, nu / x)
 
     @staticmethod
     def _x_from_log_survival(log_s, nu):
@@ -490,8 +500,8 @@ class MomentReport:
 class DistributionHandle:
     """Immutable binding of a family to parameters.
 
-    Evaluation methods accept scalars or numpy arrays.  Formulas are
-    evaluated for the standard member and wrapped through
+    Evaluation methods accept scalars or numpy arrays.  The kernels evaluate
+    the standard member, edges (huge x, x = inf) included, and the handle maps
     x -> (x - eta)/tau; points below ``eta`` have survival 1 and density 0.
     """
 
@@ -568,14 +578,10 @@ class DistributionHandle:
         return self._out(np.where(below, 0.0, f), scalar)
 
     def _log_pdf(self, x):
-        """The log density and the scalar flag.  The density is 0 below eta
-        and at x = inf, decided here: at inf the gengamma and cgamma kernels'
-        log density is inf - inf when beta != 1."""
+        """The log density, -inf below eta, and the scalar flag."""
         y, below, scalar = self._standardized(x)
-        top = y == np.inf
-        y[top] = 0.0
         lp = self._kernel.log_pdf(y, self.nu, self._kernel_beta)
-        return np.where(below | top, -np.inf, lp - math.log(self.tau)), scalar
+        return np.where(below, -np.inf, lp - math.log(self.tau)), scalar
 
     def log_pdf(self, x):
         return self._out(*self._log_pdf(x))
@@ -587,18 +593,7 @@ class DistributionHandle:
 
     def hazard(self, x):
         y, below, scalar = self._standardized(x)
-        kernel = self._kernel
-        if hasattr(kernel, "hazard"):
-            h = kernel.hazard(y, self.nu, self._kernel_beta)
-        else:
-            # gengamma and cgamma: pdf/survival, 0/0 at x = inf, where their
-            # power-law tails take the hazard to 0.
-            top = y == np.inf
-            y[top] = 0.0
-            with np.errstate(over="ignore"):
-                h = np.exp(kernel.log_pdf(y, self.nu, self._kernel_beta)
-                           - kernel.log_survival(y, self.nu, self._kernel_beta))
-            h = np.where(top, 0.0, h)
+        h = self._kernel.hazard(y, self.nu, self._kernel_beta)
         return self._out(np.where(below, 0.0, h / self.tau), scalar)
 
     def quantile(self, p):

@@ -149,12 +149,44 @@ class TestIncompleteBetaFamilies:
 
     @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
     def test_far_tail_power_law(self, family):
-        # Past v = 1e-300, where I_v underflows, the log survival still falls
-        # by nu ln 10 per decade of x: the tail index.
+        # v underflows at these x, and betainc with it; log S, taken from
+        # log v by the far-tail continued fraction, still falls by nu ln 10
+        # per decade of x: the tail index.
         h = make_handle(family, nu=2.5, beta=1.5)
         ls = h.log_survival(np.array([1e302, 1e303, 1e306, 1e307]))
         assert np.all(np.isfinite(ls))
         np.testing.assert_allclose(np.diff(ls)[[0, 2]], -2.5 * math.log(10.0), rtol=1e-12)
+
+    # 50-digit mpmath references.  betainc underflows at each x while v is
+    # still above 1e-300; at cgamma's 1e8 it is subnormal and 1.3e-3 off.
+    @pytest.mark.parametrize("family, x, log_survival", [
+        ("gengamma", 1e8, -756.83214941618994),
+        ("gengamma", 1e100, -11348.723577188797),
+        ("gengamma", 1e300, -34374.574507129254),
+        ("cgamma", 1e8, -721.50108678367635),
+        ("cgamma", 1e10, -951.75957084779317),
+        ("cgamma", 1e100, -11313.392489066097),
+        ("cgamma", 1e300, -34339.243419006554),
+    ])
+    def test_far_tail_matches_mpmath(self, family, x, log_survival):
+        h = make_handle(family, nu=50.0, beta=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert h.log_survival(x) == pytest.approx(log_survival, rel=1e-13)
+            assert x * h.hazard(x) / 50.0 == pytest.approx(1.0, abs=1e-6)
+
+    # S is a normal float at each point, but betainc is far off: 0 at the
+    # first (S = 1.3e-243), 17% low at the second (2.6e-254) and 58% high at
+    # the third (3.4e-284).  50-digit mpmath references.
+    @pytest.mark.parametrize("nu, beta, x, log_survival", [
+        (3000.0, 39.0, 790.0, -559.27961760407767),
+        (1000.0, 39.0, 1052.0, -583.90867019689746),
+        (1000.0, 20.0, 1080.0, -652.70666672461062),
+    ])
+    def test_far_tail_where_betainc_fails_above_the_float_minimum(self, nu, beta, x,
+                                                                  log_survival):
+        h = make_handle("cgamma", nu=nu, beta=beta)
+        assert h.log_survival(x) == pytest.approx(log_survival, rel=1e-13)
 
     def test_gengamma_is_cgamma_at_mapped_points(self):
         # q = (C+S)^-2 equals (nu/2)/(y + nu/2) at y = x e^asinh(x/nu), so
@@ -214,6 +246,12 @@ class TestHazard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert make_handle("genexp2", nu=1.5).hazard(np.inf) == 0.0
+
+    def test_genexp2_is_nu_over_x_where_its_sum_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_handle("genexp2", nu=2.5).hazard(1.797e308) == 2.5 / 1.797e308
+            assert make_handle("genexp2", nu=0.05).hazard(1e308) == 0.05 / 1e308
 
     @pytest.mark.parametrize("nu", [0.2, 1.5, 50.0, 1e4])
     def test_genexp2_matches_mpmath(self, nu):

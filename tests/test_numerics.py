@@ -18,7 +18,8 @@ from asinhsurv import (
     reg_inc_beta,
     stable_asinh_scaled,
 )
-from asinhsurv.numerics import _near_one_from_complement, log_beta, reg_inc_beta_inv
+from asinhsurv.numerics import (_log_inc_beta_far, _near_one_from_complement, log_beta,
+                                reg_inc_beta_inv)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -172,6 +173,83 @@ class TestRegIncBeta:
             reg_inc_beta(1.1, 1.0, 1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(0.5, 0.0, 1.0)
+
+
+def _log_inc_beta_reference(log_x, a, b):
+    """log I_x(a, b) by DLMF 8.17.8: x^a (1-x)^b / (a B(a, b)) times
+    2F1(a + b, 1; a + 1; x), a series of positive terms, summed at 40 digits."""
+    import mpmath
+    with mpmath.workdps(40):
+        a, b, log_x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(log_x)
+        x = mpmath.exp(log_x)
+        total = term = mpmath.mpf(1)
+        n = 0
+        while True:
+            ratio = x * (a + b + n) / (a + 1 + n)
+            term *= ratio
+            total += term
+            n += 1
+            if ratio < 1 and term < mpmath.mpf(10) ** -36 * total * (1 - ratio):
+                break
+        return float(a * log_x + b * mpmath.log(-mpmath.expm1(log_x)) - mpmath.log(a)
+                     - mpmath.log(mpmath.beta(a, b)) + mpmath.log(total))
+
+
+class TestIncompleteBetaFarTail:
+    """``_log_inc_beta_far``: log I_x(a, b) from log x where betainc underflows."""
+
+    @staticmethod
+    def _far_point(log_i, a, b):
+        """The log x at which the leading term x^a / (a B(a, b)) is exp(log_i)."""
+        return (log_i + math.log(a) + log_beta(a, b)) / a
+
+    def test_matches_mpmath(self):
+        # At the kernels' switch I = 1e-200 and below it, past I = 1e-290;
+        # for a < 1 the argument x itself underflows.  beta = 39 is where
+        # betainc fails first.
+        worst = 0.0
+        for a in (1e-3, 0.05, 1.0, 2.5, 25.0, 500.0, 2.5e4):
+            for b in (0.05, 0.5, 2.0, 39.0, 1100.0):
+                for log_i in (-461.0, -700.0, -1e4):
+                    log_x = self._far_point(log_i, a, b)
+                    expected = _log_inc_beta_reference(log_x, a, b)
+                    got = float(_log_inc_beta_far(log_x, a, b))
+                    worst = max(worst, abs(got - expected) / abs(expected))
+        assert worst <= 1e-13
+
+    # a >= 2e5, where the reference series needs up to 9e4 terms: log x at
+    # the leading term's log I = -461 and -700, and the 40-digit reference.
+    @pytest.mark.parametrize("a, b, log_x, expected", [
+        (2e5, 0.05, -0.0022321767583347225, -455.2015193830462),
+        (2e5, 0.05, -0.0034271767583347224, -694.6075356595558),
+        (2e5, 2.0, -0.0023660303882275884, -467.0456159415707),
+        (2e5, 2.0, -0.0035610303882275883, -705.6380847267568),
+        (2e5, 39.0, -0.00410933133338959, -669.8216808340754),
+        (2e5, 39.0, -0.00530433133338959, -899.1551946271223),
+        (2e5, 1100.0, -0.03638850539055667, -4122.313455466702),
+        (2e5, 1100.0, -0.037583505390556673, -4326.460429555406),
+        (5e5, 0.05, -0.0008911297510858282, -454.32983141731364),
+        (5e5, 0.05, -0.0013691297510858283, -693.7368325929864),
+        (5e5, 2.0, -0.0009482447307548046, -467.9592660820705),
+        (5e5, 2.0, -0.0014262447307548044, -706.5520230884377),
+        (5e5, 39.0, -0.0017133661833776282, -703.0204965850651),
+        (5e5, 39.0, -0.0021913661833776283, -932.6891482212213),
+        (5e5, 1100.0, -0.016565791760780345, -4976.305845884229),
+        (5e5, 1100.0, -0.017043791760780348, -5184.3096872139195),
+    ])
+    def test_matches_mpmath_at_large_a(self, a, b, log_x, expected):
+        assert float(_log_inc_beta_far(log_x, a, b)) == pytest.approx(expected, rel=1e-13)
+
+    def test_is_minus_inf_at_zero_and_vectorized(self):
+        log_x = np.array([-np.inf, -800.0, -1e5])
+        got = _log_inc_beta_far(log_x, 2.5, 1.5)
+        assert got[0] == -np.inf
+        assert got[1:].tolist() == [float(_log_inc_beta_far(v, 2.5, 1.5)) for v in log_x[1:]]
+
+    def test_raises_where_the_fraction_does_not_settle(self):
+        # x = 0.99 lies far above the mean 1/1101: no far tail there.
+        with pytest.raises(ConvergenceError):
+            _log_inc_beta_far(math.log(0.99), 1.0, 1100.0)
 
 
 class TestRegIncBetaInv:

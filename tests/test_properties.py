@@ -2,12 +2,11 @@
 
 For every family, at any (nu, beta, tau, eta) and any x from 0 up to
 1e300: the cdf and the survival are probabilities, they add up to one,
-and the cdf never decreases.  For genweibull and burr12, whose z = x^beta/nu
-overflows first, log_pdf, log_survival and hazard stay finite without a
-warning for x in [1e-300, 1e300], and the hazard is pdf/survival.  For
-every family the cdf inverts the quantile, wherever the quantile is finite,
-for p from 0 up to 1 - 1e-12, and a quantile or a draw past the float range
-is inf without a warning.
+and the cdf never decreases.  log_pdf, log_survival and hazard stay finite
+without a warning for x from 1e-300 up to the float maximum, and the hazard
+is pdf/survival.  The cdf inverts the quantile, wherever the quantile is
+finite, for p from 0 up to 1 - 1e-12, and a quantile or a draw past the
+float range is inf without a warning.
 """
 
 import warnings
@@ -37,6 +36,9 @@ _POINTS = st.lists(
 @example(nu=0.2, beta=1.0, tau=1.0, eta=0.0, points=[1e3, 1e200, 1e300])
 @example(nu=0.0473, beta=14.15, tau=1.0, eta=0.0, points=[1e-20, 4.45e6, 1e160])
 @example(nu=0.449, beta=0.13, tau=1.0, eta=0.0, points=[2.35e-17, 1e-3, 1e24])
+# The incomplete-beta argument underflows here while the survival is still
+# 7.7e-11: the cdf must come from the far tail, not from betainc's 1.
+@example(nu=0.0625, beta=1.0, tau=1.0, eta=0.0, points=[1.9882577825594556e160])
 @settings(max_examples=150, deadline=None)
 def test_cdf_and_survival_are_complementary_probabilities(family, nu, beta, tau, eta, points):
     handle = make_handle(family, nu=nu, beta=beta, tau=tau, eta=eta)
@@ -49,18 +51,23 @@ def test_cdf_and_survival_are_complementary_probabilities(family, nu, beta, tau,
     assert np.all(np.diff(cdf) >= 0.0), cdf
 
 
+_FLOAT_MAX = np.finfo(float).max
 _WIDE_POINTS = st.lists(
-    st.one_of(st.floats(min_value=1e-300, max_value=1e300),
-              st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)),
+    st.one_of(st.floats(min_value=1e-300, max_value=_FLOAT_MAX),
+              st.floats(min_value=-300.0, max_value=308.0).map(lambda e: 10.0 ** e)),
     min_size=1, max_size=30)
 
 
-@pytest.mark.parametrize("family", ["genweibull", "burr12"])
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 @given(nu=st.floats(min_value=0.01, max_value=1000.0),
        beta=st.floats(min_value=0.05, max_value=20.0),
        points=_WIDE_POINTS)
 @example(nu=3.0, beta=20.0, points=[1e-300, 20.0, 1e300])
 @example(nu=0.01, beta=0.05, points=[1e-300, 1e300])
+# gengamma and cgamma: betainc underflows (or turns subnormal) long before
+# its argument does, and x/nu overflows below the float maximum at nu < 1.
+@example(nu=50.0, beta=2.0, points=[1e8, 1e10, 1e100, 1e300])
+@example(nu=0.05, beta=1.5, points=[1e-300, 1e308, _FLOAT_MAX])
 @settings(max_examples=150, deadline=None)
 def test_finite_at_extreme_x_and_hazard_is_pdf_over_survival(family, nu, beta, points):
     handle = make_handle(family, nu=nu, beta=beta)
