@@ -14,13 +14,15 @@ plus the classical comparators from :mod:`asinhsurv.baselines`.  All of
 them share one evaluation contract through :class:`DistributionHandle`,
 which also applies the location-scale extension x -> (x - eta)/tau.
 
-The generalised exponential is the generalised Weibull at beta = 1, as the
-Lomax is the Burr XII at beta = 1: each is a subclass that runs its
-parent's kernel and likelihood score (genexp adds only its closed-form
-variance, skewness and entropy), and the handle passes beta = 1 to the
-kernel of every family that ignores beta.  The generalised gamma runs the
-compound gamma's incomplete-beta kernel: q(X) ~ Beta(nu/2, beta) gives
-exact draws.
+The generalised Weibull and the Burr XII share one power-tail kernel and
+likelihood score, ``baselines._PowerTail``, for S(x) = exp(-nu g(x^beta/nu)),
+and differ only in the link g: asinh or log1p.  The generalised exponential
+is the generalised Weibull at beta = 1, as the Lomax is the Burr XII at
+beta = 1: each is a subclass that runs its parent's kernel and likelihood
+score (genexp adds only its closed-form variance, skewness and entropy),
+and the handle passes beta = 1 to the kernel of every family that ignores
+beta.  The generalised gamma runs the compound gamma's incomplete-beta
+kernel: q(X) ~ Beta(nu/2, beta) gives exact draws.
 
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
@@ -38,9 +40,7 @@ import numpy as np
 from . import baselines
 from .errors import DomainError, UnsupportedOperationError
 from .numerics import (
-    _log_hazard_far,
-    _log_shape_factor,
-    _scaled_power,
+    _asinh_ratio,
     digamma,
     find_root_1d,  # unused here; bench/tracing.py wraps this name by attribute
     log_beta,
@@ -131,14 +131,6 @@ def asinh_terms(x, nu: float) -> AsinhTerms:
     return AsinhTerms(c, z, q, r)
 
 
-def _asinh_ratio(x, nu):
-    """asinh(x/nu) for an array x >= 0, as log(2x/nu) where x/nu overflows."""
-    with np.errstate(over="ignore", divide="ignore"):
-        out = np.arcsinh(x / nu)
-        top = np.isinf(out)
-        return np.where(top, np.log(x) + math.log(2.0 / nu), out) if top.any() else out
-
-
 def _log_c(z: np.ndarray) -> np.ndarray:
     """log sqrt(1 + z^2), safe for z up to the float maximum."""
     with np.errstate(over="ignore", divide="ignore"):
@@ -147,86 +139,45 @@ def _log_c(z: np.ndarray) -> np.ndarray:
         return np.where(finite, 0.5 * np.log1p(np.where(finite, zz, 0.0)), np.log(z))
 
 
-class _GenWeibull:
-    """Generalised Weibull: survival exp(-nu asinh(x^beta/nu))."""
+class _GenWeibull(baselines._PowerTail):
+    """Generalised Weibull: survival exp(-nu asinh(x^beta/nu)), the power-tail
+    kernel at g = asinh, for which log(1/g'(z)) = log c, c = sqrt(1 + z^2)."""
 
-    uses_beta = True
-    uses_nu = True
-
-    # Both take _scaled_power's output; _asinh overwrites z, so it runs last.
-    @staticmethod
-    def _log_hazard(x, nu, beta, z, far, log_z):
-        """log(beta x^(beta-1) / sqrt(1 + z^2)), a new array shaped like atleast_1d(x)."""
-        out = _log_shape_factor(x, beta)
-        # z^2 overflows, and at x = inf the difference is inf - inf, only at
-        # far points, which are set from the limit below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_c = np.multiply(z, z)
-            np.log1p(log_c, out=log_c)
-            log_c *= 0.5
-            out -= log_c
-        out[far] = _log_hazard_far(log_z, nu, beta)
-        return out
+    _link = np.arcsinh
+    _inverse = np.sinh
+    _LINK_FAR = _LN2
 
     @staticmethod
-    def _asinh(z, far, log_z):
-        """asinh z, in place over z."""
-        out = np.arcsinh(z, out=z)
-        out[far] = log_z + _LN2
-        return out
+    def _log_inv_slope(z):
+        """log c as a new array; z^2 overflows only at far points."""
+        log_c = np.multiply(z, z)
+        np.log1p(log_c, out=log_c)
+        log_c *= 0.5
+        return log_c
 
     @classmethod
-    def log_survival(cls, x, nu, beta):
-        out = cls._asinh(*_scaled_power(x, nu, beta))
-        out *= -nu
-        return out.reshape(np.shape(x))
-
-    @classmethod
-    def log_pdf(cls, x, nu, beta):
-        terms = _scaled_power(x, nu, beta)
-        out = cls._log_hazard(x, nu, beta, *terms)
-        nu_asinh = cls._asinh(*terms)
+    def _subtract_log_density(cls, out, z, nu):
+        out -= cls._log_inv_slope(z)
+        nu_asinh = np.arcsinh(z, out=z)
         nu_asinh *= nu
         out -= nu_asinh
-        return out.reshape(np.shape(x))
 
     @classmethod
-    def hazard(cls, x, nu, beta):
-        out = cls._log_hazard(x, nu, beta, *_scaled_power(x, nu, beta))
-        return np.exp(out, out=out).reshape(np.shape(x))
-
-    @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
-
-        With y = x/tau, z = theta y^beta, c = sqrt(1 + z^2), t = z/c and
-        k = t (nu + t): NLL = n log tau - n log beta - (beta - 1) sum log y
-        + sum (nu asinh z + log c), and its gradient is beta (n - sum k),
-        nu sum t^2 - nu^2 sum (asinh z - t) and beta sum (k - 1) log y - n.
-        """
-        nu, beta = 1.0 / theta, math.exp(log_beta)
-        n = x.size
-        y = x / math.exp(log_tau)  # before the power: tau^-beta alone can overflow
-        z, far, log_z = _scaled_power(y, nu, beta)
-        # In place where it can be: on large samples every fresh array costs more
-        # than its arithmetic.  log y is -inf at a point x = 0; z^2 overflows,
-        # and t is inf/inf, only where far.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_y = np.log(y, out=y)
-            c = np.multiply(z, z)
-            c += 1.0
-            np.sqrt(c, out=c)
-            t = np.divide(z, c)
+    def _score_terms(cls, z, far, log_z, nu):
+        """The sums of ``nll_score`` at g = asinh, where t = z/c, m = t^2 and
+        k = t (nu + t): nu sum asinh z, sum log c, sum k, sum t^2, the array
+        asinh z - t and the array k - 1."""
+        c = np.multiply(z, z)
+        c += 1.0
+        np.sqrt(c, out=c)
+        t = np.divide(z, c)
         log_c = np.log(c, out=c)
         small = z < 1e-2
         zs = z[small]
-        g = cls._asinh(z, far, log_z)
+        g = cls._g(z, far, log_z)
         t[far] = 1.0
         log_c[far] = log_z
-        nll = n * (log_tau - log_beta) + nu * g.sum() + log_c.sum()
-        if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
-            nll -= (beta - 1.0) * log_y.sum()
+        nll_link, nll_slope = nu * g.sum(), log_c.sum()
         # asinh(z) - t cancels to z^3/3 + ... for small z; use its series there.
         g -= t
         zz = zs * zs
@@ -236,24 +187,7 @@ class _GenWeibull:
         k *= t
         sum_k = k.sum()
         k -= 1.0
-        grad = np.array([beta * (n - sum_k),
-                         nu * sum_t2 - nu * nu * g.sum(),
-                         beta * k.dot(log_y) - n])
-        return nll, grad
-
-    @staticmethod
-    def _x_from_hazard(h, nu, beta):
-        """The x with cumulative hazard -log S(x) = h; inf, quietly, where it overflows."""
-        with np.errstate(over="ignore"):
-            return np.power(nu * np.sinh(h / nu), 1.0 / beta)
-
-    @classmethod
-    def quantile(cls, p, nu, beta):
-        return cls._x_from_hazard(-np.log1p(-p), nu, beta)
-
-    @staticmethod
-    def moment_order_threshold(nu, beta):
-        return beta * nu
+        return nll_link, nll_slope, sum_k, sum_t2, g, k
 
     @staticmethod
     def raw_moment(n, nu, beta):
@@ -270,10 +204,6 @@ class _GenWeibull:
         nb = nu * beta
         den = nb * nb + 2.0 * (beta - 1.0) + math.sqrt(nb ** 4 + 4.0 * nb * nb * beta * (beta - 1.0))
         return (2.0 * (beta - 1.0) ** 2 * nu * nu / den) ** (1.0 / (2.0 * beta))
-
-    @classmethod
-    def sample(cls, n, nu, beta, rng):
-        return cls._x_from_hazard(rng.standard_exponential(n), nu, beta)
 
 
 class _GenExp(_GenWeibull):
@@ -719,9 +649,13 @@ def gen_gamma_acceptance_probability(x, nu: float, beta: float):
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise DomainError("x must be >= 0")
-    z = arr / nu
-    ln_p = ((nu + beta) * np.log1p(z) - _log_c(z)
-            - (nu + beta - 1.0) * np.arcsinh(z) - _LN_SQRT2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where x/nu overflows
+        z = arr / nu
+        ln_p = ((nu + beta) * np.log1p(z) - _log_c(z)
+                - (nu + beta - 1.0) * np.arcsinh(z) - _LN_SQRT2)
+    top = np.isinf(z)
+    if top.any():  # log1p z = log c = log z and asinh z = log z + ln 2: log x cancels
+        ln_p = np.where(top, -(nu + beta - 1.0) * _LN2 - _LN_SQRT2, ln_p)
     out = np.exp(ln_p)
     return float(out) if arr.ndim == 0 else out
 

@@ -11,7 +11,8 @@ shape is at least 100, for Stirling's series of lgamma(a + b) - lgamma(a):
 there ``betaln`` is off by up to 2.6e-9, noise that finite differences of a
 gengamma or cgamma likelihood read as slope.  The series is within 5e-14 of
 40-digit mpmath for shapes in [1e-3, 1e6].  Where ``betainc`` underflows,
-``_log_inc_beta_far`` gives log I_x(a, b) from log x.  The quadrature,
+``_log_inc_beta_far`` gives log I_x(a, b) from log x, and where x/nu
+overflows, ``_asinh_ratio`` gives asinh(x/nu) from log x.  The quadrature,
 maximizer and root-finder are deliberately independent of any closed forms
 elsewhere in the package so they can serve as verification oracles in tests.
 """
@@ -193,44 +194,12 @@ def _log_inc_beta_far(log_x, a, b):
                            partial=lead - np.log(fraction))
 
 
-# The genweibull and Burr XII kernels take z = x^beta/nu, which overflows
-# for moderate x and beta, from log z past z = 1e150: there log1p z = log z,
-# log sqrt(1 + z^2) = log z and asinh z = log z + ln 2 to double precision,
-# and both kernels' hazard is beta nu / x.
-# They update their arrays in place: on 1e5 points each fresh temporary
-# costs more than the arithmetic it holds.
-_Z_FAR = 1e150
-
-
-def _scaled_power(x, nu, beta):
-    """z = x^beta / nu for x >= 0 as a new array shaped like atleast_1d(x) (inf
-    where it overflows), the mask of z > 1e150, and log z at those points."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    with np.errstate(over="ignore"):
-        z = np.power(x, beta)
-        z /= nu
-    far = z > _Z_FAR
-    return z, far, beta * np.log(x[far]) - math.log(nu)
-
-
-def _log_shape_factor(x, beta):
-    """log(beta x^(beta-1)) for x >= 0, a new array shaped like atleast_1d(x) (0 at beta = 1)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if beta == 1.0:
-        return np.zeros(x.shape)
-    with np.errstate(divide="ignore"):
-        out = np.log(x)
-    out *= beta - 1.0
-    out += math.log(beta)
-    return out
-
-
-def _log_hazard_far(log_z, nu, beta):
-    """log(beta nu / x) from :func:`_scaled_power`'s log z = beta log x - log nu
-    at its far points: there the log hazard of the generalised Weibull and of
-    the Burr XII, formed without the inf - inf of their log(beta x^(beta-1))
-    and log z terms at x = inf."""
-    return (math.log(beta) + (1.0 - 1.0 / beta) * math.log(nu)) - log_z / beta
+def _asinh_ratio(x, nu):
+    """asinh(x/nu) for an array x >= 0, as log(2x/nu) where x/nu overflows."""
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.arcsinh(x / nu)
+        top = np.isinf(out)
+        return np.where(top, np.log(x) + math.log(2.0 / nu), out) if top.any() else out
 
 
 def reg_inc_beta_inv(p, a, b):
@@ -247,8 +216,9 @@ def stable_asinh_scaled(x, nu):
 
     This is the cumulative hazard kernel of the generalised exponential
     family.  ``asinh`` is evaluated by the C library (log1p-based for small
-    arguments), so the result tends to x as nu grows without overflow or
-    cancellation for x/nu anywhere in [0, 1e300].
+    arguments), so the result tends to x as nu grows without cancellation,
+    and from log x where x/nu overflows, so it is finite up to the float
+    maximum of x.
     """
     nu = float(nu)
     _reject_nan("nu", nu)
@@ -258,7 +228,7 @@ def stable_asinh_scaled(x, nu):
     _reject_nan("x", arr)
     if np.any(arr < 0.0):
         raise DomainError("stable_asinh_scaled requires x >= 0")
-    out = nu * np.arcsinh(arr / nu)
+    out = nu * _asinh_ratio(arr, nu)
     return _maybe_scalar(np.asarray(out), scalar)
 
 

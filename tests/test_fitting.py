@@ -200,7 +200,7 @@ def _decimal_gradient(family, x, log_tau, theta, log_beta=None):
 
 @pytest.mark.parametrize("x", [_BODY, _WITH_EXTREMES], ids=["body", "with-0-and-1e6"])
 @pytest.mark.parametrize("family", ["genexp", "lomax"])
-@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0])
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0, 1e3])
 @pytest.mark.parametrize("log_tau", [-3.0, 0.0, 3.0])
 def test_nll_score_matches_decimal_reference(x, family, theta, log_tau):
     kernel = fitting._KERNELS[Family.parse(family)]
@@ -220,7 +220,7 @@ _POSITIVE_WITH_EXTREMES = np.concatenate([[1e6, 20.0, 10.0], _POSITIVE_BODY])
 @pytest.mark.parametrize("x", [_POSITIVE_BODY, _POSITIVE_WITH_EXTREMES], ids=["body", "with-1e6"])
 @pytest.mark.parametrize("family", ["genweibull", "burr12"])
 @pytest.mark.parametrize("log_beta", [-1.0, 0.0, 1.0])
-@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0])
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0, 1e3])
 @pytest.mark.parametrize("log_tau", [-3.0, 0.0, 3.0])
 def test_beta_nll_score_matches_decimal_reference(x, family, log_beta, theta, log_tau):
     kernel = fitting._KERNELS[Family.parse(family)]

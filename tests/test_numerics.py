@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,14 @@ class TestStableAsinhScaled:
         assert np.isfinite(stable_asinh_scaled(1e15, 1.0))
         assert np.isfinite(stable_asinh_scaled(1e12, 1e12))
         assert stable_asinh_scaled(1e15, 1.0) == pytest.approx(math.log(2e15), rel=1e-12)
+
+    @pytest.mark.parametrize("x, expected", [(1e308, 35.644254404814002),
+                                             (1.7976931348623157e308, 35.673579617374899)])
+    def test_finite_where_x_over_nu_overflows(self, x, expected):
+        # 40-digit mpmath values of 0.05 asinh(x/0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert stable_asinh_scaled(x, 0.05) == pytest.approx(expected, rel=1e-14)
 
     def test_monotone(self):
         xs = np.geomspace(1e-6, 1e6, 200)

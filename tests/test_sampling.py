@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ class TestGenGammaRejection:
     def test_acceptance_probability_at_zero(self):
         assert gen_gamma_acceptance_probability(0.0, 2.0, 1.0) == pytest.approx(
             1.0 / math.sqrt(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("x", [1e308, 1.7976931348623157e308])
+    def test_acceptance_probability_where_x_over_nu_overflows(self, x):
+        # 40-digit mpmath value at nu = 0.05, beta = 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = gen_gamma_acceptance_probability(x, 0.05, 1.5)
+        assert p == pytest.approx(0.48296816446242277, rel=1e-14)
 
     def test_envelope_valid_on_wide_grid(self):
         xs = np.geomspace(1e-6, 1e8, 400)
