@@ -11,7 +11,7 @@ runs ``_PowerTail`` at the link log1p, the kernel and likelihood score it
 shares with the generalised Weibull (link asinh).  The Lomax is the beta = 1
 Burr XII: it subclasses :class:`BurrXII`, adds nothing, and is handed
 beta = 1.  The compound gamma runs ``_IncompleteBeta``, the kernel it
-shares with the generalised gamma.
+shares with the generalised gamma: survival and density from one log v(x).
 """
 
 from __future__ import annotations
@@ -259,8 +259,10 @@ class Lomax(BurrXII):
 class _IncompleteBeta:
     """Kernel of a family with S(x) = I_v(a, beta) for v in (0, 1] decreasing
     in x, so that v(X) ~ Beta(a, beta).  A subclass gives a = ``_a(nu)``, log v
-    = ``_log_unit(x, nu)``, exact up to the float maximum of x, ``_x_from(w, v,
-    nu)``, the x at which (1 - v(x))/v(x) = w/v, and a log_pdf -inf at inf."""
+    = ``_log_unit(x, nu)``, exact up to the float maximum of x (run with overflow
+    warnings off), ``_x_from(w, v, nu)``, the x with (1 - v(x))/v(x) = w/v, and, for the
+    density, 1 - v = (x/s) v^k and -d log v/dx = (v^k/s) h(v) as k = ``_K``,
+    s = ``_S`` nu and log h = ``_log_h(log_v)``."""
 
     uses_beta = True
     uses_nu = True
@@ -270,7 +272,8 @@ class _IncompleteBeta:
         """The cdf, or log S; from log v where v < 1e-300 and, for log S, where
         I_v < 1e-200: betainc can be off below 1e-238 and is 0 below 1e-243."""
         a, shape = cls._a(nu), np.shape(x)
-        log_v = cls._log_unit(np.atleast_1d(np.asarray(x, dtype=float)), nu)
+        with np.errstate(over="ignore"):  # where x/nu overflows
+            log_v = cls._log_unit(np.atleast_1d(np.asarray(x, dtype=float)), nu)
         v, w = np.exp(log_v), -np.expm1(log_v)
         if cdf:
             out = _near_one_from_complement(reg_inc_beta(w, beta, a), v, beta, a)
@@ -292,6 +295,22 @@ class _IncompleteBeta:
     @classmethod
     def cdf(cls, x, nu, beta):
         return cls._evaluate(x, nu, beta, cdf=True)
+
+    @classmethod
+    def log_pdf(cls, x, nu, beta):
+        """log f = a log v + (beta - 1) log(1 - v) + log(-d log v/dx) - log B(a, beta), the
+        Beta(a, beta) density of v(x) times |dv/dx|: by the hooks, (a + beta k) log v
+        + (beta - 1) log x - beta log s + log h(v) - log B(a, beta); -inf at x = inf."""
+        a, shape = cls._a(nu), np.shape(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # x/nu, log 0, inf - inf
+            log_v = cls._log_unit(x, nu)
+            out = cls._log_h(log_v) - (beta * math.log(cls._S * nu) + log_beta(a, beta))
+            out += (a + beta * cls._K) * log_v
+            if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
+                out += (beta - 1.0) * np.log(x)
+                out[x == np.inf] = -np.inf
+        return out.reshape(shape)
 
     @classmethod
     def hazard(cls, x, nu, beta):
@@ -341,27 +360,21 @@ class CompoundGamma(_IncompleteBeta):
 
     @staticmethod
     def _log_unit(x, nu):  # -log1p(x/nu), and log(nu/x) where x/nu overflows
-        with np.errstate(over="ignore"):
-            out = -np.log1p(x / nu)
+        out = -np.log1p(x / nu)
         top = np.isinf(out)
-        out[top] = math.log(nu) - np.log(x[top])
+        if top.any():
+            out[top] = math.log(nu) - np.log(x[top])
         return out
 
     @staticmethod
     def _x_from(w, v, nu):
         return nu * w / v
 
+    _K = _S = 1.0  # 1 - v = (x/nu) v and -d log v/dx = v/nu
+
     @staticmethod
-    def log_pdf(x, nu, beta):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z = x / nu
-            shape_term = 0.0 if beta == 1.0 else (beta - 1.0) * (np.log(x) - np.log(nu))
-            out = shape_term - (nu + beta) * np.log1p(z) - np.log(nu) - log_beta(nu, beta)
-            top = np.isinf(z)  # x/nu overflows: the terms in z make one power of x
-            if top.any():
-                out = np.where(top, nu * math.log(nu) - log_beta(nu, beta)
-                               - (nu + 1.0) * np.log(x), out)
-        return out
+    def _log_h(log_v):
+        return 0.0
 
     @staticmethod
     def moment_order_threshold(nu, beta):

@@ -22,7 +22,8 @@ beta = 1: each is a subclass that runs its parent's kernel and likelihood
 score (genexp adds only its closed-form variance, skewness and entropy),
 and the handle passes beta = 1 to the kernel of every family that ignores
 beta.  The generalised gamma runs the compound gamma's incomplete-beta
-kernel: q(X) ~ Beta(nu/2, beta) gives exact draws.
+kernel: q(X) ~ Beta(nu/2, beta) gives exact draws, and the density is that
+Beta density of q(x) times |dq/dx|.
 
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
@@ -129,14 +130,6 @@ def asinh_terms(x, nu: float) -> AsinhTerms:
     if arr.ndim == 0:
         return AsinhTerms(float(c), float(z), float(q), float(r))
     return AsinhTerms(c, z, q, r)
-
-
-def _log_c(z: np.ndarray) -> np.ndarray:
-    """log sqrt(1 + z^2), safe for z up to the float maximum."""
-    with np.errstate(over="ignore", divide="ignore"):
-        zz = z * z
-        finite = np.isfinite(zz)
-        return np.where(finite, 0.5 * np.log1p(np.where(finite, zz, 0.0)), np.log(z))
 
 
 class _GenWeibull(baselines._PowerTail):
@@ -249,19 +242,11 @@ class _GenGamma(baselines._IncompleteBeta):
     def _x_from(w, v, nu):  # nu (1 - q) / (2 sqrt q) at q = v/(v+w); +inf, not NaN, at v = 0
         return 0.5 * nu * w / np.sqrt(v * (v + w))
 
+    _K = _S = 0.5  # 1 - q = 2 S r = (2x/nu) sqrt q; -d log q/dx = 2/(nu C) = (2 sqrt q/nu) 2/(1 + q)
+
     @staticmethod
-    def log_pdf(x, nu, beta):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z = np.asarray(x, dtype=float) / nu
-            shape_term = 0.0 if beta == 1.0 else (beta - 1.0) * np.log(x)
-            out = (beta * math.log(2.0 / nu) + shape_term
-                   - (nu + beta - 1.0) * np.arcsinh(z) - _log_c(z)
-                   - log_beta(nu / 2.0, beta))
-            top = np.isinf(z)  # x/nu overflows: the terms in z make one power of x
-            if top.any():
-                out = np.where(top, nu * math.log(nu / 2.0) + _LN2 - log_beta(nu / 2.0, beta)
-                               - (nu + 1.0) * np.log(x), out)
-        return out
+    def _log_h(log_v):
+        return _LN2 - np.log1p(np.exp(log_v))
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -651,7 +636,7 @@ def gen_gamma_acceptance_probability(x, nu: float, beta: float):
         raise DomainError("x must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf where x/nu overflows
         z = arr / nu
-        ln_p = ((nu + beta) * np.log1p(z) - _log_c(z)
+        ln_p = ((nu + beta) * np.log1p(z) - np.log(np.hypot(1.0, z))
                 - (nu + beta - 1.0) * np.arcsinh(z) - _LN_SQRT2)
     top = np.isinf(z)
     if top.any():  # log1p z = log c = log z and asinh z = log z + ln 2: log x cancels

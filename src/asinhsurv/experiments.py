@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import _KERNELS, Family, make_handle
 from .errors import DomainError
-from .fitting import FitOptions, FitResult, Sample, fit_all
+from .fitting import FitResult, Sample, fit_all
 from .rng import make_stream
 
 __all__ = [
@@ -51,12 +51,15 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "outlier_values", tuple(float(v) for v in self.outlier_values))
-        if not self.sample_sizes or min(self.sample_sizes) < 1:
-            raise DomainError("sample sizes must be >= 1")
+        sizes = self.sample_sizes  # distinct: the cells are keyed by n
+        if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+            raise DomainError(f"sample_sizes must be distinct and >= 1, got {sizes}")
+        if not all(0.0 <= v < math.inf for v in self.outlier_values):
+            raise DomainError(f"outlier_values must be finite and >= 0, got {self.outlier_values}")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
-        if not self.true_tau > 0.0 or math.isnan(self.true_tau):
-            raise DomainError("true_tau must be > 0")
+        if not 0.0 < self.true_tau < math.inf:
+            raise DomainError(f"true_tau must be finite and > 0, got {self.true_tau}")
 
 
 @dataclass(frozen=True)
@@ -229,16 +232,14 @@ def _cell_summary(n: int, k: int, rows: list[ReplicationRow]) -> CellSummary:
     return CellSummary(n=n, n_outliers=k, replications=len(rows), **errors, **stats)
 
 
-def run_robustness_study(config: ExperimentConfig,
-                         fit_options: FitOptions | None = None) -> ExperimentReport:
+def run_robustness_study(config: ExperimentConfig) -> ExperimentReport:
     """Run the full contamination grid and aggregate per-cell medians.
 
     Each replication reuses one clean sample across the outlier counts
     (outliers are appended as exact constants, in order), mirroring how the
-    contaminated datasets relate to each other.  Fit failures surface as
-    unconverged rows; they never abort the study.
+    contaminated datasets relate to each other.  Fits run the default
+    ``FitOptions``; failures surface as unconverged rows, never aborting it.
     """
-    opts = fit_options or FitOptions()
     outlier_prefix = [np.array(config.outlier_values[:k])
                       for k in range(len(config.outlier_values) + 1)]
     rows: list[ReplicationRow] = []
@@ -249,7 +250,7 @@ def run_robustness_study(config: ExperimentConfig,
             clean_mean = float(np.mean(clean))
             for k, outliers in enumerate(outlier_prefix):
                 data = np.concatenate([clean, outliers]) if k else clean
-                results = {r.family: r for r in fit_all(Sample(data), opts)}
+                results = {r.family: r for r in fit_all(Sample(data))}
                 exp_fit = MethodFit.from_result(results[Family.EXPONENTIAL])
                 lomax_fit = MethodFit.from_result(results[Family.LOMAX])
                 genexp_fit = MethodFit.from_result(results[Family.GEN_EXP])

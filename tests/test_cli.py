@@ -275,6 +275,19 @@ class TestExperiment:
                     _assert_cell(text, fields[name], name)
 
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--sizes", "10,10"), "sample_sizes"),
+        (("--outliers=-1",), "outlier_values"),
+        (("--outliers", "20,inf"), "outlier_values"),
+        (("--tau", "inf"), "true_tau"),
+    ])
+    def test_invalid_config_exits_2_naming_the_field(self, capsys, flags, field):
+        code, out, err = run(capsys, "experiment", "--reps", "2", *flags)
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+
 class TestCurves:
     def test_row_count_and_values(self, capsys):
         code, out, _ = run(capsys, "curves", "--nu", "1", "--xmax", "2", "--points", "3")

@@ -135,6 +135,61 @@ class TestPdfExamples:
 class TestIncompleteBetaFamilies:
     """gengamma and cgamma: S(x) = I_v(a, beta) for a decreasing v(x)."""
 
+    DENSITY_X = [1e-300, 1e-20, 1e-8, 1e-3, 0.1, 0.7, 1.0, 3.0, 30.0, 1e3, 1e8, 1e20, 1e150,
+                 1e300, 1.7e308]
+    DENSITY_NU = [0.05, 0.5, 1.5, 5.0, 50.0, 1e3, 1e5]
+    DENSITY_BETA = [0.05, 0.3, 1.0, 2.0, 7.0, 100.0]
+
+    @staticmethod
+    def _reference_log_pdf(family, x, nu, beta):
+        """log f as the Beta(a, beta) density of v(x) times |dv/dx|, at 50 digits."""
+        import mpmath
+        with mpmath.workdps(50):
+            x, nu, beta = mpmath.mpf(x), mpmath.mpf(nu), mpmath.mpf(beta)
+            if family == "cgamma":  # v = nu/(x + nu), -dv/dx = v/(x + nu)
+                a, log_v = nu, mpmath.log(nu / (x + nu))
+                log_w, log_rate = mpmath.log(x / (x + nu)), -mpmath.log(x + nu)
+            else:  # v = exp(-2 asinh(x/nu)), -d log v/dx = 2/sqrt(x^2 + nu^2)
+                a, log_v = nu / 2, -2 * mpmath.asinh(x / nu)
+                log_w = mpmath.log(-mpmath.expm1(log_v))
+                log_rate = mpmath.log(2 / mpmath.sqrt(x * x + nu * nu))
+            return float(a * log_v + (beta - 1) * log_w + log_rate
+                         - mpmath.log(mpmath.beta(a, beta)))
+
+    @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
+    def test_log_pdf_matches_mpmath(self, family):
+        # Relative where |log f| >= 1, absolute below; from x = 1e-300 to the
+        # float maximum, where x/nu overflows at nu < 1.
+        xs = np.array(self.DENSITY_X)
+        worst = 0.0
+        for nu in self.DENSITY_NU:
+            for beta in self.DENSITY_BETA:
+                want = np.array([self._reference_log_pdf(family, x, nu, beta) for x in xs])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = make_handle(family, nu=nu, beta=beta).log_pdf(xs)
+                err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+                worst = max(worst, float(err.max()))
+        assert worst <= 3e-14
+
+    @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
+    def test_log_pdf_at_zero_and_infinity(self, family):
+        # f(0) is infinite below beta = 1, 0 above it and 1 at it (v = 1 there).
+        for nu in self.DENSITY_NU:
+            for beta in self.DENSITY_BETA:
+                h = make_handle(family, nu=nu, beta=beta)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    at_zero, at_inf = h.log_pdf(np.array([0.0, np.inf]))
+                    assert h.log_pdf(np.inf) == -np.inf
+                assert at_inf == -np.inf
+                if beta < 1.0:
+                    assert at_zero == np.inf
+                elif beta > 1.0:
+                    assert at_zero == -np.inf
+                else:
+                    assert at_zero == pytest.approx(0.0, abs=3e-14), nu
+
     @pytest.mark.parametrize("family", ["gengamma", "cgamma"])
     def test_limits_at_infinity(self, family):
         for beta in (1.5, 1.0):

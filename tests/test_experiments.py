@@ -35,6 +35,22 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(replications=0)
 
+    def test_rejects_repeated_sample_sizes(self):
+        # Cells are keyed by n: (10, 10) would report two cells per outlier
+        # count, each merging both sizes' replications.
+        with pytest.raises(DomainError, match="sample_sizes"):
+            ExperimentConfig(sample_sizes=(10, 10), replications=2)
+
+    @pytest.mark.parametrize("outliers", [(-1.0,), (20.0, math.nan), (math.inf,)])
+    def test_rejects_outliers_outside_the_support(self, outliers):
+        with pytest.raises(DomainError, match="outlier_values"):
+            ExperimentConfig(outlier_values=outliers)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0])
+    def test_rejects_true_tau_not_finite_and_positive(self, tau):
+        with pytest.raises(DomainError, match="true_tau"):
+            ExperimentConfig(true_tau=tau)
+
 
 class TestStudy:
     def test_grid_shape(self, small_report):
