@@ -11,7 +11,9 @@ runs ``_PowerTail`` at the link log1p, the kernel and likelihood score it
 shares with the generalised Weibull (link asinh).  The Lomax is the beta = 1
 Burr XII: it subclasses :class:`BurrXII`, adds nothing, and is handed
 beta = 1.  The compound gamma runs ``_IncompleteBeta``, the kernel it
-shares with the generalised gamma: survival and density from one log v(x).
+shares with the generalised gamma: survival, density and likelihood score
+from one log v(x).  Every kernel the fitter runs has a closed-form
+``nll_score``, the exponential's included (for a free location).
 """
 
 from __future__ import annotations
@@ -19,11 +21,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.special as sc
 
-from .numerics import (_log_inc_beta_far, _near_one_from_complement, log_beta, log_gamma,
-                       reg_inc_beta, reg_inc_beta_inv)
+from .numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder, log_beta,
+                       log_gamma, reg_inc_beta, reg_inc_beta_inv)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
+
+
+_LOG1P_SERIES_BELOW = 1e-4
+
+
+def _log1p_less_ratio(z):
+    """log1p(z) - z/(1 + z) for z < ``_LOG1P_SERIES_BELOW``, by its series z^2/2 - 2z^3/3
+    + 3z^4/4 - 4z^5/5: the difference itself cancels there."""
+    return z * z * (0.5 + z * (-2.0 / 3.0 + z * (0.75 - z * 0.8)))
 
 
 class Exponential:
@@ -39,6 +51,16 @@ class Exponential:
     @staticmethod
     def log_pdf(x, nu, beta):
         return -x
+
+    @staticmethod
+    def nll_score(x, log_tau, theta=None, log_beta=0.0, *, eta=None):
+        """Negative log likelihood n log tau + sum y of ``x``, y = (x - eta)/tau, and
+        its gradient n - sum y in log_tau, 0 in theta and log_beta (which it
+        ignores), and -n/tau in eta if eta is given."""
+        tau = math.exp(log_tau)
+        sum_y = (x if eta is None else x - eta).sum() / tau
+        grad = [x.size - sum_y, 0.0, 0.0] + ([] if eta is None else [-x.size / tau])
+        return x.size * log_tau + sum_y, np.array(grad)
 
     @staticmethod
     def hazard(x, nu, beta):
@@ -71,9 +93,10 @@ class _PowerTail:
     generalised Weibull (g = asinh) and the Burr XII (g = log1p), whose tails
     both fall as x^(-beta nu).  A subclass gives g and g^-1 as the ufuncs
     ``_link`` and ``_inverse``, ``_LINK_FAR`` = g(z) - log z far out,
-    ``_log_inv_slope(z)`` = log(1/g'(z)), ``_subtract_log_density(out, z,
-    nu)``, which takes nu g(z) + log(1/g'(z)) from ``out`` in the link's own
-    rounding order, and ``_score_terms``; each may overwrite z.
+    ``_log_inv_slope(z)`` = log(1/g'(z)), ``_less_log_density(shape, z, nu)``,
+    which takes nu g(z) + log(1/g'(z)) from ``shape`` (an array or the float 0)
+    into a new array in the link's own rounding order, and ``_score_terms``;
+    each may overwrite z.
 
     z overflows for moderate x and beta, so past z = 1e150 the kernel works
     from log z: there g(z) = log z + ``_LINK_FAR`` and log(1/g'(z)) = log z
@@ -89,20 +112,25 @@ class _PowerTail:
     @staticmethod
     def _scaled_power(x, nu, beta):
         """z = x^beta / nu for x >= 0 as a new array shaped like atleast_1d(x) (inf
-        where it overflows), the mask of z > 1e150, and log z at those points."""
+        where it overflows), the mask of z > 1e150, and log z at those points.
+        At beta = 1 the power is skipped: pow(x, 1) = x exactly."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(over="ignore"):
-            z = np.power(x, beta)
-            z /= nu
+            if beta == 1.0:
+                z = x / nu
+            else:
+                z = np.power(x, beta)
+                z /= nu
         far = z > 1e150
         return z, far, beta * np.log(x[far]) - math.log(nu)
 
     @staticmethod
     def _log_shape_factor(x, beta):
-        """log(beta x^(beta-1)) for x >= 0, a new array shaped like atleast_1d(x) (0 at beta = 1)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        """log(beta x^(beta-1)) for x >= 0, a new array shaped like atleast_1d(x),
+        or the float 0 at beta = 1: the callers subtract from it into a new array."""
         if beta == 1.0:
-            return np.zeros(x.shape)
+            return 0.0
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(divide="ignore"):
             out = np.log(x)
         out *= beta - 1.0
@@ -131,9 +159,8 @@ class _PowerTail:
     @classmethod
     def log_pdf(cls, x, nu, beta):
         z, far, log_z = cls._scaled_power(x, nu, beta)
-        out = cls._log_shape_factor(x, beta)
         with np.errstate(over="ignore", invalid="ignore"):  # only at far points
-            cls._subtract_log_density(out, z, nu)
+            out = cls._less_log_density(cls._log_shape_factor(x, beta), z, nu)
         out[far] = cls._log_hazard_far(log_z, nu, beta) - nu * (log_z + cls._LINK_FAR)
         return out.reshape(np.shape(x))
 
@@ -141,37 +168,45 @@ class _PowerTail:
     def hazard(cls, x, nu, beta):
         # Directly, not as log_pdf - log_survival: those cancel to a few ulp of nu g(z).
         z, far, log_z = cls._scaled_power(x, nu, beta)
-        out = cls._log_shape_factor(x, beta)
         with np.errstate(over="ignore", invalid="ignore"):  # only at far points
-            out -= cls._log_inv_slope(z)
+            log_inv_slope = cls._log_inv_slope(z)
+            out = np.subtract(cls._log_shape_factor(x, beta), log_inv_slope, out=log_inv_slope)
         out[far] = cls._log_hazard_far(log_z, nu, beta)
         return np.exp(out, out=out).reshape(np.shape(x))
 
     @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
+    def nll_score(cls, x, log_tau, theta, log_beta=0.0, *, eta=None):
         """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
+        beta = exp(log_beta) and location ``eta`` (0 if None), and its gradient
+        in (log_tau, theta, log_beta), with an eta component last if eta is given.
 
-        With y = x/tau, z = theta y^beta, t = z g'(z), m = -z g''(z)/g'(z) and
-        k = nu t + m: NLL = n log tau - n log beta - (beta - 1) sum log y
+        With y = (x - eta)/tau, z = theta y^beta, t = z g'(z), m = -z g''(z)/g'(z)
+        and k = nu t + m: NLL = n log tau - n log beta - (beta - 1) sum log y
         + sum (nu g(z) - log g'(z)), and its gradient is beta (n - sum k),
-        nu sum m - nu^2 sum (g(z) - t) and beta sum (k - 1) log y - n.
+        nu sum m - nu^2 sum (g(z) - t), beta sum (k - 1) log y - n and
+        sum (beta - 1 - beta k)/y / tau.
         """
-        nu, beta = 1.0 / theta, math.exp(log_beta)
+        nu, beta, tau = 1.0 / theta, math.exp(log_beta), math.exp(log_tau)
         n = x.size
-        y = x / math.exp(log_tau)  # before the power: tau^-beta alone can overflow
+        # y before the power: tau^-beta alone can overflow.
+        y = x / tau if eta is None else (x - eta) / tau
         z, far, log_z = cls._scaled_power(y, nu, beta)
         # log y is -inf at a point x = 0; the link's terms overflow only where far.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            inv_y = None if eta is None else np.reciprocal(y)
             log_y = np.log(y, out=y)
-            nll_link, nll_slope, sum_k, sum_m, g_less_t, k_less_1 = cls._score_terms(z, far, log_z, nu)
+            nll_link, nll_slope, sum_k, sum_m, g_less_t, k = cls._score_terms(z, far, log_z, nu)
         nll = n * (log_tau - log_beta) + nll_link + nll_slope
         if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
             nll -= (beta - 1.0) * log_y.sum()
-        grad = np.array([beta * (n - sum_k),
-                         nu * sum_m - nu * nu * g_less_t.sum(),
-                         beta * k_less_1.dot(log_y) - n])
-        return nll, grad
+        grad = [beta * (n - sum_k), nu * sum_m - nu * nu * g_less_t.sum()]
+        if inv_y is not None:
+            eta_grad = ((beta - 1.0) * inv_y.sum() - beta * k.dot(inv_y)) / tau
+        k -= 1.0
+        grad.append(beta * k.dot(log_y) - n)
+        if inv_y is not None:
+            grad.append(eta_grad)
+        return nll, np.array(grad)
 
     @classmethod
     def _x_from_hazard(cls, h, nu, beta):
@@ -205,29 +240,27 @@ class BurrXII(_PowerTail):
         return np.log1p(z, out=z)
 
     @staticmethod
-    def _subtract_log_density(out, z, nu):
+    def _less_log_density(shape, z, nu):
         log1p_z = np.log1p(z, out=z)  # once: g and log(1/g') are the same array
         log1p_z *= nu + 1.0
-        out -= log1p_z
+        return np.subtract(shape, log1p_z, out=log1p_z)
 
     @classmethod
     def _score_terms(cls, z, far, log_z, nu):
         """The sums of ``nll_score`` at g = log1p, where t = m = q = z/(1 + z):
         (nu + 1) sum log1p z, which holds the sum of log(1/g') too, 0, (nu + 1)
-        sum q, sum q, the array log1p z - q and the array (nu + 1) q - 1."""
+        sum q, sum q, the array log1p z - q and the array k = (nu + 1) q."""
         q = z + 1.0
         np.divide(z, q, out=q)
-        small = z < 1e-4
+        small = z < _LOG1P_SERIES_BELOW
         zs = z[small]
         h = cls._g(z, far, log_z)
         q[far] = 1.0
         sum_q = q.sum()
         nll_link = (nu + 1.0) * h.sum()
-        # log1p(z) - q cancels to z^2/2 - ... for small z; use its series there.
         h -= q
-        h[small] = zs * zs * (0.5 + zs * (-2.0 / 3.0 + zs * (0.75 - zs * 0.8)))
+        h[small] = _log1p_less_ratio(zs)
         q *= nu + 1.0
-        q -= 1.0
         return nll_link, 0.0, (nu + 1.0) * sum_q, sum_q, h, q
 
     @staticmethod
@@ -258,11 +291,15 @@ class Lomax(BurrXII):
 
 class _IncompleteBeta:
     """Kernel of a family with S(x) = I_v(a, beta) for v in (0, 1] decreasing
-    in x, so that v(X) ~ Beta(a, beta).  A subclass gives a = ``_a(nu)``, log v
+    in x, so that v(X) ~ Beta(a, beta).  A subclass gives a = ``_A`` nu, log v
     = ``_log_unit(x, nu)``, exact up to the float maximum of x (run with overflow
     warnings off), ``_x_from(w, v, nu)``, the x with (1 - v(x))/v(x) = w/v, and, for the
     density, 1 - v = (x/s) v^k and -d log v/dx = (v^k/s) h(v) as k = ``_K``,
-    s = ``_S`` nu and log h = ``_log_h(log_v)``."""
+    s = ``_S`` nu and log h = ``_log_h(log_v)``.  v depends on x through
+    z = x/nu alone, and for the likelihood score ``_score_terms(z, log_v)``
+    gives four arrays (each may overwrite z): rho = -z d log v/dz = (1 - v) h(v),
+    the remainder -log v - rho, free of its cancellation at small z,
+    m = (k + d log h/d log v) rho and -log(1 - v)."""
 
     uses_beta = True
     uses_nu = True
@@ -271,7 +308,7 @@ class _IncompleteBeta:
     def _evaluate(cls, x, nu, beta, cdf):
         """The cdf, or log S; from log v where v < 1e-300 and, for log S, where
         I_v < 1e-200: betainc can be off below 1e-238 and is 0 below 1e-243."""
-        a, shape = cls._a(nu), np.shape(x)
+        a, shape = cls._A * nu, np.shape(x)
         with np.errstate(over="ignore"):  # where x/nu overflows
             log_v = cls._log_unit(np.atleast_1d(np.asarray(x, dtype=float)), nu)
         v, w = np.exp(log_v), -np.expm1(log_v)
@@ -297,20 +334,63 @@ class _IncompleteBeta:
         return cls._evaluate(x, nu, beta, cdf=True)
 
     @classmethod
+    def _log_norm(cls, nu, beta):
+        """beta log s + ln B(a, beta), the density's constant."""
+        return beta * math.log(cls._S * nu) + log_beta(cls._A * nu, beta)
+
+    @classmethod
     def log_pdf(cls, x, nu, beta):
         """log f = a log v + (beta - 1) log(1 - v) + log(-d log v/dx) - log B(a, beta), the
         Beta(a, beta) density of v(x) times |dv/dx|: by the hooks, (a + beta k) log v
         + (beta - 1) log x - beta log s + log h(v) - log B(a, beta); -inf at x = inf."""
-        a, shape = cls._a(nu), np.shape(x)
+        a, shape = cls._A * nu, np.shape(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # x/nu, log 0, inf - inf
             log_v = cls._log_unit(x, nu)
-            out = cls._log_h(log_v) - (beta * math.log(cls._S * nu) + log_beta(a, beta))
+            out = cls._log_h(log_v) - cls._log_norm(nu, beta)
             out += (a + beta * cls._K) * log_v
             if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
                 out += (beta - 1.0) * np.log(x)
                 out[x == np.inf] = -np.inf
         return out.reshape(shape)
+
+    @classmethod
+    def nll_score(cls, x, log_tau, theta, log_beta=0.0, *, eta=None):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        beta = exp(log_beta) and location ``eta`` (0 if None), and its gradient
+        in (log_tau, theta, log_beta), with an eta component last if eta is given.
+
+        With y = (x - eta)/tau, z = y/nu, the hooks' arrays at z and
+        w = (a + (beta - 1) k) rho + m: NLL = n log tau + n (beta log s +
+        ln B(a, beta)) - sum ((a + beta k) log v + (beta - 1) log y + log h), and
+        its gradient is n beta - sum w, -nu^2 (A sum (-log v - rho) - sum
+        ((beta - 1) k rho + m)/nu + n A R(a, beta)) with R the psi remainder,
+        beta (sum -log(1 - v) - n (psi(a + beta) - psi(beta))) and
+        sum (beta - 1 - w)/y / tau.  Each is a sum of terms of one size: at
+        small theta the theta component is O(n), not O(n/theta) terms that cancel.
+        """
+        nu, beta, tau = 1.0 / theta, math.exp(log_beta), math.exp(log_tau)
+        a, n, k = cls._A * nu, x.size, cls._K
+        y = x / tau if eta is None else (x - eta) / tau
+        # At a point x = 0: log y and -log(1 - v) are -inf and inf.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_v = cls._log_unit(y, nu)
+            rho, remainder, m, log_complement = cls._score_terms(y / nu, log_v)
+            nll = (n * (log_tau + cls._log_norm(nu, beta))
+                   - np.sum(cls._log_h(log_v)) - (a + beta * k) * log_v.sum())
+            if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
+                nll -= (beta - 1.0) * np.log(y).sum()
+            sum_rho, sum_m = rho.sum(), m.sum()
+            grad = [n * beta - (a + (beta - 1.0) * k) * sum_rho - sum_m,
+                    -nu * nu * (cls._A * (remainder.sum() + n * _psi_remainder(a, beta))
+                                - ((beta - 1.0) * k * sum_rho + sum_m) / nu),
+                    beta * (log_complement.sum() - n * float(sc.psi(a + beta) - sc.psi(beta)))]
+            if eta is not None:
+                w = rho * (a + (beta - 1.0) * k)
+                w += m
+                inv_y = np.reciprocal(y, out=y)
+                grad.append(((beta - 1.0) * inv_y.sum() - w.dot(inv_y)) / tau)
+        return nll, np.array(grad)
 
     @classmethod
     def hazard(cls, x, nu, beta):
@@ -324,7 +404,7 @@ class _IncompleteBeta:
         # Where v > 1/2 that rounds the lower tail away (v = 1 at small beta),
         # so invert the cdf I_w(beta, a) = p in w = 1 - v there instead,
         # unless betaincinv gives NaN, as it does at some tiny p.
-        a, shape = cls._a(nu), np.shape(p)
+        a, shape = cls._A * nu, np.shape(p)
         p = np.atleast_1d(p)
         v = reg_inc_beta_inv(1.0 - p, a, beta)
         w = 1.0 - v
@@ -340,7 +420,7 @@ class _IncompleteBeta:
     def sample(cls, n, nu, beta, rng):
         # v(X) = G_a / (G_a + G_beta) for independent gamma variates.
         w = rng.gamma(beta, size=n)
-        v = rng.gamma(cls._a(nu), size=n)
+        v = rng.gamma(cls._A * nu, size=n)
         with np.errstate(divide="ignore", over="ignore"):  # G_a underflows: x = inf
             return cls._x_from(w, v, nu)
 
@@ -354,9 +434,7 @@ class CompoundGamma(_IncompleteBeta):
     as the proposal of the public generalised-gamma rejection sampler.
     """
 
-    @staticmethod
-    def _a(nu):
-        return nu
+    _A = 1.0
 
     @staticmethod
     def _log_unit(x, nu):  # -log1p(x/nu), and log(nu/x) where x/nu overflows
@@ -375,6 +453,20 @@ class CompoundGamma(_IncompleteBeta):
     @staticmethod
     def _log_h(log_v):
         return 0.0
+
+    @staticmethod
+    def _score_terms(z, log_v):
+        """rho = m = q = 1 - v = z/(1 + z), log1p z - q and log1p(1/z), formed as
+        the Burr XII score forms them."""
+        q = z + 1.0
+        np.divide(z, q, out=q)
+        q[np.isinf(z)] = 1.0
+        remainder = np.negative(log_v)
+        remainder -= q
+        small = z < _LOG1P_SERIES_BELOW
+        remainder[small] = _log1p_less_ratio(z[small])
+        log_complement = np.log1p(np.reciprocal(z, out=z), out=z)
+        return q, remainder, q, log_complement
 
     @staticmethod
     def moment_order_threshold(nu, beta):

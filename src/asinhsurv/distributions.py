@@ -22,8 +22,9 @@ beta = 1: each is a subclass that runs its parent's kernel and likelihood
 score (genexp adds only its closed-form variance, skewness and entropy),
 and the handle passes beta = 1 to the kernel of every family that ignores
 beta.  The generalised gamma runs the compound gamma's incomplete-beta
-kernel: q(X) ~ Beta(nu/2, beta) gives exact draws, and the density is that
-Beta density of q(x) times |dq/dx|.
+kernel: q(X) ~ Beta(nu/2, beta) gives exact draws, the density is that
+Beta density of q(x) times |dq/dx|, and the likelihood score is the base's,
+with only gengamma's terms in a hook.  genexp2 has a score of its own.
 
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
@@ -132,6 +133,27 @@ def asinh_terms(x, nu: float) -> AsinhTerms:
     return AsinhTerms(c, z, q, r)
 
 
+_ASINH_SERIES_BELOW = 1e-2
+
+
+def _asinh_less_ratio(z):
+    """asinh(z) - z/sqrt(1 + z^2) for z < ``_ASINH_SERIES_BELOW``, by its series z^3/3
+    - 3z^5/10 + 15z^7/56 - 35z^9/144: the difference itself cancels there."""
+    zz = z * z
+    return z * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * (35.0 / 144.0))))
+
+
+def _ratio_to_hypot(z):
+    """t = z/c and c = sqrt(1 + z^2) for z >= 0 (c = inf where z^2 overflows),
+    with t = 1 past z = 1e150, where the power-tail kernel's far points start."""
+    c = np.multiply(z, z)
+    c += 1.0
+    np.sqrt(c, out=c)
+    t = np.divide(z, c)
+    t[z > 1e150] = 1.0
+    return t, c
+
+
 class _GenWeibull(baselines._PowerTail):
     """Generalised Weibull: survival exp(-nu asinh(x^beta/nu)), the power-tail
     kernel at g = asinh, for which log(1/g'(z)) = log c, c = sqrt(1 + z^2)."""
@@ -149,38 +171,32 @@ class _GenWeibull(baselines._PowerTail):
         return log_c
 
     @classmethod
-    def _subtract_log_density(cls, out, z, nu):
-        out -= cls._log_inv_slope(z)
+    def _less_log_density(cls, shape, z, nu):
+        log_c = cls._log_inv_slope(z)
+        out = np.subtract(shape, log_c, out=log_c)
         nu_asinh = np.arcsinh(z, out=z)
         nu_asinh *= nu
         out -= nu_asinh
+        return out
 
     @classmethod
     def _score_terms(cls, z, far, log_z, nu):
         """The sums of ``nll_score`` at g = asinh, where t = z/c, m = t^2 and
         k = t (nu + t): nu sum asinh z, sum log c, sum k, sum t^2, the array
-        asinh z - t and the array k - 1."""
-        c = np.multiply(z, z)
-        c += 1.0
-        np.sqrt(c, out=c)
-        t = np.divide(z, c)
+        asinh z - t and the array k."""
+        t, c = _ratio_to_hypot(z)  # t = 1 where far
         log_c = np.log(c, out=c)
-        small = z < 1e-2
+        small = z < _ASINH_SERIES_BELOW
         zs = z[small]
         g = cls._g(z, far, log_z)
-        t[far] = 1.0
         log_c[far] = log_z
         nll_link, nll_slope = nu * g.sum(), log_c.sum()
-        # asinh(z) - t cancels to z^3/3 + ... for small z; use its series there.
         g -= t
-        zz = zs * zs
-        g[small] = zs * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * (35.0 / 144.0))))
+        g[small] = _asinh_less_ratio(zs)
         sum_t2 = t.dot(t)
         k = t + nu
         k *= t
-        sum_k = k.sum()
-        k -= 1.0
-        return nll_link, nll_slope, sum_k, sum_t2, g, k
+        return nll_link, nll_slope, k.sum(), sum_t2, g, k
 
     @staticmethod
     def raw_moment(n, nu, beta):
@@ -230,9 +246,7 @@ class _GenExp(_GenWeibull):
 class _GenGamma(baselines._IncompleteBeta):
     """Generalised gamma: survival I_q(nu/2, beta) in q = (C+S)^(-2)."""
 
-    @staticmethod
-    def _a(nu):
-        return nu / 2.0
+    _A = 0.5
 
     @staticmethod
     def _log_unit(x, nu):  # log q = -2 asinh(x/nu)
@@ -247,6 +261,21 @@ class _GenGamma(baselines._IncompleteBeta):
     @staticmethod
     def _log_h(log_v):
         return _LN2 - np.log1p(np.exp(log_v))
+
+    @staticmethod
+    def _score_terms(z, log_v):
+        """rho = 2t, t = z/c, 2 (asinh z - t), m = t^2 and -log(1 - q) =
+        log1p(1/(2 z (c + z))), since 1 - q = 2z/(c + z)."""
+        t, c = _ratio_to_hypot(z)
+        remainder = np.multiply(t, -2.0)
+        remainder -= log_v
+        small = z < _ASINH_SERIES_BELOW
+        remainder[small] = 2.0 * _asinh_less_ratio(z[small])
+        c += z
+        c *= z
+        c *= 2.0
+        log_complement = np.log1p(np.reciprocal(c, out=c), out=c)
+        return 2.0 * t, remainder, t * t, log_complement
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -303,6 +332,34 @@ class _GenExpType2:
     @classmethod
     def log_pdf(cls, x, nu, beta):
         return math.log((nu + 2.0) / (nu + 1.0)) + (nu + 1.0) * cls._log_r(x, nu)
+
+    @classmethod
+    def nll_score(cls, x, log_tau, theta, log_beta=0.0, *, eta=None):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta and
+        location ``eta`` (0 if None), and its gradient in (log_tau, theta,
+        log_beta), with an eta component last if eta is given; beta is ignored.
+
+        With y = (x - eta)/tau, z = y/nu, c = sqrt(1 + z^2) and t = z/c:
+        NLL = n log tau - n log((nu + 2)/(nu + 1)) + (nu + 1) sum asinh z, and its
+        gradient is n - (nu + 1) sum t, nu sum t - nu^2 sum (asinh z - t)
+        - n nu^2/((nu + 1)(nu + 2)), 0 and -(nu + 1)/(nu tau) sum 1/c.
+        """
+        nu, tau, n = 1.0 / theta, math.exp(log_tau), x.size
+        y = x / tau if eta is None else (x - eta) / tau
+        asinh_z = _asinh_ratio(y, nu)
+        with np.errstate(over="ignore"):  # z = inf where y/nu overflows
+            z = np.divide(y, nu, out=y)
+            t, c = _ratio_to_hypot(z)
+        sum_t = t.sum()
+        nll = n * (log_tau - math.log((nu + 2.0) / (nu + 1.0))) + (nu + 1.0) * asinh_z.sum()
+        small = z < _ASINH_SERIES_BELOW
+        asinh_z -= t
+        asinh_z[small] = _asinh_less_ratio(z[small])
+        grad = [n - (nu + 1.0) * sum_t,
+                nu * sum_t - nu * nu * (asinh_z.sum() + n / ((nu + 1.0) * (nu + 2.0))), 0.0]
+        if eta is not None:
+            grad.append(-(nu + 1.0) / (nu * tau) * np.reciprocal(c, out=c).sum())
+        return nll, np.array(grad)
 
     @staticmethod
     def hazard(x, nu, beta):

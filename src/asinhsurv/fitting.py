@@ -8,33 +8,38 @@ Light-tailed data drives theta to that bound; ``FitResult.at_nu_bound``
 flags it.
 
 Every fit but the closed-form exponential is made by the bounded
-quasi-Newton method L-BFGS-B.  With the location fixed, its gradient is the
-kernel's closed-form score (``nll_score`` of genweibull and Burr XII in
-(log_tau, theta, log_beta), which genexp and Lomax run at log_beta = 0 in
-(log_tau, theta)); otherwise, and for genexp2, gengamma and cgamma, it is
-scipy's finite differences.  A fit is ``converged`` when the infinity norm
-of its projected gradient is at most 1e-6 (1 + |nll|); the optimiser's own
-status is not used, because its line search can stop at the optimum with
-an "abnormal termination" when the likelihood is flat.
+quasi-Newton method L-BFGS-B on the kernel's closed-form score:
+``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
+with an eta component when the location is free.  genexp and Lomax run the
+genweibull and Burr XII scores at log_beta = 0, a pinned log_beta's
+component is dropped, and the exponential's and genexp2's scores ignore
+what they do not use.  The reported NLL is taken from the kernel's
+``log_pdf``, as ``neg_log_likelihood`` takes it.  A fit is ``converged`` when
+the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|) and
+beta is not at its bound e^7 or e^-7: that bound is the edge of the box,
+not an optimum.  The optimiser's own status is not used, because its line
+search can stop at the optimum with an "abnormal termination" when the
+likelihood is flat.
 
-A fit on a score starts from the base start (the sample mean as scale,
-nu = 1e3) alone.  The heavy-tail start (median-matched scale, nu = 2) runs
-as well only where the base fit leaves room for a second optimum: it is
-unconverged, it stops at the nu cap, or the score's NLL, taken at t = 0,
-1/4, 1/2 and 3/4 along the segment from the heavy start to the base fit and
-at the fit itself, does not fall strictly.  Samples of ten with one outlier
-can hold two genexp optima, one of them interior.  A fit on finite
-differences always runs both starts: its base fit can pass the convergence
-test yet stop short of the optimum the heavy start reaches (in 37 of 300
-free-location genexp fits to the benchmark's fit-shapes data, by up to
-8e-5 relative).  Of the starts that ran, the lower negative log
-likelihood wins, with its own ``converged`` flag.  There is no second
-optimiser: a fit that fails the convergence test from every start it ran is
-returned with ``converged`` False.  Mostly there is no interior maximum to
-find: beta runs to its bound e^7 on a small sample, or, with a free
-location and beta < 1, the likelihood grows without bound as eta approaches
-the smallest observation (Smith 1985, Biometrika 72:67).  The rest are
-interior optima that a finite-difference gradient cannot certify.
+A fit starts from the base start (the sample mean as scale, nu = 1e3)
+alone.  The heavy-tail start (median-matched scale, nu = 2) runs as well
+only where the base fit leaves room for a second optimum: it is
+unconverged, it stops with theta below 1e-4 (at or beside the nu cap: the
+genexp log-survival is even in theta to second order, so a base fit can
+stop at a stationary point beside the exponential limit), or the score's
+NLL, taken at t = 0, 1/4, 1/2 and 3/4 along the segment from the heavy start
+to the base fit and at the fit itself, does not fall strictly.  Samples of
+ten with one outlier can hold two genexp optima, one of them interior.  Of
+the starts that ran, the lower negative log likelihood wins, with its own
+``converged`` flag.  A base fit that passes all three tests is an interior
+optimum, but the heavy start may still find a lower NLL on an edge of the
+box, where the likelihood has no interior maximum (log beta at its bound,
+or eta at the smallest point); the fit keeps its interior optimum then.
+There is no second optimiser: a fit that fails the convergence test from
+every start it ran is returned with ``converged`` False.  Then there is no
+interior maximum to find: beta runs to its bound e^7 on a small sample, or,
+with a free location and beta < 1, the likelihood grows without bound as
+eta approaches the smallest observation (Smith 1985, Biometrika 72:67).
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ _THETA_MAX = 1e3
 _LOG_TAU_BOUND = 40.0
 _LOG_BETA_BOUND = 7.0
 _MAX_ITER = 4000  # per L-BFGS-B run
+_THETA_NEAR_EXP = 1e-4  # a base fit below this theta also runs the heavy-tail start
+_COMPONENTS = ("log_tau", "theta", "log_beta", "eta")  # the order of every score's gradient
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,37 @@ def _at_nu_bound(names: list[str], vec: np.ndarray) -> bool:
     return "theta" in names and bool(vec[names.index("theta")] <= _THETA_MIN * (1.0 + 1e-9))
 
 
+def _near_exponential(names: list[str], vec: np.ndarray) -> bool:
+    """Whether theta is below 1e-4, at or beside the nu cap."""
+    return "theta" in names and bool(vec[names.index("theta")] < _THETA_NEAR_EXP)
+
+
+def _at_beta_bound(names: list[str], vec: np.ndarray) -> bool:
+    """Whether log beta sits at either end of its box."""
+    return "log_beta" in names and bool(
+        abs(vec[names.index("log_beta")]) >= _LOG_BETA_BOUND * (1.0 - 1e-9))
+
+
+def _score(kernel, names: list[str], x: np.ndarray):
+    """The kernel's NLL and gradient as a function of the optimiser vector."""
+    if "eta" not in names:
+        def score(vec: np.ndarray):
+            # The names are a prefix of (log_tau, theta, log_beta); a pinned
+            # log_beta takes the score's default 0 and its component is dropped.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                nll, grad = kernel.nll_score(x, *vec)
+            return nll, grad[:vec.size]
+        return score
+    # The score's gradient runs over (log_tau, theta, log_beta, eta).
+    pick = [_COMPONENTS.index(name) for name in names]
+
+    def score_with_eta(vec: np.ndarray):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nll, grad = kernel.nll_score(x, *vec[:-1], eta=vec[-1])
+        return nll, grad[pick]
+    return score_with_eta
+
+
 def _descends_to(fun, start: np.ndarray, res) -> bool:
     """Whether the score's NLL falls strictly along the segment from ``start``
     to the fit ``res``, sampled at t = 0, 1/4, 1/2 and 3/4 and at the fit."""
@@ -210,55 +248,45 @@ def _result(family: Family, names: list[str], vec: np.ndarray, nll: float,
 
 
 def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str]) -> FitResult:
-    """L-BFGS-B on the kernel's score where it has one and the location is
-    fixed, from the base start and, if that fit leaves room for a second
-    optimum, from the heavy-tail start; else on finite differences from both."""
+    """L-BFGS-B on the kernel's score from the base start and, if that fit
+    leaves room for a second optimum, from the heavy-tail start."""
     kernel = _KERNELS[family]
     bounds = _bounds(names, x)
-    objective = _objective(kernel, names, x)
+    fun = _score(kernel, names, x)
     options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER}
     base, heavy = (np.clip(start, bounds.lb, bounds.ub) for start in _starts(names, x))
-    has_score = hasattr(kernel, "nll_score") and "eta" not in names
-    fun, jac = objective, None
-    if has_score:
-        def fun(vec: np.ndarray):
-            # The names are a prefix of (log_tau, theta, log_beta); a pinned
-            # log_beta takes the score's default 0 and its component is dropped.
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                nll, grad = kernel.nll_score(x, *vec)
-            return nll, grad[:vec.size]
-        jac = True
 
     def run(start: np.ndarray):
-        res = minimize(fun, start, method="L-BFGS-B", jac=jac, bounds=bounds, options=options)
+        res = minimize(fun, start, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
         projected = np.clip(res.x - res.jac, bounds.lb, bounds.ub) - res.x
-        return res, np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))
+        # log beta at its bound is the edge of the box, not an optimum.
+        converged = (np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))
+                     and not _at_beta_bound(names, res.x))
+        return res, converged
 
     best, converged = run(base)
     iterations = best.nit
     # A second optimum is possible when the base fit is unconverged, stops at
-    # the nu cap, or the NLL rises somewhere on the way from the heavy start.
-    one_start = (has_score and converged and not _at_nu_bound(names, best.x)
-                 and _descends_to(fun, heavy, best))
-    if not one_start:
+    # or beside the nu cap, or the NLL rises somewhere on the way from the heavy start.
+    if not (converged and not _near_exponential(names, best.x) and _descends_to(fun, heavy, best)):
         res, res_converged = run(heavy)
         iterations += res.nit
         if res.fun < best.fun:
             best, converged = res, res_converged
     # Report the likelihood from the kernel's log_pdf, as neg_log_likelihood does.
-    return _result(family, names, best.x, objective(best.x), converged, iterations)
+    return _result(family, names, best.x, _objective(kernel, names, x)(best.x), converged,
+                   iterations)
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
     The exponential with fixed location has a closed form.  Every other fit
-    runs L-BFGS-B from the base start, and from the heavy-tail start too
-    unless the fit runs on a closed-form score (genexp, Lomax, genweibull
-    and Burr XII at a fixed location) and its base fit converges away from
-    the nu cap, on a slope that falls all the way from the heavy start.  A
-    fit that fails the convergence test is returned with ``converged``
-    False (see the module docstring).
+    runs L-BFGS-B on the kernel's closed-form score from the base start, and
+    from the heavy-tail start too unless the base fit converges with theta
+    at least 1e-4, on a slope that falls all the way from the heavy start.
+    A fit that fails the convergence test, or stops with beta at its bound,
+    is returned with ``converged`` False (see the module docstring).
 
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The

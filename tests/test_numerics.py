@@ -19,8 +19,8 @@ from asinhsurv import (
     reg_inc_beta,
     stable_asinh_scaled,
 )
-from asinhsurv.numerics import (_log_inc_beta_far, _near_one_from_complement, log_beta,
-                                reg_inc_beta_inv)
+from asinhsurv.numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder,
+                                log_beta, reg_inc_beta_inv)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -109,6 +109,26 @@ class TestLogBeta:
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
             log_beta(a, b)
+
+
+class TestPsiRemainder:
+    def test_matches_mpmath(self):
+        # R(a, b) = b/a - (psi(a + b) - psi(a)) is about b (b - 1)/(2 a^2): its
+        # error is measured on the scale b (b + 1)/a^2, where the two psi values
+        # alone would leave eps psi(a) a^2 of it.
+        import mpmath
+        a, b = np.meshgrid(np.geomspace(1e-3, 1e6, 46), np.geomspace(0.05, 1100.0, 23))
+        a = np.concatenate([a.ravel(), [50.0, 99.9, 100.0, 1e4]])
+        b = np.concatenate([b.ravel(), [1.0 - 1e-9, 1.0 + 1e-6, 2.0, 0.999]])
+        with mpmath.workdps(50):
+            ref = np.array([float(q / p - (mpmath.digamma(p + q) - mpmath.digamma(p)))
+                            for p, q in zip(map(mpmath.mpf, a), map(mpmath.mpf, b))])
+        got = np.array([_psi_remainder(p, q) for p, q in zip(a.tolist(), b.tolist())])
+        err = np.abs(got - ref) / (b * (b + 1.0) / (a * a))
+        assert np.max(err) <= 1e-15, (a[np.argmax(err)], b[np.argmax(err)])
+
+    def test_is_zero_at_b_one(self):
+        assert all(_psi_remainder(a, 1.0) == 0.0 for a in (1e-3, 0.75, 99.5, 100.0, 1e6))
 
 
 class TestRegIncBeta:
