@@ -199,13 +199,11 @@ class _PowerTail:
         nll = n * (log_tau - log_beta) + nll_link + nll_slope
         if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
             nll -= (beta - 1.0) * log_y.sum()
-        grad = [beta * (n - sum_k), nu * sum_m - nu * nu * g_less_t.sum()]
+        grad = [beta * (n - sum_k), nu * sum_m - nu * nu * g_less_t.sum(), 0.0]
         if inv_y is not None:
-            eta_grad = ((beta - 1.0) * inv_y.sum() - beta * k.dot(inv_y)) / tau
+            grad.append(((beta - 1.0) * inv_y.sum() - beta * k.dot(inv_y)) / tau)
         k -= 1.0
-        grad.append(beta * k.dot(log_y) - n)
-        if inv_y is not None:
-            grad.append(eta_grad)
+        grad[2] = beta * k.dot(log_y) - n
         return nll, np.array(grad)
 
     @classmethod
