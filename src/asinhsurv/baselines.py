@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as sc
 
-from .numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder, log_beta,
-                       log_gamma, reg_inc_beta, reg_inc_beta_inv)
+from .numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder, digamma,
+                       log_beta, log_gamma, reg_inc_beta, reg_inc_beta_inv)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -93,10 +92,9 @@ class _PowerTail:
     generalised Weibull (g = asinh) and the Burr XII (g = log1p), whose tails
     both fall as x^(-beta nu).  A subclass gives g and g^-1 as the ufuncs
     ``_link`` and ``_inverse``, ``_LINK_FAR`` = g(z) - log z far out,
-    ``_log_inv_slope(z)`` = log(1/g'(z)), ``_less_log_density(shape, z, nu)``,
-    which takes nu g(z) + log(1/g'(z)) from ``shape`` (an array or the float 0)
-    into a new array in the link's own rounding order, and ``_score_terms``;
-    each may overwrite z.
+    ``_log_inv_slope(z)`` = log(1/g'(z)), ``_subtract_log_density(out, z,
+    nu)``, which takes nu g(z) + log(1/g'(z)) from ``out`` in the link's own
+    rounding order, and ``_score_terms``; each may overwrite z.
 
     z overflows for moderate x and beta, so past z = 1e150 the kernel works
     from log z: there g(z) = log z + ``_LINK_FAR`` and log(1/g'(z)) = log z
@@ -112,25 +110,20 @@ class _PowerTail:
     @staticmethod
     def _scaled_power(x, nu, beta):
         """z = x^beta / nu for x >= 0 as a new array shaped like atleast_1d(x) (inf
-        where it overflows), the mask of z > 1e150, and log z at those points.
-        At beta = 1 the power is skipped: pow(x, 1) = x exactly."""
+        where it overflows), the mask of z > 1e150, and log z at those points."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(over="ignore"):
-            if beta == 1.0:
-                z = x / nu
-            else:
-                z = np.power(x, beta)
-                z /= nu
+            z = np.power(x, beta)
+            z /= nu
         far = z > 1e150
         return z, far, beta * np.log(x[far]) - math.log(nu)
 
     @staticmethod
     def _log_shape_factor(x, beta):
-        """log(beta x^(beta-1)) for x >= 0, a new array shaped like atleast_1d(x),
-        or the float 0 at beta = 1: the callers subtract from it into a new array."""
-        if beta == 1.0:
-            return 0.0
+        """log(beta x^(beta-1)) for x >= 0, a new array shaped like atleast_1d(x) (0 at beta = 1)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        if beta == 1.0:
+            return np.zeros(x.shape)
         with np.errstate(divide="ignore"):
             out = np.log(x)
         out *= beta - 1.0
@@ -159,8 +152,9 @@ class _PowerTail:
     @classmethod
     def log_pdf(cls, x, nu, beta):
         z, far, log_z = cls._scaled_power(x, nu, beta)
+        out = cls._log_shape_factor(x, beta)
         with np.errstate(over="ignore", invalid="ignore"):  # only at far points
-            out = cls._less_log_density(cls._log_shape_factor(x, beta), z, nu)
+            cls._subtract_log_density(out, z, nu)
         out[far] = cls._log_hazard_far(log_z, nu, beta) - nu * (log_z + cls._LINK_FAR)
         return out.reshape(np.shape(x))
 
@@ -168,9 +162,9 @@ class _PowerTail:
     def hazard(cls, x, nu, beta):
         # Directly, not as log_pdf - log_survival: those cancel to a few ulp of nu g(z).
         z, far, log_z = cls._scaled_power(x, nu, beta)
+        out = cls._log_shape_factor(x, beta)
         with np.errstate(over="ignore", invalid="ignore"):  # only at far points
-            log_inv_slope = cls._log_inv_slope(z)
-            out = np.subtract(cls._log_shape_factor(x, beta), log_inv_slope, out=log_inv_slope)
+            out -= cls._log_inv_slope(z)
         out[far] = cls._log_hazard_far(log_z, nu, beta)
         return np.exp(out, out=out).reshape(np.shape(x))
 
@@ -238,10 +232,10 @@ class BurrXII(_PowerTail):
         return np.log1p(z, out=z)
 
     @staticmethod
-    def _less_log_density(shape, z, nu):
+    def _subtract_log_density(out, z, nu):
         log1p_z = np.log1p(z, out=z)  # once: g and log(1/g') are the same array
         log1p_z *= nu + 1.0
-        return np.subtract(shape, log1p_z, out=log1p_z)
+        out -= log1p_z
 
     @classmethod
     def _score_terms(cls, z, far, log_z, nu):
@@ -382,7 +376,7 @@ class _IncompleteBeta:
             grad = [n * beta - (a + (beta - 1.0) * k) * sum_rho - sum_m,
                     -nu * nu * (cls._A * (remainder.sum() + n * _psi_remainder(a, beta))
                                 - ((beta - 1.0) * k * sum_rho + sum_m) / nu),
-                    beta * (log_complement.sum() - n * float(sc.psi(a + beta) - sc.psi(beta)))]
+                    beta * (log_complement.sum() - n * (digamma(a + beta) - digamma(beta)))]
             if eta is not None:
                 w = rho * (a + (beta - 1.0) * k)
                 w += m

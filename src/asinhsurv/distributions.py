@@ -171,13 +171,11 @@ class _GenWeibull(baselines._PowerTail):
         return log_c
 
     @classmethod
-    def _less_log_density(cls, shape, z, nu):
-        log_c = cls._log_inv_slope(z)
-        out = np.subtract(shape, log_c, out=log_c)
+    def _subtract_log_density(cls, out, z, nu):
+        out -= cls._log_inv_slope(z)
         nu_asinh = np.arcsinh(z, out=z)
         nu_asinh *= nu
         out -= nu_asinh
-        return out
 
     @classmethod
     def _score_terms(cls, z, far, log_z, nu):

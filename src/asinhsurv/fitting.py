@@ -21,23 +21,23 @@ not an optimum.  The optimiser's own status is not used, because its line
 search can stop at the optimum with an "abnormal termination" when the
 likelihood is flat.
 
-A fit starts from the base start (the sample mean as scale, nu = 1e3)
-alone.  The heavy-tail start (median-matched scale, nu = 2) runs as well
-only where the base fit leaves room for a second optimum: it is
-unconverged, it stops with theta below 1e-4 (at or beside the nu cap: the
-genexp log-survival is even in theta to second order, so a base fit can
-stop at a stationary point beside the exponential limit), or the score's
-NLL, taken at t = 0, 1/4, 1/2 and 3/4 along the segment from the heavy start
-to the base fit and at the fit itself, does not fall strictly.  Samples of
-ten with one outlier can hold two genexp optima, one of them interior.  Of
-the starts that ran, the lower negative log likelihood wins, with its own
-``converged`` flag.  A base fit that passes all three tests is an interior
-optimum, but the heavy start may still find a lower NLL on an edge of the
-box, where the likelihood has no interior maximum (log beta at its bound,
-or eta at the smallest point); the fit keeps its interior optimum then.
-There is no second optimiser: a fit that fails the convergence test from
-every start it ran is returned with ``converged`` False.  Then there is no
-interior maximum to find: beta runs to its bound e^7 on a small sample, or,
+A fit starts from the base start (the sample mean as scale, nu = 1e3).
+The heavy-tail start (median-matched scale, nu = 2) runs as well wherever
+the base fit leaves room for a lower NLL elsewhere.  With log beta or eta
+free it always does: the NLL's infimum can lie on an edge of the box (log
+beta at its bound, or eta at the smallest point) even when the base fit is
+a converged interior optimum, and no test of the base fit rules that out.
+Otherwise (genexp, Lomax and genexp2 at a fixed location) it runs when the
+base fit is unconverged, stops with theta below 1e-4 (at or beside the nu
+cap: the genexp log-survival is even in theta to second order, so a base
+fit can stop at a stationary point beside the exponential limit), or the
+score's NLL, taken at t = 0, 1/4, 1/2 and 3/4 along the segment from the
+heavy start to the base fit and at the fit itself, does not fall strictly.
+Samples of ten with one outlier can hold two genexp optima, one of them
+interior.  Of the starts that ran, the lower negative log likelihood wins,
+with its own ``converged`` flag.  There is no second optimiser: a fit that
+fails the convergence test from every start it ran is returned with
+``converged`` False.  Then there is no interior maximum to find: beta runs to its bound e^7 on a small sample, or,
 with a free location and beta < 1, the likelihood grows without bound as
 eta approaches the smallest observation (Smith 1985, Biometrika 72:67).
 """
@@ -266,9 +266,12 @@ def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str]) -> FitRes
 
     best, converged = run(base)
     iterations = best.nit
-    # A second optimum is possible when the base fit is unconverged, stops at
-    # or beside the nu cap, or the NLL rises somewhere on the way from the heavy start.
-    if not (converged and not _near_exponential(names, best.x) and _descends_to(fun, heavy, best)):
+    # With log beta or eta free the NLL's infimum can lie on an edge of the box,
+    # which no test of the base fit rules out.  Otherwise a second optimum is
+    # possible when the base fit is unconverged, stops at or beside the nu cap,
+    # or the NLL rises somewhere on the way from the heavy start.
+    if ("log_beta" in names or "eta" in names or not converged
+            or _near_exponential(names, best.x) or not _descends_to(fun, heavy, best)):
         res, res_converged = run(heavy)
         iterations += res.nit
         if res.fun < best.fun:
@@ -283,8 +286,9 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
 
     The exponential with fixed location has a closed form.  Every other fit
     runs L-BFGS-B on the kernel's closed-form score from the base start, and
-    from the heavy-tail start too unless the base fit converges with theta
-    at least 1e-4, on a slope that falls all the way from the heavy start.
+    from the heavy-tail start too if log beta or eta is free, or unless the
+    base fit converges with theta at least 1e-4, on a slope that falls all
+    the way from the heavy start.
     A fit that fails the convergence test, or stops with beta at its bound,
     is returned with ``converged`` False (see the module docstring).
 

@@ -187,7 +187,13 @@ def beta_fn(a, b):
 
 
 def digamma(a):
-    """Digamma (psi) function for a > 0 (``scipy.special.psi``)."""
+    """Digamma (psi) function for a > 0 (``scipy.special.psi``).  Scalars stay
+    off numpy's array checks, as in ``log_beta``: the likelihood scores call it
+    per evaluation."""
+    if isinstance(a, (int, float)):
+        if not a > 0.0:
+            raise DomainError("digamma requires a > 0 (not NaN)")
+        return float(sc.psi(a))
     arr, scalar = _as_float_array(a)
     if not (arr > 0.0).all():
         raise DomainError("digamma requires a > 0 (not NaN)")
