@@ -1,25 +1,27 @@
 """Maximum-likelihood fitting of any family member to a univariate sample.
 
-The optimiser works in transformed coordinates: log tau and log beta are
-free, while the tail index is handled as theta = 1/nu on [1e-6, 1e3] so
-that the exponential limit nu -> infinity is a reachable boundary point
-(theta -> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).
-Light-tailed data drives theta to that bound; ``FitResult.at_nu_bound``
-flags it.
+Every fit works on four fixed slots, (log tau, theta, log beta, eta), the
+order of every kernel's score gradient.  A free mask marks the slots the
+family fits; a slot that is not free holds its pinned value, theta = 1,
+log beta = 0 or eta = 0, which gives nu = beta = 1 where a family ignores
+them.  The tail index is fitted as theta = 1/nu on [1e-6, 1e3], so that
+the exponential limit nu -> infinity is a reachable boundary point (theta
+-> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).  Light-tailed
+data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
 
 Every fit but the closed-form exponential is made by the bounded
 quasi-Newton method L-BFGS-B on the kernel's closed-form score:
 ``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
-with an eta component when the location is free.  genexp and Lomax run the
-genweibull and Burr XII scores at log_beta = 0, a pinned log_beta's
-component is dropped, and the exponential's and genexp2's scores ignore
-what they do not use.  The reported NLL is taken from the kernel's
-``log_pdf``, as ``neg_log_likelihood`` takes it.  A fit is ``converged`` when
-the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|) and
-beta is not at its bound e^7 or e^-7: that bound is the edge of the box,
-not an optimum.  The optimiser's own status is not used, because its line
-search can stop at the optimum with an "abnormal termination" when the
-likelihood is flat.
+with an eta component when the location is free, and the fit keeps the
+components of its free slots.  genexp and Lomax run the genweibull and
+Burr XII scores at log_beta = 0, and the exponential's and genexp2's
+scores ignore what they do not use.  The reported NLL is
+``neg_log_likelihood`` of the fitted handle.  A fit is ``converged`` when
+the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
+beta is not at its bound e^7 or e^-7 and theta is not at its upper bound
+1e3 (nu = 1e-3): those are edges of the box, not optima.  The optimiser's
+own status is not used, because its line search can stop at the optimum
+with an "abnormal termination" when the likelihood is flat.
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3).
 The heavy-tail start (median-matched scale, nu = 2) runs as well wherever
@@ -37,9 +39,12 @@ Samples of ten with one outlier can hold two genexp optima, one of them
 interior.  Of the starts that ran, the lower negative log likelihood wins,
 with its own ``converged`` flag.  There is no second optimiser: a fit that
 fails the convergence test from every start it ran is returned with
-``converged`` False.  Then there is no interior maximum to find: beta runs to its bound e^7 on a small sample, or,
-with a free location and beta < 1, the likelihood grows without bound as
-eta approaches the smallest observation (Smith 1985, Biometrika 72:67).
+``converged`` False.  Then there is no interior maximum to find: beta runs
+to its bound e^7 on a small sample; on ten draws with a tail index near
+1/4 the likelihood rises along a ridge, nu -> 0 and beta -> infinity, to
+theta's bound; or, with a free location and beta < 1, the likelihood grows
+without bound as eta approaches the smallest observation (Smith 1985,
+Biometrika 72:67).
 """
 
 from __future__ import annotations
@@ -62,7 +67,10 @@ _LOG_TAU_BOUND = 40.0
 _LOG_BETA_BOUND = 7.0
 _MAX_ITER = 4000  # per L-BFGS-B run
 _THETA_NEAR_EXP = 1e-4  # a base fit below this theta also runs the heavy-tail start
-_COMPONENTS = ("log_tau", "theta", "log_beta", "eta")  # the order of every score's gradient
+# The slots of every fit, in the order of every score's gradient, and the
+# values of the slots a family does not fit: nu = beta = 1, eta = 0.
+_LOG_TAU, _THETA, _LOG_BETA, _ETA = range(4)
+_PINNED = np.array([0.0, 1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -124,112 +132,57 @@ def neg_log_likelihood(handle: DistributionHandle, sample: Sample) -> float:
     return float(-total)
 
 
-def _free_parameter_names(family: Family, opts: FitOptions, x: np.ndarray) -> list[str]:
+def _box(family: Family, opts: FitOptions, x: np.ndarray):
+    """The free mask over the slots (log_tau, theta, log_beta, eta), the
+    bounds of the free slots, and the base and heavy starts clipped to them."""
     kernel = _KERNELS[family]
-    names = ["log_tau"]
-    if kernel.uses_nu:
-        names.append("theta")
     # At a fixed location a point x = 0 makes the likelihood 0 for beta > 1 and
     # unbounded for beta < 1, so beta is pinned at 1.
-    if kernel.uses_beta and (opts.free_eta or not np.any(x == 0.0)):
-        names.append("log_beta")
-    if opts.free_eta:
-        names.append("eta")
-    return names
-
-
-def _unpack(names: list[str], vec: np.ndarray) -> tuple[float, float, float, float]:
-    """(nu, beta, tau, eta) as plain floats from an optimiser vector."""
-    values = dict(zip(names, vec))
-    nu = 1.0 / values["theta"] if "theta" in values else 1.0
-    beta = math.exp(values["log_beta"]) if "log_beta" in values else 1.0
-    return float(nu), float(beta), math.exp(values["log_tau"]), float(values.get("eta", 0.0))
-
-
-def _bounds(names: list[str], x: np.ndarray) -> Bounds:
-    lo, hi = [], []
-    for name in names:
-        if name == "log_tau":
-            lo.append(-_LOG_TAU_BOUND)
-            hi.append(_LOG_TAU_BOUND)
-        elif name == "theta":
-            lo.append(_THETA_MIN)
-            hi.append(_THETA_MAX)
-        elif name == "log_beta":
-            lo.append(-_LOG_BETA_BOUND)
-            hi.append(_LOG_BETA_BOUND)
-        else:  # eta must stay below the smallest observation
-            lo.append(float(np.min(x)) - 100.0 * (float(np.mean(x)) + 1.0))
-            hi.append(float(np.min(x)) * (1.0 - 1e-12) - 1e-300)
-    return Bounds(np.array(lo), np.array(hi))
-
-
-def _starts(names: list[str], x: np.ndarray) -> list[np.ndarray]:
-    mean = float(np.mean(x))
-    median = float(np.median(x))
+    flags = [True, kernel.uses_nu, kernel.uses_beta and (opts.free_eta or not np.any(x == 0.0)),
+             opts.free_eta]
+    k = sum(flags)
+    if x.size < k:  # before np.min, which an empty sample would fail
+        raise DomainError(f"need at least {k} observations to fit {family.value}, got {x.size}")
+    least, mean, median = float(np.min(x)), float(np.mean(x)), float(np.median(x))
+    # eta must stay below the smallest observation
+    lo = np.array([-_LOG_TAU_BOUND, _THETA_MIN, -_LOG_BETA_BOUND, least - 100.0 * (mean + 1.0)])
+    hi = np.array([_LOG_TAU_BOUND, _THETA_MAX, _LOG_BETA_BOUND, least * (1.0 - 1e-12) - 1e-300])
+    free = np.array(flags)
+    bounds = Bounds(lo[free], hi[free])
     scale_exp = max(mean, 1e-12)
     scale_mom = max(median / math.log(2.0), 1e-12) if median > 0.0 else scale_exp
-    base = {
-        "log_tau": math.log(scale_exp), "theta": 1e-3, "log_beta": 0.0, "eta": 0.0,
-    }
-    heavy = {
-        "log_tau": math.log(scale_mom), "theta": 0.5, "log_beta": 0.0, "eta": 0.0,
-    }
-    return [np.array([cfg[name] for name in names]) for cfg in (base, heavy)]
+    starts = [np.clip(np.array([math.log(scale), theta, 0.0, 0.0])[free], bounds.lb, bounds.ub)
+              for scale, theta in ((scale_exp, 1e-3), (scale_mom, 0.5))]
+    return free, bounds, starts
 
 
-def _objective(kernel, names: list[str], x: np.ndarray):
-    """Negative log likelihood of ``x`` as a function of the optimiser vector."""
+def _slots(free: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The slots (log_tau, theta, log_beta, eta), ``vec`` in the free ones."""
+    slots = _PINNED.copy()
+    slots[free] = vec
+    return slots
 
-    def objective(vec: np.ndarray) -> float:
-        nu, beta, tau, eta = _unpack(names, vec)
-        y = (x - eta) / tau
-        if np.any(y < 0.0):
-            return math.inf
+
+def _params(slots: np.ndarray) -> Params:
+    log_tau, theta, log_beta, eta = slots
+    return Params(nu=1.0 / theta, beta=math.exp(log_beta), tau=math.exp(log_tau), eta=eta)
+
+
+def _score(kernel, free: np.ndarray, x: np.ndarray):
+    """The kernel's NLL and its gradient in the free slots, as a function of
+    the free slots' values."""
+    slots = _PINNED.copy()
+    pick = np.flatnonzero(free)  # the gradient has an eta component only if eta is free
+    free_eta = bool(free[_ETA])
+
+    def score(vec: np.ndarray):
+        slots[pick] = vec
+        log_tau, theta, log_beta, eta = slots.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lp = kernel.log_pdf(y, nu, beta) - math.log(tau)
-        total = np.sum(lp)
-        if np.isnan(total):
-            return math.inf
-        return float(-total)
-
-    return objective
-
-
-def _at_nu_bound(names: list[str], vec: np.ndarray) -> bool:
-    """Whether theta sits at its lower bound, i.e. nu at the cap."""
-    return "theta" in names and bool(vec[names.index("theta")] <= _THETA_MIN * (1.0 + 1e-9))
-
-
-def _near_exponential(names: list[str], vec: np.ndarray) -> bool:
-    """Whether theta is below 1e-4, at or beside the nu cap."""
-    return "theta" in names and bool(vec[names.index("theta")] < _THETA_NEAR_EXP)
-
-
-def _at_beta_bound(names: list[str], vec: np.ndarray) -> bool:
-    """Whether log beta sits at either end of its box."""
-    return "log_beta" in names and bool(
-        abs(vec[names.index("log_beta")]) >= _LOG_BETA_BOUND * (1.0 - 1e-9))
-
-
-def _score(kernel, names: list[str], x: np.ndarray):
-    """The kernel's NLL and gradient as a function of the optimiser vector."""
-    if "eta" not in names:
-        def score(vec: np.ndarray):
-            # The names are a prefix of (log_tau, theta, log_beta); a pinned
-            # log_beta takes the score's default 0 and its component is dropped.
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                nll, grad = kernel.nll_score(x, *vec)
-            return nll, grad[:vec.size]
-        return score
-    # The score's gradient runs over (log_tau, theta, log_beta, eta).
-    pick = [_COMPONENTS.index(name) for name in names]
-
-    def score_with_eta(vec: np.ndarray):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nll, grad = kernel.nll_score(x, *vec[:-1], eta=vec[-1])
+            nll, grad = kernel.nll_score(x, log_tau, theta, log_beta,
+                                         eta=eta if free_eta else None)
         return nll, grad[pick]
-    return score_with_eta
+    return score
 
 
 def _descends_to(fun, start: np.ndarray, res) -> bool:
@@ -239,75 +192,69 @@ def _descends_to(fun, start: np.ndarray, res) -> bool:
     return bool(np.all(np.diff(path + [res.fun]) < 0.0))
 
 
-def _result(family: Family, names: list[str], vec: np.ndarray, nll: float,
-            converged: bool, iterations: int) -> FitResult:
-    nu, beta, tau, eta = _unpack(names, vec)
-    return FitResult(family, Params(nu=nu, beta=beta, tau=tau, eta=eta), nll,
-                     converged=bool(converged), iterations=int(iterations),
-                     at_nu_bound=_at_nu_bound(names, vec))
-
-
-def _fit_quasi_newton(family: Family, x: np.ndarray, names: list[str]) -> FitResult:
+def _fit_quasi_newton(family: Family, sample: Sample, free: np.ndarray, bounds: Bounds,
+                      starts: list[np.ndarray]) -> FitResult:
     """L-BFGS-B on the kernel's score from the base start and, if that fit
     leaves room for a second optimum, from the heavy-tail start."""
-    kernel = _KERNELS[family]
-    bounds = _bounds(names, x)
-    fun = _score(kernel, names, x)
+    fun = _score(_KERNELS[family], free, sample.values)
     options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER}
-    base, heavy = (np.clip(start, bounds.lb, bounds.ub) for start in _starts(names, x))
+    base, heavy = starts
 
     def run(start: np.ndarray):
         res = minimize(fun, start, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
         projected = np.clip(res.x - res.jac, bounds.lb, bounds.ub) - res.x
-        # log beta at its bound is the edge of the box, not an optimum.
+        slots = _slots(free, res.x)
+        # log beta at its bound, or theta at its upper bound, is the edge of
+        # the box, not an optimum.
         converged = (np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))
-                     and not _at_beta_bound(names, res.x))
-        return res, converged
+                     and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
+                     and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9))
+        return res, slots, converged
 
-    best, converged = run(base)
-    iterations = best.nit
+    first, slots, converged = run(base)
+    iterations = first.nit
     # With log beta or eta free the NLL's infimum can lie on an edge of the box,
     # which no test of the base fit rules out.  Otherwise a second optimum is
     # possible when the base fit is unconverged, stops at or beside the nu cap,
     # or the NLL rises somewhere on the way from the heavy start.
-    if ("log_beta" in names or "eta" in names or not converged
-            or _near_exponential(names, best.x) or not _descends_to(fun, heavy, best)):
-        res, res_converged = run(heavy)
-        iterations += res.nit
-        if res.fun < best.fun:
-            best, converged = res, res_converged
-    # Report the likelihood from the kernel's log_pdf, as neg_log_likelihood does.
-    return _result(family, names, best.x, _objective(kernel, names, x)(best.x), converged,
-                   iterations)
+    if (free[_LOG_BETA] or free[_ETA] or not converged
+            or slots[_THETA] < _THETA_NEAR_EXP or not _descends_to(fun, heavy, first)):
+        second, second_slots, second_converged = run(heavy)
+        iterations += second.nit
+        if second.fun < first.fun:
+            slots, converged = second_slots, second_converged
+    params = _params(slots)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nll = neg_log_likelihood(DistributionHandle(family, params), sample)
+    return FitResult(family, params, nll, converged=bool(converged), iterations=int(iterations),
+                     at_nu_bound=bool(slots[_THETA] <= _THETA_MIN * (1.0 + 1e-9)))
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
     The exponential with fixed location has a closed form.  Every other fit
-    runs L-BFGS-B on the kernel's closed-form score from the base start, and
-    from the heavy-tail start too if log beta or eta is free, or unless the
-    base fit converges with theta at least 1e-4, on a slope that falls all
-    the way from the heavy start.
-    A fit that fails the convergence test, or stops with beta at its bound,
-    is returned with ``converged`` False (see the module docstring).
+    runs L-BFGS-B over the free slots of (log_tau, theta, log_beta, eta),
+    the others pinned at theta = 1, log_beta = 0 and eta = 0, on the
+    kernel's closed-form score from the base start, and from the heavy-tail
+    start too if log beta or eta is free, or unless the base fit converges
+    with theta at least 1e-4, on a slope that falls all the way from the
+    heavy start.  A fit that fails the convergence test, or stops with beta
+    at its bound or theta at its upper bound 1e3, is returned with
+    ``converged`` False (see the module docstring).
 
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The
     families with a shape beta (genweibull, gengamma, Burr XII, cgamma) are
-    then fitted at beta = 1, where they are genexp or the Lomax.
+    then fitted at beta = 1, where they are genexp or the Lomax.  A sample
+    with fewer points than free slots raises ``DomainError``.
     """
     family = Family.parse(family)
     opts = options or FitOptions()
-    x = sample.values
-    names = _free_parameter_names(family, opts, x)
-    if len(sample) < len(names):
-        raise DomainError(
-            f"need at least {len(names)} observations to fit {family.value}, got {len(sample)}")
-
-    if family is Family.EXPONENTIAL and not opts.free_eta:
+    # An empty sample falls through to the size check in _box.
+    if family is Family.EXPONENTIAL and not opts.free_eta and len(sample):
         # Closed-form MLE: tau-hat is the sample mean, exactly.
-        tau_hat = float(np.mean(x))
+        tau_hat = float(np.mean(sample.values))
         if tau_hat <= 0.0:
             tau_hat = 1e-300
         params = Params(nu=1.0, tau=tau_hat)
@@ -315,7 +262,7 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
         return FitResult(family, params, nll, converged=True, iterations=0,
                          at_nu_bound=False)
 
-    return _fit_quasi_newton(family, x, names)
+    return _fit_quasi_newton(family, sample, *_box(family, opts, sample.values))
 
 
 _DEFAULT_FAMILIES = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)

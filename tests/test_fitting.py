@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 
 from asinhsurv import (
+    DistributionHandle,
     DomainError,
     Family,
     FitOptions,
@@ -353,13 +354,17 @@ def _nelder_mead_oracle(family, x, opts=FitOptions()):
     """The lowest NLL scipy's Nelder-Mead reaches from each of the fitter's
     two starts, each run restarted once from where it stopped."""
     family = Family.parse(family)
-    names = fitting._free_parameter_names(family, opts, x)
-    objective = fitting._objective(fitting._KERNELS[family], names, x)
-    bounds = fitting._bounds(names, x)
+    free, bounds, starts = fitting._box(family, opts, x)
+    sample = Sample(x)
+
+    def objective(vec):
+        handle = DistributionHandle(family, fitting._params(fitting._slots(free, vec)))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return neg_log_likelihood(handle, sample)
+
     options = {"xatol": 1e-9, "fatol": 1e-10, "maxiter": 4000, "maxfev": 8000}
     best = math.inf
-    for start in fitting._starts(names, x):
-        point = np.clip(start, bounds.lb, bounds.ub)
+    for point in starts:
         for _ in range(2):
             res = scipy.optimize.minimize(objective, point, method="Nelder-Mead",
                                           bounds=bounds, options=options)
@@ -409,28 +414,24 @@ def test_score_families_take_quasi_newton(monkeypatch):
         methods.clear()
 
 
-def _two_start_oracle(family, x):
-    """(nll, converged, at_nu_bound) of L-BFGS-B on the genexp or Lomax score
-    from each of the fitter's two starts, without the fitter's start rule."""
+def _two_start_runs(family, x, opts=FitOptions()):
+    """(nll, converged, at_nu_bound) of L-BFGS-B on the kernel's score from each
+    of the fitter's two starts, without the fitter's start rule; a run that
+    stops with log beta at its bound or theta at its upper bound 1e3 is
+    unconverged."""
     family = Family.parse(family)
-    kernel = fitting._KERNELS[family]
-    names = fitting._free_parameter_names(family, FitOptions(), x)
-    bounds = fitting._bounds(names, x)
-
-    def score(vec):
-        # The genweibull and Burr XII scores at beta = 1: drop the log_beta component.
-        nll, grad = kernel.nll_score(x, *vec)
-        return nll, grad[:2]
-
+    free, bounds, starts = fitting._box(family, opts, x)
+    score = fitting._score(fitting._KERNELS[family], free, x)
     runs = []
-    for start in fitting._starts(names, x):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            res = scipy.optimize.minimize(
-                score, np.clip(start, bounds.lb, bounds.ub), method="L-BFGS-B", jac=True,
-                bounds=bounds, options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 4000})
+    for start in starts:
+        res = scipy.optimize.minimize(
+            score, start, method="L-BFGS-B", jac=True,
+            bounds=bounds, options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 4000})
         projected = np.clip(res.x - res.jac, bounds.lb, bounds.ub) - res.x
-        runs.append((res.fun, bool(np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))),
-                     bool(res.x[1] <= 1e-6 * (1.0 + 1e-9))))
+        _, theta, log_beta, _ = fitting._slots(free, res.x)
+        converged = (np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))
+                     and abs(log_beta) < 7.0 * (1.0 - 1e-9) and theta < 1e3 * (1.0 - 1e-9))
+        runs.append((res.fun, bool(converged), bool(theta <= 1e-6 * (1.0 + 1e-9))))
     return runs
 
 
@@ -446,7 +447,7 @@ _TWO_OPTIMA = [
 
 @pytest.mark.parametrize("x, nll, base_only_nll", _TWO_OPTIMA, ids=["interior", "at-nu-cap"])
 def test_genexp_keeps_the_lower_of_two_optima(monkeypatch, x, nll, base_only_nll):
-    base, heavy = _two_start_oracle("genexp", x)
+    base, heavy = _two_start_runs("genexp", x)
     assert base[0] == pytest.approx(base_only_nll, rel=1e-12)
     assert heavy[0] == pytest.approx(nll, rel=1e-12)
     methods = _record_methods(monkeypatch)
@@ -473,31 +474,9 @@ def test_one_start_rule_matches_a_two_start_oracle():
     for x in _oracle_samples():
         for family in ("genexp", "lomax"):
             result = fit_mle(family, Sample(x))
-            nll, converged, at_bound = min(_two_start_oracle(family, x), key=lambda run: run[0])
+            nll, converged, at_bound = min(_two_start_runs(family, x), key=lambda run: run[0])
             assert result.neg_log_lik <= nll + 1e-10 * abs(nll), (family, x)
             assert (result.converged, result.at_nu_bound) == (converged, at_bound), (family, x)
-
-
-def _two_start_runs(family, x, opts=FitOptions()):
-    """(nll, converged, at_nu_bound) of L-BFGS-B on the kernel's score from each
-    of the fitter's two starts, without the fitter's start rule; a run that
-    stops with log beta at its bound is unconverged."""
-    family = Family.parse(family)
-    names = fitting._free_parameter_names(family, opts, x)
-    bounds = fitting._bounds(names, x)
-    score = fitting._score(fitting._KERNELS[family], names, x)
-    runs = []
-    for start in fitting._starts(names, x):
-        res = scipy.optimize.minimize(
-            score, np.clip(start, bounds.lb, bounds.ub), method="L-BFGS-B", jac=True,
-            bounds=bounds, options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 4000})
-        projected = np.clip(res.x - res.jac, bounds.lb, bounds.ub) - res.x
-        at_beta_bound = ("log_beta" in names
-                         and abs(res.x[names.index("log_beta")]) >= 7.0 * (1.0 - 1e-9))
-        converged = np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun)) and not at_beta_bound
-        at_bound = "theta" in names and res.x[1] <= 1e-6 * (1.0 + 1e-9)
-        runs.append((res.fun, bool(converged), bool(at_bound)))
-    return runs
 
 
 def _new_score_samples():
@@ -605,9 +584,10 @@ def test_zero_in_the_sample_pins_beta_at_one(family, beta_one):
         assert (result.estimates, result.neg_log_lik) == (nested.estimates, nested.neg_log_lik)
     else:
         assert result.neg_log_lik == pytest.approx(nested.neg_log_lik, rel=1e-10)
-    free = fitting._free_parameter_names(Family.parse(family), FitOptions(free_eta=True),
-                                         np.array(_WITH_ZERO))
-    assert "log_beta" in free
+    for free_eta in (False, True):
+        free, _, _ = fitting._box(Family.parse(family), FitOptions(free_eta=free_eta),
+                                  np.array(_WITH_ZERO))
+        assert free[fitting._LOG_BETA] == free_eta
 
 
 def _nesting_sample(kind, n):
@@ -650,6 +630,33 @@ def test_fits_without_an_interior_maximum_are_flagged():
     assert not result.converged
     assert result.estimates.beta < 1.0
     assert result.estimates.eta == pytest.approx(float(np.min(x)), rel=1e-11)
+
+
+@pytest.mark.parametrize("family", ["genweibull", "burr12"])
+def test_fit_at_the_theta_bound_is_flagged(family):
+    # On ten draws with tail index 1/4 the likelihood rises along a ridge,
+    # nu -> 0 and beta -> infinity, to theta's upper bound 1e3: an edge of
+    # the box, not an optimum.
+    x = make_handle("genweibull", nu=0.5, beta=0.5).sample(10, make_stream(11, 10, 8, 5, 5))
+    result = fit_mle(family, Sample(x))
+    assert result.estimates.nu == pytest.approx(1e-3, rel=1e-9)
+    assert not result.converged and not result.at_nu_bound
+
+
+# Each family with the number of its free slots, at a fixed and a free location.
+_FREE_SLOTS = {"exp": (1, 2), "genexp": (2, 3), "lomax": (2, 3), "genexp2": (2, 3),
+               "genweibull": (3, 4), "gengamma": (3, 4), "burr12": (3, 4), "cgamma": (3, 4)}
+
+
+@pytest.mark.parametrize("free_eta", [False, True], ids=["fixed", "free_eta"])
+@pytest.mark.parametrize("family", sorted(_FREE_SLOTS))
+def test_too_few_observations_raise_domain_error(family, free_eta):
+    k = _FREE_SLOTS[family][free_eta]
+    opts = FitOptions(free_eta=free_eta)
+    for size in {0, k - 1}:
+        with pytest.raises(DomainError, match=f"need at least {k} observations"):
+            fit_mle(family, Sample([1.0, 2.0, 3.0][:size]), opts)
+    assert math.isfinite(fit_mle(family, Sample([1.0, 2.0, 3.0, 5.0][:k]), opts).neg_log_lik)
 
 
 def test_gengamma_and_cgamma_grid():
