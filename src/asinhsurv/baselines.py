@@ -29,12 +29,26 @@ __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
 
 _LOG1P_SERIES_BELOW = 1e-4
+_LOG1P_CUBIC_SERIES_BELOW = 1e-2
 
 
 def _log1p_less_ratio(z):
     """log1p(z) - z/(1 + z) for z < ``_LOG1P_SERIES_BELOW``, by its series z^2/2 - 2z^3/3
     + 3z^4/4 - 4z^5/5: the difference itself cancels there."""
     return z * z * (0.5 + z * (-2.0 / 3.0 + z * (0.75 - z * 0.8)))
+
+
+def _log1p_cubic_remainder(q):
+    """2 (log1p z - q) - q^2 at q = z/(1 + z) < ``_LOG1P_CUBIC_SERIES_BELOW``, which is
+    2 sum_{k >= 3} q^k/k as log1p z = -log(1 - q), by its terms up to q^10: the
+    difference itself cancels there, its two O(q^2) terms leaving O(q^3)."""
+    out = q * 0.1
+    for k in range(9, 2, -1):
+        out += 1.0 / k
+        out *= q
+    out *= q * q
+    out *= 2.0
+    return out
 
 
 class Exponential:
@@ -94,7 +108,8 @@ class _PowerTail:
     ``_link`` and ``_inverse``, ``_LINK_FAR`` = g(z) - log z far out,
     ``_log_inv_slope(z)`` = log(1/g'(z)), ``_subtract_log_density(out, z,
     nu)``, which takes nu g(z) + log(1/g'(z)) from ``out`` in the link's own
-    rounding order, and ``_score_terms``; each may overwrite z.
+    rounding order, and the sums ``_score_terms`` and ``_hessian_terms``; each
+    may overwrite z.
 
     z overflows for moderate x and beta, so past z = 1e150 the kernel works
     from log z: there g(z) = log z + ``_LINK_FAR`` and log(1/g'(z)) = log z
@@ -201,6 +216,35 @@ class _PowerTail:
         return nll, np.array(grad)
 
     @classmethod
+    def nll_hessian(cls, x, log_tau, theta):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
+        beta = 1 and location 0, with its gradient and Hessian in (log_tau,
+        theta), all as Python floats: ``nll, (g_tau, g_theta), (h_tau_tau,
+        h_tau_theta, h_theta_theta)``.
+
+        With z = theta x/tau, t = z g'(z), m = -z g''(z)/g'(z) and d the
+        operator z d/dz, the gradient is n - nu sum t - sum m and
+        nu sum m - nu^2 sum (g - t), and the Hessian is nu sum dt + sum dm,
+        nu^2 sum (t - dt) - nu sum dm and nu^2 sum (dm - m) + nu^3 sum w, with
+        w = 2 (g - t) - (t - dt).  ``_hessian_terms`` forms each sum free of
+        cancellation: at g = log1p and small z, w is O(z^3), not the difference
+        of two O(z^2) terms.
+        """
+        nu = 1.0 / theta
+        # z, and the link's terms, overflow only where far.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x * (theta * math.exp(-log_tau))
+            far = z > 1e150
+            log_z = np.log(x[far]) + (math.log(theta) - log_tau)
+            (nll_link, sum_t, sum_m, sum_g_less_t, sum_dt, sum_dm, sum_t_less_dt, sum_dm_less_m,
+             sum_w) = map(float, cls._hessian_terms(z, far, log_z, nu))
+        n = x.size
+        grad = (n - nu * sum_t - sum_m, nu * sum_m - nu * nu * sum_g_less_t)
+        hess = (nu * sum_dt + sum_dm, nu * nu * sum_t_less_dt - nu * sum_dm,
+                nu * nu * (sum_dm_less_m + nu * sum_w))
+        return n * log_tau + nll_link, grad, hess
+
+    @classmethod
     def _x_from_hazard(cls, h, nu, beta):
         """The x with cumulative hazard -log S(x) = h; inf, quietly, where it overflows."""
         with np.errstate(over="ignore"):
@@ -254,6 +298,28 @@ class BurrXII(_PowerTail):
         h[small] = _log1p_less_ratio(zs)
         q *= nu + 1.0
         return nll_link, 0.0, (nu + 1.0) * sum_q, sum_q, h, q
+
+    @classmethod
+    def _hessian_terms(cls, z, far, log_z, nu):
+        """The sums of ``nll_hessian`` at g = log1p, where t = m = q = z/(1 + z),
+        dt = dm = q/(1 + z), t - dt = q^2 = m - dm and g - t = (w + q^2)/2:
+        (nu + 1) sum log1p z, sum q twice, sum (g - q), sum dq twice, sum q^2,
+        -sum q^2 and sum w."""
+        one_z = z + 1.0
+        q = np.divide(z, one_z)
+        q[far] = 1.0
+        dq = np.divide(q, one_z, out=one_z)  # 0 where z = inf
+        h = cls._g(z, far, log_z)
+        nll_link = (nu + 1.0) * h.sum()
+        q2 = q * q
+        w = np.subtract(h, q, out=h)
+        w *= 2.0
+        w -= q2
+        small = q < _LOG1P_CUBIC_SERIES_BELOW
+        w[small] = _log1p_cubic_remainder(q[small])
+        sum_q, sum_dq, sum_q2, sum_w = q.sum(), dq.sum(), q2.sum(), w.sum()
+        return (nll_link, sum_q, sum_q, 0.5 * (sum_w + sum_q2), sum_dq, sum_dq, sum_q2, -sum_q2,
+                sum_w)
 
     @staticmethod
     def raw_moment(n, nu, beta):

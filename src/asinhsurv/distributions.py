@@ -196,6 +196,32 @@ class _GenWeibull(baselines._PowerTail):
         k *= t
         return nll_link, nll_slope, k.sum(), sum_t2, g, k
 
+    @classmethod
+    def _hessian_terms(cls, z, far, log_z, nu):
+        """The sums of ``nll_hessian`` at g = asinh, where t = z/c, m = t^2,
+        dt = t/c^2, dm = 2 t^2/c^2, t - dt = t^3 and dm - m = t^2 - 2 t^4:
+        nu sum asinh z + sum log c, sum t, sum t^2, sum (asinh z - t), sum dt,
+        sum dm, sum t^3, sum t^2 - 2 sum t^4 and 2 sum (asinh z - t) - sum t^3.
+        At small z the last is -z^3/3 per point: its two terms do not cancel."""
+        c2 = np.multiply(z, z)
+        log_c = np.log1p(c2)
+        log_c[far] = 2.0 * log_z
+        c2 += 1.0
+        inv_c2 = np.reciprocal(c2, out=c2)  # 0 where far
+        t = np.sqrt(inv_c2)
+        t *= z
+        t[far] = 1.0
+        small = z < _ASINH_SERIES_BELOW
+        zs = z[small]
+        g = cls._g(z, far, log_z)
+        nll_link = nu * g.sum() + 0.5 * log_c.sum()
+        g -= t
+        g[small] = _asinh_less_ratio(zs)
+        t2 = t * t
+        sum_t2, sum_t3, sum_g_less_t = t.dot(t), t2.dot(t), g.sum()
+        return (nll_link, t.sum(), sum_t2, sum_g_less_t, t.dot(inv_c2), 2.0 * t2.dot(inv_c2),
+                sum_t3, sum_t2 - 2.0 * t2.dot(t2), 2.0 * sum_g_less_t - sum_t3)
+
     @staticmethod
     def raw_moment(n, nu, beta):
         if n >= beta * nu:

@@ -9,19 +9,27 @@ the exponential limit nu -> infinity is a reachable boundary point (theta
 -> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).  Light-tailed
 data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
 
-Every fit but the closed-form exponential is made by the bounded
+Every fit but the closed-form exponential runs one of two bounded
+optimisers, chosen by the free mask and the kernel alone.  A fit whose free
+slots are exactly (log_tau, theta), on a kernel with ``nll_hessian`` (the
+power-tail kernel at beta = 1 and a fixed location), runs projected Newton
+(Bertsekas 1982) on the closed-form NLL, gradient and Hessian: genexp and
+the Lomax, and genweibull and Burr XII on a sample holding 0, where beta is
+pinned and each fit is its beta = 1 member's.  Every other fit (log beta
+free, eta free, genexp2, gengamma, cgamma) falls back to the bounded
 quasi-Newton method L-BFGS-B on the kernel's closed-form score:
 ``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
 with an eta component when the location is free, and the fit keeps the
 components of its free slots.  genexp and Lomax run the genweibull and
-Burr XII scores at log_beta = 0, and the exponential's and genexp2's
+Burr XII kernels at log_beta = 0, and the exponential's and genexp2's
 scores ignore what they do not use.  The reported NLL is
 ``neg_log_likelihood`` of the fitted handle.  A fit is ``converged`` when
 the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
 beta is not at its bound e^7 or e^-7 and theta is not at its upper bound
 1e3 (nu = 1e-3): those are edges of the box, not optima.  The optimiser's
 own status is not used, because its line search can stop at the optimum
-with an "abnormal termination" when the likelihood is flat.
+with an "abnormal termination" when the likelihood is flat.  Newton runs
+further, to a projected gradient of at most 1e-10 (1 + |nll|).
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3).
 The heavy-tail start (median-matched scale, nu = 2) runs as well wherever
@@ -33,12 +41,12 @@ Otherwise (genexp, Lomax and genexp2 at a fixed location) it runs when the
 base fit is unconverged, stops with theta below 1e-4 (at or beside the nu
 cap: the genexp log-survival is even in theta to second order, so a base
 fit can stop at a stationary point beside the exponential limit), or the
-score's NLL, taken at t = 0, 1/4, 1/2 and 3/4 along the segment from the
+NLL, taken at t = 0, 1/4, 1/2 and 3/4 along the segment from the
 heavy start to the base fit and at the fit itself, does not fall strictly.
 Samples of ten with one outlier can hold two genexp optima, one of them
 interior.  Of the starts that ran, the lower negative log likelihood wins,
-with its own ``converged`` flag.  There is no second optimiser: a fit that
-fails the convergence test from every start it ran is returned with
+with its own ``converged`` flag.  There is no refit by another optimiser: a
+fit that fails the convergence test from every start it ran is returned with
 ``converged`` False.  Then there is no interior maximum to find: beta runs
 to its bound e^7 on a small sample; on ten draws with a tail index near
 1/4 the likelihood rises along a ridge, nu -> 0 and beta -> infinity, to
@@ -66,6 +74,7 @@ _THETA_MAX = 1e3
 _LOG_TAU_BOUND = 40.0
 _LOG_BETA_BOUND = 7.0
 _MAX_ITER = 4000  # per L-BFGS-B run
+_NEWTON_MAX_ITER = 200  # per Newton run
 _THETA_NEAR_EXP = 1e-4  # a base fit below this theta also runs the heavy-tail start
 # The slots of every fit, in the order of every score's gradient, and the
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
@@ -111,7 +120,8 @@ class FitOptions:
 class FitResult:
     """Estimates and diagnostics from one maximum-likelihood fit.
 
-    ``iterations`` counts the L-BFGS-B iterations over the starts that ran.
+    ``iterations`` counts the Newton or L-BFGS-B iterations over the starts
+    that ran.
     """
 
     family: Family
@@ -134,29 +144,35 @@ def neg_log_likelihood(handle: DistributionHandle, sample: Sample) -> float:
 
 def _box(family: Family, opts: FitOptions, x: np.ndarray):
     """The free mask over the slots (log_tau, theta, log_beta, eta), the
-    bounds of the free slots, and the base and heavy starts clipped to them."""
+    bounds (lo, hi) of the free slots, and the base and heavy starts clipped
+    to them; bounds and starts are lists of floats."""
     kernel = _KERNELS[family]
-    # At a fixed location a point x = 0 makes the likelihood 0 for beta > 1 and
-    # unbounded for beta < 1, so beta is pinned at 1.
-    flags = [True, kernel.uses_nu, kernel.uses_beta and (opts.free_eta or not np.any(x == 0.0)),
-             opts.free_eta]
-    k = sum(flags)
-    if x.size < k:  # before np.min, which an empty sample would fail
+    least = float(x.min()) if x.size else math.inf
+    # At a fixed location a point x = 0 (the least, as x >= 0) makes the likelihood
+    # 0 for beta > 1 and unbounded for beta < 1, so beta is pinned at 1.
+    free = np.array([True, kernel.uses_nu,
+                     kernel.uses_beta and (opts.free_eta or least != 0.0), opts.free_eta])
+    k = int(free.sum())
+    if x.size < k:
         raise DomainError(f"need at least {k} observations to fit {family.value}, got {x.size}")
-    least, mean, median = float(np.min(x)), float(np.mean(x)), float(np.median(x))
+    mean, half = float(x.sum()) / x.size, x.size // 2
+    middle = np.partition(x, [(x.size - 1) // 2, half])
+    median = float(middle[half]) if x.size % 2 else float(middle[half - 1] + middle[half]) / 2.0
+    pick = np.flatnonzero(free).tolist()
     # eta must stay below the smallest observation
-    lo = np.array([-_LOG_TAU_BOUND, _THETA_MIN, -_LOG_BETA_BOUND, least - 100.0 * (mean + 1.0)])
-    hi = np.array([_LOG_TAU_BOUND, _THETA_MAX, _LOG_BETA_BOUND, least * (1.0 - 1e-12) - 1e-300])
-    free = np.array(flags)
-    bounds = Bounds(lo[free], hi[free])
+    lo = [(-_LOG_TAU_BOUND, _THETA_MIN, -_LOG_BETA_BOUND, least - 100.0 * (mean + 1.0))[i]
+          for i in pick]
+    hi = [(_LOG_TAU_BOUND, _THETA_MAX, _LOG_BETA_BOUND, least * (1.0 - 1e-12) - 1e-300)[i]
+          for i in pick]
     scale_exp = max(mean, 1e-12)
     scale_mom = max(median / math.log(2.0), 1e-12) if median > 0.0 else scale_exp
-    starts = [np.clip(np.array([math.log(scale), theta, 0.0, 0.0])[free], bounds.lb, bounds.ub)
+    starts = [[min(max((math.log(scale), theta, 0.0, 0.0)[i], lo_i), hi_i)
+               for i, lo_i, hi_i in zip(pick, lo, hi)]
               for scale, theta in ((scale_exp, 1e-3), (scale_mom, 0.5))]
-    return free, bounds, starts
+    return free, (lo, hi), starts
 
 
-def _slots(free: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def _slots(free: np.ndarray, vec) -> np.ndarray:
     """The slots (log_tau, theta, log_beta, eta), ``vec`` in the free ones."""
     slots = _PINNED.copy()
     slots[free] = vec
@@ -175,7 +191,7 @@ def _score(kernel, free: np.ndarray, x: np.ndarray):
     pick = np.flatnonzero(free)  # the gradient has an eta component only if eta is free
     free_eta = bool(free[_ETA])
 
-    def score(vec: np.ndarray):
+    def score(vec):
         slots[pick] = vec
         log_tau, theta, log_beta, eta = slots.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -185,44 +201,153 @@ def _score(kernel, free: np.ndarray, x: np.ndarray):
     return score
 
 
-def _descends_to(fun, start: np.ndarray, res) -> bool:
-    """Whether the score's NLL falls strictly along the segment from ``start``
-    to the fit ``res``, sampled at t = 0, 1/4, 1/2 and 3/4 and at the fit."""
-    path = [fun(start + t * (res.x - start))[0] for t in (0.0, 0.25, 0.5, 0.75)]
-    return bool(np.all(np.diff(path + [res.fun]) < 0.0))
+def _projected_gradient(vec, grad, lo, hi) -> float:
+    """The infinity norm of the projected gradient clip(vec - grad, lo, hi) - vec."""
+    return max(abs(min(max(v - g, l), h) - v) for v, g, l, h in zip(vec, grad, lo, hi))
 
 
-def _fit_quasi_newton(family: Family, sample: Sample, free: np.ndarray, bounds: Bounds,
-                      starts: list[np.ndarray]) -> FitResult:
-    """L-BFGS-B on the kernel's score from the base start and, if that fit
-    leaves room for a second optimum, from the heavy-tail start."""
-    fun = _score(_KERNELS[family], free, sample.values)
-    options = {"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER}
-    base, heavy = starts
+def _fit_quasi_newton(score, start, bounds: Bounds):
+    """L-BFGS-B on ``score`` from ``start``: (the end point, its NLL, its
+    gradient, the iterations)."""
+    res = minimize(score, start, method="L-BFGS-B", jac=True, bounds=bounds,
+                   options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER})
+    return res.x.tolist(), res.fun, res.jac.tolist(), res.nit
 
-    def run(start: np.ndarray):
-        res = minimize(fun, start, method="L-BFGS-B", jac=True, bounds=bounds, options=options)
-        projected = np.clip(res.x - res.jac, bounds.lb, bounds.ub) - res.x
-        slots = _slots(free, res.x)
+
+def _newton_step(vec, grad, hess, lo, hi) -> list[float]:
+    """The step of projected Newton in (log_tau, theta), on Python floats.
+
+    A slot at a bound whose gradient points out of the box stays there, and so
+    does one at a bound that the two-slot step would push out of it; the
+    other slot takes a one-slot step.  A Levenberg shift of the diagonal makes
+    the system positive definite: it turns a negative least eigenvalue into
+    its absolute value, so that a step into negative curvature stays as local
+    as the curvature.  (A shift to just positive definite runs such a step to
+    the edge of the square below, which carries the heavy start of one
+    ten-point genexp fit past its interior optimum into the nu cap's basin.)
+    A slot whose step would be longer than 1 takes a further shift on its own
+    diagonal, the one that minimises the quadratic model with each step at
+    most 1 long: scaling the whole step down instead stalls the genexp fit
+    near theta = 0, where its NLL is flat in theta.
+    """
+    (g0, g1), (a, b, c) = grad, hess
+    held = [(v <= lo_i and g > 0.0) or (v >= hi_i and g < 0.0)
+            for v, g, lo_i, hi_i in zip(vec, grad, lo, hi)]
+    if not any(held):
+        least = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
+        floor = 1e-8 * (abs(a) + abs(c) + 1.0)
+        if least < floor:  # the shift turns the least eigenvalue to its absolute value
+            shift = floor - 2.0 * least
+            a, c = a + shift, c + shift
+        det = a * c - b * b
+        step = [(b * g1 - c * g0) / det, (b * g0 - a * g1) / det]
+        if abs(step[0]) > 1.0 or abs(step[1]) > 1.0:
+            # The model's minimum over the square |step| <= 1 lies on its edge:
+            # one slot at +-1, the other at its own minimum given that, clipped.
+            def model(d0, d1):
+                return g0 * d0 + g1 * d1 + 0.5 * (a * d0 * d0 + 2.0 * b * d0 * d1 + c * d1 * d1)
+            edges = [[e, min(max(-(g1 + b * e) / c, -1.0), 1.0)] for e in (-1.0, 1.0)]
+            edges += [[min(max(-(g0 + b * e) / a, -1.0), 1.0), e] for e in (-1.0, 1.0)]
+            step = min(edges, key=lambda d: model(*d))
+        held = [(v <= lo_i and s < 0.0) or (v >= hi_i and s > 0.0)
+                for v, s, lo_i, hi_i in zip(vec, step, lo, hi)]
+        if not any(held):
+            return step
+    if all(held):
+        return [0.0, 0.0]
+    i = held.index(False)
+    diagonal = hess[0] if i == 0 else hess[2]
+    curvature = max(abs(diagonal), 1e-8 * (abs(diagonal) + 1.0))
+    step = [0.0, 0.0]
+    step[i] = min(max(-grad[i] / curvature, -1.0), 1.0)
+    return step
+
+
+def _fit_newton(kernel, x: np.ndarray, start, lo, hi):
+    """Projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20:221) on
+    ``kernel.nll_hessian`` over the box [lo, hi] of (log_tau, theta), from
+    ``start``: (the end point, its NLL, its gradient, the iterations).
+
+    Each step backtracks along its projection onto the box until the NLL falls
+    by at least 1e-4 of the decrease the gradient predicts, less the NLL's
+    rounding level, so that a step whose predicted decrease is at rounding
+    level is taken.  A run stops when the projected gradient is at most
+    1e-10 (1 + |nll|), when a step no longer moves the point, or after
+    ``_NEWTON_MAX_ITER`` steps.
+    """
+    vec = list(start)
+    nll, grad, hess = kernel.nll_hessian(x, *vec)
+    for iteration in range(_NEWTON_MAX_ITER):
+        if _projected_gradient(vec, grad, lo, hi) <= 1e-10 * (1.0 + abs(nll)):
+            return vec, nll, grad, iteration
+        step = _newton_step(vec, grad, hess, lo, hi)
+        rounding = 1e-15 * (1.0 + abs(nll))
+        alpha = 1.0
+        while True:
+            trial = [min(max(v + alpha * s, lo_i), hi_i)
+                     for v, s, lo_i, hi_i in zip(vec, step, lo, hi)]
+            if trial == vec:
+                return vec, nll, grad, iteration
+            decrease = sum(g * (t - v) for g, t, v in zip(grad, trial, vec))
+            trial_nll, trial_grad, trial_hess = kernel.nll_hessian(x, *trial)
+            if trial_nll <= nll + 1e-4 * decrease + rounding:
+                break
+            alpha *= 0.5
+        vec, nll, grad, hess = trial, trial_nll, trial_grad, trial_hess
+    return vec, nll, grad, _NEWTON_MAX_ITER
+
+
+def _descends_to(nll_at, start, end, end_nll) -> bool:
+    """Whether the NLL falls strictly along the segment from ``start`` to the
+    fit ``end`` with NLL ``end_nll``, sampled at t = 0, 1/4, 1/2 and 3/4 and at
+    the fit."""
+    path = [nll_at([s + t * (e - s) for s, e in zip(start, end)]) for t in (0.0, 0.25, 0.5, 0.75)]
+    return bool(np.all(np.diff(path + [end_nll]) < 0.0))
+
+
+def _fit(family: Family, sample: Sample, free: np.ndarray, bounds, starts) -> FitResult:
+    """Newton or L-BFGS-B from the base start and, if that fit leaves room for
+    a second optimum, from the heavy-tail start."""
+    kernel, x = _KERNELS[family], sample.values
+    lo, hi = bounds
+    if free[_THETA] and not (free[_LOG_BETA] or free[_ETA]) and hasattr(kernel, "nll_hessian"):
+        def run(start):
+            return _fit_newton(kernel, x, start, lo, hi)
+
+        def nll_at(vec):
+            return kernel.nll_hessian(x, *vec)[0]
+    else:
+        score, box = _score(kernel, free, x), Bounds(lo, hi)
+
+        def run(start):
+            return _fit_quasi_newton(score, start, box)
+
+        def nll_at(vec):
+            return score(vec)[0]
+
+    def converged_at(vec, nll, grad) -> bool:
+        slots = _slots(free, vec)
         # log beta at its bound, or theta at its upper bound, is the edge of
         # the box, not an optimum.
-        converged = (np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))
-                     and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
-                     and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9))
-        return res, slots, converged
+        return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
+                and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
+                and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9))
 
-    first, slots, converged = run(base)
-    iterations = first.nit
+    base, heavy = starts
+    vec, nll, grad, iterations = run(base)
+    converged = converged_at(vec, nll, grad)
     # With log beta or eta free the NLL's infimum can lie on an edge of the box,
     # which no test of the base fit rules out.  Otherwise a second optimum is
     # possible when the base fit is unconverged, stops at or beside the nu cap,
     # or the NLL rises somewhere on the way from the heavy start.
     if (free[_LOG_BETA] or free[_ETA] or not converged
-            or slots[_THETA] < _THETA_NEAR_EXP or not _descends_to(fun, heavy, first)):
-        second, second_slots, second_converged = run(heavy)
-        iterations += second.nit
-        if second.fun < first.fun:
-            slots, converged = second_slots, second_converged
+            or _slots(free, vec)[_THETA] < _THETA_NEAR_EXP
+            or not _descends_to(nll_at, heavy, vec, nll)):
+        second_vec, second_nll, second_grad, second_iterations = run(heavy)
+        iterations += second_iterations
+        if second_nll < nll:
+            vec, converged = second_vec, converged_at(second_vec, second_nll, second_grad)
+    slots = _slots(free, vec)
     params = _params(slots)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nll = neg_log_likelihood(DistributionHandle(family, params), sample)
@@ -234,9 +359,13 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
     The exponential with fixed location has a closed form.  Every other fit
-    runs L-BFGS-B over the free slots of (log_tau, theta, log_beta, eta),
-    the others pinned at theta = 1, log_beta = 0 and eta = 0, on the
-    kernel's closed-form score from the base start, and from the heavy-tail
+    works on the free slots of (log_tau, theta, log_beta, eta), the others
+    pinned at theta = 1, log_beta = 0 and eta = 0.  Where the free slots are
+    exactly (log_tau, theta) and the kernel has a closed-form Hessian
+    (genexp and Lomax, and genweibull and Burr XII on a sample holding 0) it
+    runs projected Newton; every other fit (log beta or eta free, genexp2,
+    gengamma, cgamma) runs L-BFGS-B on the kernel's closed-form score.  Each
+    runs from the base start, and from the heavy-tail
     start too if log beta or eta is free, or unless the base fit converges
     with theta at least 1e-4, on a slope that falls all the way from the
     heavy start.  A fit that fails the convergence test, or stops with beta
@@ -262,7 +391,7 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
         return FitResult(family, params, nll, converged=True, iterations=0,
                          at_nu_bound=False)
 
-    return _fit_quasi_newton(family, sample, *_box(family, opts, sample.values))
+    return _fit(family, sample, *_box(family, opts, sample.values))
 
 
 _DEFAULT_FAMILIES = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)
