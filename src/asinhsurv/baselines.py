@@ -245,6 +245,20 @@ class _PowerTail:
         return n * log_tau + nll_link, grad, hess
 
     @classmethod
+    def nll_grid(cls, x, log_tau, theta):
+        """Negative log likelihood of ``x`` at beta = 1 and location 0 over the
+        grid of nu = 1/``theta`` by tau = exp(``log_tau``), in one pass, as an
+        array of shape (theta.size, log_tau.size); +inf where it is not finite."""
+        theta = theta[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # where z overflows
+            z = x * (theta * np.exp(-log_tau)[:, None])
+            log_density = np.zeros(z.shape)
+            cls._subtract_log_density(log_density, z, 1.0 / theta)
+            nll = x.size * log_tau - log_density.sum(axis=-1)
+        nll[~np.isfinite(nll)] = np.inf
+        return nll
+
+    @classmethod
     def _x_from_hazard(cls, h, nu, beta):
         """The x with cumulative hazard -log S(x) = h; inf, quietly, where it overflows."""
         with np.errstate(over="ignore"):

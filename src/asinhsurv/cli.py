@@ -6,7 +6,8 @@ outlier-robustness study) and ``curves`` (pdf comparison tables).  Every
 command is deterministic given its flags and seed.  Floats are printed
 with 17 significant digits so runs are bit-comparable.
 
-Exit codes: 0 success, 2 usage or domain error, 3 I/O error.
+Exit codes: 0 success, 1 a fit that raised or reached no finite likelihood
+(``fit`` still writes every row), 2 usage or domain error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -181,6 +182,11 @@ def cmd_fit(args) -> int:
             rows = [[int(v) if isinstance(v, bool) else v for v in map(e.get, _FIT_COLUMNS)]
                     for e in payload]
             _write_csv(fh, _FIT_COLUMNS, rows)
+    # fit_all reports a fit that raised as unconverged with an infinite NLL.
+    failed = [r.family.value for r in results if not math.isfinite(r.neg_log_lik)]
+    if failed:
+        print(f"error: no finite fit of {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

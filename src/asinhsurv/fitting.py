@@ -10,16 +10,15 @@ the exponential limit nu -> infinity is a reachable boundary point (theta
 data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
 
 Every fit but the closed-form exponential runs one of two bounded
-optimisers, chosen by the free mask, the kernel and the sample's size.  A
-fit whose free slots are exactly (log_tau, theta), on a kernel with
-``nll_hessian`` (the power-tail kernel at beta = 1 and a fixed location),
-to a sample of at least 20 points, runs projected Newton (Bertsekas 1982)
-in a trust region on the closed-form NLL, gradient and Hessian: genexp and
-the Lomax, and genweibull and Burr XII on a sample holding 0, where beta is
-pinned and each fit is its beta = 1 member's.  Every other fit (log beta
-free, eta free, genexp2, gengamma, cgamma, and the two-slot fits to fewer
-than 20 points) falls back to the bounded quasi-Newton method L-BFGS-B on
-the kernel's closed-form score:
+optimisers, chosen by the free mask and the kernel.  A fit whose free
+slots are exactly (log_tau, theta), on a kernel with ``nll_hessian`` (the
+power-tail kernel at beta = 1 and a fixed location), runs projected Newton
+(Bertsekas 1982) in a trust region on the closed-form NLL, gradient and
+Hessian: genexp and the Lomax, and genweibull and Burr XII on a sample
+holding 0, where beta is pinned and each fit is its beta = 1 member's.
+Every other fit (log beta free, eta free, genexp2, gengamma and cgamma)
+falls back to the bounded quasi-Newton method L-BFGS-B on the kernel's
+closed-form score:
 ``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
 with an eta component when the location is free, and the fit keeps the
 components of its free slots.  genexp and Lomax run the genweibull and
@@ -27,20 +26,13 @@ Burr XII kernels at log_beta = 0, and the exponential's and genexp2's
 scores ignore what they do not use.  The reported NLL is
 ``neg_log_likelihood`` of the fitted handle.  A fit is ``converged`` when
 the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
-beta is not at its bound e^7 or e^-7 and theta is not at its upper bound
-1e3 (nu = 1e-3): those are edges of the box, not optima.  The optimiser's
+beta is not at its bound e^7 or e^-7, theta is not at its upper bound
+1e3 (nu = 1e-3) and the reported NLL is finite: those bounds are edges of
+the box, not optima, and the kernel's NLL stays finite where x/tau
+overflows while the handle's does not.  The optimiser's
 own status is not used, because its line search can stop at the optimum
 with an "abnormal termination" when the likelihood is flat.  Newton runs
 further, to a projected gradient of at most 1e-10 (1 + |nll|).
-
-Small samples stay on L-BFGS-B because there the genexp and Lomax
-likelihoods often hold several local optima, and two local optimisers from
-the same starts can stop in different ones.  On ten heavy-tailed draws,
-L-BFGS-B's first, gradient-long steps cross into a lower basin that
-Newton's trust region does not reach.  With Newton on every size, it
-stopped at a higher optimum than L-BFGS-B from both starts on 11 of 32,000
-fits to ten heavy-tailed draws and on 2 of 16,000 at n = 15, and on none of
-36,800 at n = 20 and n = 30.
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3).
 The heavy-tail start (median-matched scale, nu = 2) runs as well wherever
@@ -55,7 +47,26 @@ fit can stop at a stationary point beside the exponential limit), or the
 NLL, taken at t = 0, 1/4, 1/2 and 3/4 along the segment from the
 heavy start to the base fit and at the fit itself, does not fall strictly.
 Samples of ten with one outlier can hold two genexp optima, one of them
-interior.  Of the starts that ran, the lower negative log likelihood wins,
+interior.
+
+Below ``_NEWTON_MIN_SIZE`` = 20 points the genexp and Lomax likelihoods
+often hold several local optima, and two local runs from the fixed starts
+can both stop in a higher one: on ten heavy-tailed draws, Newton from the
+base and heavy starts stopped higher than L-BFGS-B from both starts on 11
+of 32,000 fits.  So a Newton fit to a small sample also starts from the two
+lowest 8-neighbour local minima of the NLL on a coarse grid, taken in one
+numpy pass by the kernel's ``nll_grid``: theta at 37 points a quarter
+decade apart over its box, by log tau at 24 even steps from 3 below the log
+of the least positive point to 1 above the log of the largest.  The heavy
+start then runs only when the best of the base and grid runs stops with
+theta below 1e-4: next to the nu cap, a shallow interior genexp optimum can
+lie where only the heavy start reaches it.  Over 64,000 fits to 10-15
+heavy-tailed draws, no fit stopped higher than L-BFGS-B from both starts.
+The grid's cost grows with n, and from 20 points on Newton from the fixed
+starts stopped higher on none of 36,800 fits, so larger samples keep the
+rule above.
+
+Of the starts that ran, the lowest negative log likelihood wins,
 with its own ``converged`` flag.  There is no refit by another optimiser: a
 fit that fails the convergence test from every start it ran is returned with
 ``converged`` False.  Then there is no interior maximum to find: beta runs
@@ -87,7 +98,8 @@ _LOG_BETA_BOUND = 7.0
 _MAX_ITER = 4000  # per L-BFGS-B run
 _NEWTON_MAX_ITER = 200  # per Newton run
 _NEWTON_RADIUS = 0.1  # the first trust radius of a Newton run
-_NEWTON_MIN_SIZE = 20  # smaller samples stay on L-BFGS-B (see the module docstring)
+_NEWTON_MIN_SIZE = 20  # smaller samples also start from a likelihood grid (module docstring)
+_THETA_GRID = np.logspace(-6.0, 3.0, 37)  # that grid's theta, a quarter decade apart
 _THETA_NEAR_EXP = 1e-4  # a base fit below this theta also runs the heavy-tail start
 # The slots of every fit, in the order of every score's gradient, and the
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
@@ -133,8 +145,9 @@ class FitOptions:
 class FitResult:
     """Estimates and diagnostics from one maximum-likelihood fit.
 
-    ``iterations`` counts the Newton or L-BFGS-B iterations over the starts
-    that ran.
+    ``iterations`` counts the Newton or L-BFGS-B iterations over every start
+    that ran: the base start, the grid starts of a small sample and the
+    heavy-tail start.
     """
 
     family: Family
@@ -352,13 +365,38 @@ def _descends_to(nll_at, start, end, end_nll) -> bool:
     return bool(np.all(np.diff(path + [end_nll]) < 0.0))
 
 
+def _grid_starts(kernel, x: np.ndarray, lo, hi) -> list[list[float]]:
+    """The two lowest 8-neighbour local minima of the NLL on a coarse grid of
+    (log_tau, theta): theta at a quarter decade over its box, and log tau at
+    24 even steps from 3 below log min(x > 0) to 1 above log max(x) (from -3
+    to 1 if no point is positive), clipped to its box."""
+    positive = x[x > 0.0]
+    least, most = (float(positive.min()), float(positive.max())) if positive.size else (1.0, 1.0)
+    log_tau = np.clip(np.linspace(math.log(least) - 3.0, math.log(most) + 1.0, 24), lo[0], hi[0])
+    nll = kernel.nll_grid(x, log_tau, _THETA_GRID)
+    # a point no higher than any of its 8 neighbours (+inf off the grid)
+    padded = np.pad(nll, 1, constant_values=math.inf)
+    rows, cols = nll.shape
+    lowest = np.isfinite(nll)
+    for i in range(3):
+        for j in range(3):
+            if (i, j) != (1, 1):
+                lowest &= nll <= padded[i:i + rows, j:j + cols]
+    minima = np.flatnonzero(lowest)
+    minima = minima[np.argsort(nll.flat[minima], kind="stable")[:2]]
+    return [[float(log_tau[k % cols]), float(_THETA_GRID[k // cols])] for k in minima]
+
+
 def _fit(family: Family, sample: Sample, free: np.ndarray, bounds, starts) -> FitResult:
-    """Newton or L-BFGS-B from the base start and, if that fit leaves room for
-    a second optimum, from the heavy-tail start."""
+    """Newton or L-BFGS-B from the base start, from grid starts on a small
+    sample, and, if the best of those leaves room for a second optimum, from
+    the heavy-tail start; the lowest NLL wins."""
     kernel, x = _KERNELS[family], sample.values
     lo, hi = bounds
-    if (free[_THETA] and not (free[_LOG_BETA] or free[_ETA]) and hasattr(kernel, "nll_hessian")
-            and x.size >= _NEWTON_MIN_SIZE):
+    base, heavy = starts
+    newton = (free[_THETA] and not (free[_LOG_BETA] or free[_ETA])
+              and hasattr(kernel, "nll_hessian"))
+    if newton:
         def run(start):
             return _fit_newton(kernel, x, start, lo, hi)
 
@@ -381,25 +419,28 @@ def _fit(family: Family, sample: Sample, free: np.ndarray, bounds, starts) -> Fi
                 and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
                 and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9))
 
-    base, heavy = starts
-    vec, nll, grad, iterations = run(base)
+    small = newton and x.size < _NEWTON_MIN_SIZE
+    runs = [run(start) for start in [base] + (_grid_starts(kernel, x, lo, hi) if small else [])]
+    vec, nll, grad, _ = min(runs, key=lambda r: r[1])
+    # A small sample runs the heavy start only when its best run stops at or
+    # beside the nu cap.  Otherwise, with log beta or eta free the NLL's
+    # infimum can lie on an edge of the box, which no test of the base fit
+    # rules out; and a second optimum is possible when the base fit is
+    # unconverged, stops at or beside the nu cap, or the NLL rises somewhere
+    # on the way from the heavy start.
+    near_exp = _slots(free, vec)[_THETA] < _THETA_NEAR_EXP
+    if near_exp or (not small and (free[_LOG_BETA] or free[_ETA] or not converged_at(vec, nll, grad)
+                                   or not _descends_to(nll_at, heavy, vec, nll))):
+        runs.append(run(heavy))
+        vec, nll, grad, _ = min(runs, key=lambda r: r[1])
     converged = converged_at(vec, nll, grad)
-    # With log beta or eta free the NLL's infimum can lie on an edge of the box,
-    # which no test of the base fit rules out.  Otherwise a second optimum is
-    # possible when the base fit is unconverged, stops at or beside the nu cap,
-    # or the NLL rises somewhere on the way from the heavy start.
-    if (free[_LOG_BETA] or free[_ETA] or not converged
-            or _slots(free, vec)[_THETA] < _THETA_NEAR_EXP
-            or not _descends_to(nll_at, heavy, vec, nll)):
-        second_vec, second_nll, second_grad, second_iterations = run(heavy)
-        iterations += second_iterations
-        if second_nll < nll:
-            vec, converged = second_vec, converged_at(second_vec, second_nll, second_grad)
     slots = _slots(free, vec)
     params = _params(slots)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         nll = neg_log_likelihood(DistributionHandle(family, params), sample)
-    return FitResult(family, params, nll, converged=bool(converged), iterations=int(iterations),
+    # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
+    return FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
+                     iterations=sum(r[3] for r in runs),
                      at_nu_bound=bool(slots[_THETA] <= _THETA_MIN * (1.0 + 1e-9)))
 
 
@@ -409,17 +450,19 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     The exponential with fixed location has a closed form.  Every other fit
     works on the free slots of (log_tau, theta, log_beta, eta), the others
     pinned at theta = 1, log_beta = 0 and eta = 0.  Where the free slots are
-    exactly (log_tau, theta), the kernel has a closed-form Hessian (genexp
-    and Lomax, and genweibull and Burr XII on a sample holding 0) and the
-    sample has at least 20 points, it runs projected Newton; every other fit
-    (log beta or eta free, genexp2, gengamma, cgamma, or fewer than 20
-    points) runs L-BFGS-B on the kernel's closed-form score.  Each
-    runs from the base start, and from the heavy-tail
-    start too if log beta or eta is free, or unless the base fit converges
-    with theta at least 1e-4, on a slope that falls all the way from the
-    heavy start.  A fit that fails the convergence test, or stops with beta
-    at its bound or theta at its upper bound 1e3, is returned with
-    ``converged`` False (see the module docstring).
+    exactly (log_tau, theta) and the kernel has a closed-form Hessian (genexp
+    and Lomax, and genweibull and Burr XII on a sample holding 0), it runs
+    projected Newton; every other fit (log beta or eta free, genexp2,
+    gengamma or cgamma) runs L-BFGS-B on the kernel's closed-form score.
+    Each runs from the base start, and from the heavy-tail start too if log
+    beta or eta is free, or unless the base fit converges with theta at
+    least 1e-4, on a slope that falls all the way from the heavy start.  A
+    Newton fit to fewer than 20 points runs from the base start and the two
+    lowest local minima of a coarse likelihood grid, and from the heavy
+    start only if the best of those stops with theta below 1e-4.  A fit that
+    fails the convergence test, stops with beta at its bound or theta at its
+    upper bound 1e3, or has no finite NLL, is returned with ``converged``
+    False (see the module docstring).
 
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The

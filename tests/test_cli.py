@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from asinhsurv import ExperimentConfig, Family, Sample, fit_all, run_robustness_study
+from asinhsurv import ExperimentConfig, Family, Sample, fit_all, fitting, run_robustness_study
 from asinhsurv.cli import main
 
 
@@ -201,6 +201,32 @@ class TestFit:
         code, out, _ = run(capsys, "fit", str(data), "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "family,tau_hat,nu_hat,beta_hat,neg_log_lik,converged,at_nu_bound"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fit_that_raises_exits_1_after_writing_every_row(self, tmp_path, capsys,
+                                                             monkeypatch, fmt):
+        data = tmp_path / "d.csv"
+        run(capsys, "sample", "--dist", "genexp", "--nu", "2", "-n", "60", "--seed", "3",
+            "--out", str(data))
+        fit_mle = fitting.fit_mle
+
+        def failing(family, sample, options=None):
+            if family is Family.GEN_EXP:
+                raise FloatingPointError("injected")
+            return fit_mle(family, sample, options)
+
+        monkeypatch.setattr(fitting, "fit_mle", failing)
+        with pytest.warns(UserWarning, match="fit of genexp failed: injected"):
+            code, out, err = run(capsys, "fit", str(data), "--format", fmt)
+        assert code == 1
+        assert "genexp" in err
+        rows = json.loads(out) if fmt == "json" else _parse_csv(out)
+        # sorted by NLL: the failed fit, at +inf, comes last
+        assert len(rows) == 3 and rows[-1]["family"] == "genexp"
+        assert float(rows[-1]["neg_log_lik"]) == math.inf and rows[-1]["converged"] in (False, "0")
+        assert all(math.isfinite(float(row["neg_log_lik"])) for row in rows[:-1])
+        monkeypatch.undo()
+        assert run(capsys, "fit", str(data), "--format", fmt)[0] == 0
 
     def test_csv_columns_match_fit_results(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
