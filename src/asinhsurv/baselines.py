@@ -35,6 +35,8 @@ _LOG1P_CUBIC_SERIES_BELOW = 1e-2
 def _log1p_less_ratio(z):
     """log1p(z) - z/(1 + z) for z < ``_LOG1P_SERIES_BELOW``, by its series z^2/2 - 2z^3/3
     + 3z^4/4 - 4z^5/5: the difference itself cancels there."""
+    if not z.size:
+        return z
     return z * z * (0.5 + z * (-2.0 / 3.0 + z * (0.75 - z * 0.8)))
 
 
@@ -42,6 +44,8 @@ def _log1p_cubic_remainder(q):
     """2 (log1p z - q) - q^2 at q = z/(1 + z) < ``_LOG1P_CUBIC_SERIES_BELOW``, which is
     2 sum_{k >= 3} q^k/k as log1p z = -log(1 - q), by its terms up to q^10: the
     difference itself cancels there, its two O(q^2) terms leaving O(q^3)."""
+    if not q.size:
+        return q
     out = q * 0.1
     for k in range(9, 2, -1):
         out += 1.0 / k

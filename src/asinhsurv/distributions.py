@@ -139,6 +139,8 @@ _ASINH_SERIES_BELOW = 1e-2
 def _asinh_less_ratio(z):
     """asinh(z) - z/sqrt(1 + z^2) for z < ``_ASINH_SERIES_BELOW``, by its series z^3/3
     - 3z^5/10 + 15z^7/56 - 35z^9/144: the difference itself cancels there."""
+    if not z.size:
+        return z
     zz = z * z
     return z * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * (35.0 / 144.0))))
 

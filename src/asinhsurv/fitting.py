@@ -27,25 +27,25 @@ scores ignore what they do not use.  The reported NLL is
 ``neg_log_likelihood`` of the fitted handle.  A fit is ``converged`` when
 the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
 beta is not at its bound e^7 or e^-7, theta is not at its upper bound
-1e3 (nu = 1e-3) and the reported NLL is finite: those bounds are edges of
-the box, not optima, and the kernel's NLL stays finite where x/tau
-overflows while the handle's does not.  The optimiser's
-own status is not used, because its line search can stop at the optimum
-with an "abnormal termination" when the likelihood is flat.  Newton runs
-further, to a projected gradient of at most 1e-10 (1 + |nll|).
+1e3 (nu = 1e-3), tau is not at its lower bound e^-40 and the reported NLL
+is finite.  Those bounds are edges of the box, not optima: a point at 0
+has density 1/tau, so a sample holding 0 can drive the NLL down without
+bound as tau -> 0.  The kernel's NLL stays finite where x/tau overflows,
+while the handle's does not.  The optimiser's own status is not used,
+because its line search can stop at the optimum with an "abnormal
+termination" when the likelihood is flat.  Newton runs further, to a
+projected gradient of at most 1e-10 (1 + |nll|).
 
-A fit starts from the base start (the sample mean as scale, nu = 1e3).
-The heavy-tail start (median-matched scale, nu = 2) runs as well wherever
-the base fit leaves room for a lower NLL elsewhere.  With log beta or eta
-free it always does: the NLL's infimum can lie on an edge of the box (log
-beta at its bound, or eta at the smallest point) even when the base fit is
-a converged interior optimum, and no test of the base fit rules that out.
-Otherwise (genexp, Lomax and genexp2 at a fixed location) it runs when the
-base fit is unconverged, stops with theta below 1e-4 (at or beside the nu
-cap: the genexp log-survival is even in theta to second order, so a base
-fit can stop at a stationary point beside the exponential limit), or the
-NLL, taken at t = 0, 1/4, 1/2 and 3/4 along the segment from the
-heavy start to the base fit and at the fit itself, does not fall strictly.
+A fit starts from the base start (the sample mean as scale, nu = 1e3) and
+the heavy-tail start (median-matched scale, nu = 2).  L-BFGS-B always runs
+both: with log beta or eta free the NLL's infimum can lie on an edge of
+the box (log beta at its bound, or eta at the smallest point) even when
+the base fit is a converged interior optimum, and a genexp2 sample can
+hold a second, lower optimum.  Newton adds the heavy start only when its
+best run is unconverged or stops with theta below 1e-4, at or beside the
+nu cap: the genexp log-survival is even in theta to second order, so a
+fit can stop at a stationary point beside the exponential limit, and a
+shallow interior optimum can lie where only the heavy start reaches it.
 Samples of ten with one outlier can hold two genexp optima, one of them
 interior.
 
@@ -57,14 +57,11 @@ of 32,000 fits.  So a Newton fit to a small sample also starts from the two
 lowest 8-neighbour local minima of the NLL on a coarse grid, taken in one
 numpy pass by the kernel's ``nll_grid``: theta at 37 points a quarter
 decade apart over its box, by log tau at 24 even steps from 3 below the log
-of the least positive point to 1 above the log of the largest.  The heavy
-start then runs only when the best of the base and grid runs stops with
-theta below 1e-4: next to the nu cap, a shallow interior genexp optimum can
-lie where only the heavy start reaches it.  Over 64,000 fits to 10-15
+of the least positive point to 1 above the log of the largest.  The rule
+for the heavy start is the same at every size.  Over 64,000 fits to 10-15
 heavy-tailed draws, no fit stopped higher than L-BFGS-B from both starts.
-The grid's cost grows with n, and from 20 points on Newton from the fixed
-starts stopped higher on none of 36,800 fits, so larger samples keep the
-rule above.
+The grid's cost grows with n, and from 20 points on Newton without it
+stopped higher on none of 36,800 fits.
 
 Of the starts that ran, the lowest negative log likelihood wins,
 with its own ``converged`` flag.  There is no refit by another optimiser: a
@@ -100,7 +97,7 @@ _NEWTON_MAX_ITER = 200  # per Newton run
 _NEWTON_RADIUS = 0.1  # the first trust radius of a Newton run
 _NEWTON_MIN_SIZE = 20  # smaller samples also start from a likelihood grid (module docstring)
 _THETA_GRID = np.logspace(-6.0, 3.0, 37)  # that grid's theta, a quarter decade apart
-_THETA_NEAR_EXP = 1e-4  # a base fit below this theta also runs the heavy-tail start
+_THETA_NEAR_EXP = 1e-4  # a Newton fit stopping below this theta also runs the heavy-tail start
 # The slots of every fit, in the order of every score's gradient, and the
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
 _LOG_TAU, _THETA, _LOG_BETA, _ETA = range(4)
@@ -357,14 +354,6 @@ def _fit_newton(kernel, x: np.ndarray, start, lo, hi):
     return vec, nll, grad, _NEWTON_MAX_ITER
 
 
-def _descends_to(nll_at, start, end, end_nll) -> bool:
-    """Whether the NLL falls strictly along the segment from ``start`` to the
-    fit ``end`` with NLL ``end_nll``, sampled at t = 0, 1/4, 1/2 and 3/4 and at
-    the fit."""
-    path = [nll_at([s + t * (e - s) for s, e in zip(start, end)]) for t in (0.0, 0.25, 0.5, 0.75)]
-    return bool(np.all(np.diff(path + [end_nll]) < 0.0))
-
-
 def _grid_starts(kernel, x: np.ndarray, lo, hi) -> list[list[float]]:
     """The two lowest 8-neighbour local minima of the NLL on a coarse grid of
     (log_tau, theta): theta at a quarter decade over its box, and log tau at
@@ -388,9 +377,10 @@ def _grid_starts(kernel, x: np.ndarray, lo, hi) -> list[list[float]]:
 
 
 def _fit(family: Family, sample: Sample, free: np.ndarray, bounds, starts) -> FitResult:
-    """Newton or L-BFGS-B from the base start, from grid starts on a small
-    sample, and, if the best of those leaves room for a second optimum, from
-    the heavy-tail start; the lowest NLL wins."""
+    """Newton or L-BFGS-B from the base start and, in a Newton fit to a small
+    sample, from grid starts; then from the heavy-tail start, unless the fit
+    is a Newton fit whose best run converged clear of the nu cap.  The lowest
+    NLL wins."""
     kernel, x = _KERNELS[family], sample.values
     lo, hi = bounds
     base, heavy = starts
@@ -399,38 +389,25 @@ def _fit(family: Family, sample: Sample, free: np.ndarray, bounds, starts) -> Fi
     if newton:
         def run(start):
             return _fit_newton(kernel, x, start, lo, hi)
-
-        def nll_at(vec):
-            return kernel.nll_hessian(x, *vec)[0]
     else:
         score, box = _score(kernel, free, x), Bounds(lo, hi)
 
         def run(start):
             return _fit_quasi_newton(score, start, box)
 
-        def nll_at(vec):
-            return score(vec)[0]
-
     def converged_at(vec, nll, grad) -> bool:
         slots = _slots(free, vec)
-        # log beta at its bound, or theta at its upper bound, is the edge of
-        # the box, not an optimum.
+        # log beta at its bound, theta at its upper bound or log tau at its
+        # lower bound is the edge of the box, not an optimum.
         return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
                 and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
-                and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9))
+                and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9)
+                and slots[_LOG_TAU] > -_LOG_TAU_BOUND * (1.0 - 1e-9))
 
-    small = newton and x.size < _NEWTON_MIN_SIZE
-    runs = [run(start) for start in [base] + (_grid_starts(kernel, x, lo, hi) if small else [])]
+    grid = _grid_starts(kernel, x, lo, hi) if newton and x.size < _NEWTON_MIN_SIZE else []
+    runs = [run(start) for start in [base] + grid]
     vec, nll, grad, _ = min(runs, key=lambda r: r[1])
-    # A small sample runs the heavy start only when its best run stops at or
-    # beside the nu cap.  Otherwise, with log beta or eta free the NLL's
-    # infimum can lie on an edge of the box, which no test of the base fit
-    # rules out; and a second optimum is possible when the base fit is
-    # unconverged, stops at or beside the nu cap, or the NLL rises somewhere
-    # on the way from the heavy start.
-    near_exp = _slots(free, vec)[_THETA] < _THETA_NEAR_EXP
-    if near_exp or (not small and (free[_LOG_BETA] or free[_ETA] or not converged_at(vec, nll, grad)
-                                   or not _descends_to(nll_at, heavy, vec, nll))):
+    if not newton or not converged_at(vec, nll, grad) or _slots(free, vec)[_THETA] < _THETA_NEAR_EXP:
         runs.append(run(heavy))
         vec, nll, grad, _ = min(runs, key=lambda r: r[1])
     converged = converged_at(vec, nll, grad)
@@ -454,15 +431,13 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     and Lomax, and genweibull and Burr XII on a sample holding 0), it runs
     projected Newton; every other fit (log beta or eta free, genexp2,
     gengamma or cgamma) runs L-BFGS-B on the kernel's closed-form score.
-    Each runs from the base start, and from the heavy-tail start too if log
-    beta or eta is free, or unless the base fit converges with theta at
-    least 1e-4, on a slope that falls all the way from the heavy start.  A
-    Newton fit to fewer than 20 points runs from the base start and the two
-    lowest local minima of a coarse likelihood grid, and from the heavy
-    start only if the best of those stops with theta below 1e-4.  A fit that
-    fails the convergence test, stops with beta at its bound or theta at its
-    upper bound 1e3, or has no finite NLL, is returned with ``converged``
-    False (see the module docstring).
+    L-BFGS-B runs from the base and heavy-tail starts.  Newton runs from the
+    base start, from the two lowest local minima of a coarse likelihood grid
+    too below 20 points, and from the heavy start only if the best of those
+    is unconverged or stops with theta below 1e-4.  A fit that fails the
+    convergence test, stops with beta at its bound, theta at its upper bound
+    1e3 or tau at its lower bound e^-40, or has no finite NLL, is returned
+    with ``converged`` False (see the module docstring).
 
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The

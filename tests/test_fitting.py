@@ -539,6 +539,29 @@ def test_one_start_rule_matches_a_two_start_oracle():
             assert (result.converged, result.at_nu_bound) == (converged, at_bound), (family, x)
 
 
+def _model(grad, hess, step):
+    (g0, g1), (a, b, c), (s0, s1) = grad, hess, step
+    return g0 * s0 + g1 * s1 + 0.5 * (a * s0 * s0 + 2.0 * b * s0 * s1 + c * s1 * s1)
+
+
+# (grad, H = (a, b, c), radius) with an indefinite H: the hard case, where the
+# gradient has no component along the least eigenvector and no shift of H
+# makes the step radius long, then a zero gradient, then an ordinary case.
+_INDEFINITE = [((0.0, 1.0), (-1.0, 0.0, 2.0), 1.0), ((0.0, 0.0), (-1.0, 0.0, 2.0), 0.5),
+               ((1.0, 1.0), (-1.0, 0.5, 2.0), 0.3)]
+
+
+@pytest.mark.parametrize("grad, hess, radius", _INDEFINITE, ids=["hard", "zero-grad", "indefinite"])
+def test_trust_step_minimises_the_model_on_the_boundary(grad, hess, radius):
+    # With an indefinite Hessian the model's minimum over |s| <= radius lies on
+    # the boundary; the step must be no higher than any of a dense sample there.
+    step = fitting._trust_step(grad, hess, radius)
+    assert math.hypot(*step) == pytest.approx(radius, rel=1e-9)
+    angle = np.linspace(0.0, 2.0 * math.pi, 200_001)
+    boundary = _model(grad, hess, (radius * np.cos(angle), radius * np.sin(angle)))
+    assert _model(grad, hess, step) <= boundary.min() + 1e-12
+
+
 def _newton_oracle_samples():
     """555 samples: the study grid (n = 10, 100 and 1000 with 0-2 outliers), Lomax
     and genexp draws at nu 0.5-5 (n = 10, 20, 100 and 1000), and the samples
@@ -633,6 +656,8 @@ def test_small_samples_start_from_the_likelihood_grid(monkeypatch, seed, nu, rep
 @pytest.mark.parametrize("family", ["genexp", "lomax", "genweibull", "burr12"])
 def test_two_slot_fits_never_call_minimize(monkeypatch, family):
     # genweibull and Burr XII fit (log_tau, theta) alone on a sample holding 0.
+    # At n = 2, 3 and 5 the point at 0 outweighs the rest: the NLL falls
+    # without bound as tau -> 0, and the fit stops flagged at tau's bound.
     def forbidden(*args, **kwargs):
         raise AssertionError("minimize called")
 
@@ -643,7 +668,9 @@ def test_two_slot_fits_never_call_minimize(monkeypatch, family):
         methods.clear()
         result = fit_mle(family, Sample(x))
         assert methods and set(methods) == {"Newton"}, (family, n)
-        assert result.converged and math.isfinite(result.neg_log_lik), (family, n)
+        assert math.isfinite(result.neg_log_lik), (family, n)
+        at_tau_bound = result.estimates.tau == pytest.approx(math.exp(-40.0), rel=1e-9)
+        assert (result.converged, at_tau_bound) == (n > 5, n <= 5), (family, n)
 
 
 def _very_heavy_samples():
@@ -697,8 +724,8 @@ def _new_score_samples():
 
 
 def test_one_start_rule_matches_a_two_start_oracle_on_the_new_scores():
-    # Among these only genexp2 has neither log beta nor eta free, and so may
-    # skip the heavy start; every fit must match the lower of the two runs.
+    # Every one of these fits runs L-BFGS-B, which runs both starts: each fit
+    # must match the lower of the two runs.
     fits = 0
     for family, x, free_eta in _new_score_samples():
         opts = FitOptions(free_eta=free_eta)
@@ -709,6 +736,18 @@ def test_one_start_rule_matches_a_two_start_oracle_on_the_new_scores():
         assert abs(result.neg_log_lik - nll) <= 1e-10 * abs(nll), case
         assert (result.converged, result.at_nu_bound) == (converged, at_bound), case
     assert fits >= 1000
+
+
+def test_genexp2_runs_both_starts(monkeypatch):
+    # A fixed-location genexp2 fit runs L-BFGS-B from both starts.  On these
+    # four points the base run converges at an interior optimum, 7.953033, and
+    # only the heavy start reaches the lower one.
+    x = [0.42876688614745884, 1.0788207567159664, 0.0037985108067621763, 20.0]
+    methods = _record_methods(monkeypatch)
+    result = fit_mle("genexp2", Sample(x))
+    assert methods == ["L-BFGS-B", "L-BFGS-B"]
+    assert result.converged
+    assert result.neg_log_lik == pytest.approx(7.7805835202089755, rel=1e-12)
 
 
 def _power_tail_samples():
@@ -727,9 +766,9 @@ def _power_tail_samples():
 
 
 def test_beta_fits_match_a_two_start_oracle():
-    # With log beta free the heavy start always runs: on four draws of ten at
-    # nu = beta = 0.5 here, a converged base fit passes the segment test while
-    # the heavy start reaches a lower NLL at theta's upper bound.
+    # With log beta free L-BFGS-B runs both starts: on four draws of ten at
+    # nu = beta = 0.5 here, the base fit converges inside the box while the
+    # heavy start reaches a lower NLL at theta's upper bound.
     for family, x in _power_tail_samples():
         result = fit_mle(family, Sample(x))
         nll, converged, at_bound = min(_two_start_runs(family, x), key=lambda run: run[0])
@@ -841,6 +880,13 @@ def test_fits_without_an_interior_maximum_are_flagged():
         for family in ("genexp", "lomax"):
             result = fit_mle(family, Sample(x))
             assert result.neg_log_lik == math.inf and not result.converged, (family, len(x))
+    # Without such a point the fit stops at tau's bound with a finite NLL, which
+    # still falls without bound there.
+    for x in ([0.0, 0.0, 3.0], [0.0, 0.0]):
+        for family in ("genexp", "lomax"):
+            result = fit_mle(family, Sample(x))
+            assert result.estimates.tau == pytest.approx(math.exp(-40.0), rel=1e-9), (family, x)
+            assert math.isfinite(result.neg_log_lik) and not result.converged, (family, x)
 
 
 @pytest.mark.parametrize("family", ["genweibull", "burr12"])
