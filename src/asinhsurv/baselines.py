@@ -10,10 +10,12 @@ vectorized x and scalar shape parameters ``nu`` (tail index) and ``beta``
 runs ``_PowerTail`` at the link log1p, the kernel and likelihood score it
 shares with the generalised Weibull (link asinh).  The Lomax is the beta = 1
 Burr XII: it subclasses :class:`BurrXII`, adds nothing, and is handed
-beta = 1.  The compound gamma runs ``_IncompleteBeta``, the kernel it
-shares with the generalised gamma: survival, density and likelihood score
-from one log v(x).  Every kernel the fitter runs has a closed-form
-``nll_score``, the exponential's included (for a free location).
+beta = 1.  The compound gamma runs ``_IncompleteBeta``, the kernel it shares
+with the generalised gamma: survival, density and likelihood score from one
+log v(x), and its link arithmetic (log v, the score's terms and sums) from
+the power-tail kernel it equals at beta = 1, named as ``_BETA_ONE``: the
+Lomax.  Every kernel the fitter runs has a closed-form ``nll_score``, the
+exponential's included (for a free location).
 """
 
 from __future__ import annotations
@@ -28,30 +30,21 @@ from .numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remain
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
 
-_LOG1P_SERIES_BELOW = 1e-4
 _LOG1P_CUBIC_SERIES_BELOW = 1e-2
 
 
-def _log1p_less_ratio(z):
-    """log1p(z) - z/(1 + z) for z < ``_LOG1P_SERIES_BELOW``, by its series z^2/2 - 2z^3/3
-    + 3z^4/4 - 4z^5/5: the difference itself cancels there."""
-    if not z.size:
-        return z
-    return z * z * (0.5 + z * (-2.0 / 3.0 + z * (0.75 - z * 0.8)))
-
-
-def _log1p_cubic_remainder(q):
-    """2 (log1p z - q) - q^2 at q = z/(1 + z) < ``_LOG1P_CUBIC_SERIES_BELOW``, which is
-    2 sum_{k >= 3} q^k/k as log1p z = -log(1 - q), by its terms up to q^10: the
-    difference itself cancels there, its two O(q^2) terms leaving O(q^3)."""
+def _log1p_tail(q, first, last):
+    """(first - 1) sum_{k = first}^{last} q^k/k by Horner's rule, with log1p z =
+    -log(1 - q) = sum_{k >= 1} q^k/k at q = z/(1 + z): log1p z - q at ``first`` 2
+    and 2 (log1p z - q) - q^2 at 3, free of their cancellation at small q, where
+    q^(last + 1) must be below an ulp of q^first."""
     if not q.size:
         return q
-    out = q * 0.1
-    for k in range(9, 2, -1):
-        out += 1.0 / k
+    out = q * ((first - 1.0) / last)
+    for k in range(last - 1, first - 1, -1):
+        out += (first - 1.0) / k
         out *= q
-    out *= q * q
-    out *= 2.0
+    out *= q if first == 2 else q * q
     return out
 
 
@@ -112,8 +105,11 @@ class _PowerTail:
     ``_link`` and ``_inverse``, ``_LINK_FAR`` = g(z) - log z far out,
     ``_log_inv_slope(z)`` = log(1/g'(z)), ``_subtract_log_density(out, z,
     nu)``, which takes nu g(z) + log(1/g'(z)) from ``out`` in the link's own
-    rounding order, and the sums ``_score_terms`` and ``_hessian_terms``; each
-    may overwrite z.
+    rounding order, ``_ratio(z, far)``, which gives t = z g'(z) and
+    c = 1/g'(z) as new arrays, ``_less_ratio(z)``, the series of g(z) - t
+    below z = ``_RATIO_SERIES_BELOW``, where the difference cancels, and the
+    sums ``_score_terms``, which is handed t and c, and ``_hessian_terms``;
+    each may overwrite the arrays it is given.
 
     z overflows for moderate x and beta, so past z = 1e150 the kernel works
     from log z: there g(z) = log z + ``_LINK_FAR`` and log(1/g'(z)) = log z
@@ -132,8 +128,11 @@ class _PowerTail:
         where it overflows), the mask of z > 1e150, and log z at those points."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(over="ignore"):
-            z = np.power(x, beta)
-            z /= nu
+            if beta == 1.0:  # np.power(x, 1.0) is not free
+                z = x / nu
+            else:
+                z = np.power(x, beta)
+                z /= nu
         far = z > 1e150
         return z, far, beta * np.log(x[far]) - math.log(nu)
 
@@ -161,6 +160,19 @@ class _PowerTail:
         out = cls._link(z, out=z)
         out[far] = log_z + cls._LINK_FAR
         return out
+
+    @classmethod
+    def _g_less_t(cls, z, far, log_z, t):
+        """The sum of g(z) and the array g(z) - t, in place over z, by the
+        link's series where z < ``_RATIO_SERIES_BELOW``."""
+        small = z < cls._RATIO_SERIES_BELOW
+        zs = z[small]
+        g = cls._g(z, far, log_z)
+        sum_g = g.sum()
+        g -= t
+        if zs.size:
+            g[small] = cls._less_ratio(zs)
+        return sum_g, g
 
     @classmethod
     def log_survival(cls, x, nu, beta):
@@ -208,7 +220,8 @@ class _PowerTail:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             inv_y = None if eta is None else np.reciprocal(y)
             log_y = np.log(y, out=y)
-            nll_link, nll_slope, sum_k, sum_m, g_less_t, k = cls._score_terms(z, far, log_z, nu)
+            nll_link, nll_slope, sum_k, sum_m, g_less_t, k = cls._score_terms(
+                z, far, log_z, nu, *cls._ratio(z, far))
         nll = n * (log_tau - log_beta) + nll_link + nll_slope
         if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
             nll -= (beta - 1.0) * log_y.sum()
@@ -288,6 +301,7 @@ class BurrXII(_PowerTail):
     _link = np.log1p
     _inverse = np.expm1
     _LINK_FAR = 0.0
+    _RATIO_SERIES_BELOW = 1e-4
 
     @staticmethod
     def _log_inv_slope(z):
@@ -299,23 +313,26 @@ class BurrXII(_PowerTail):
         log1p_z *= nu + 1.0
         out -= log1p_z
 
-    @classmethod
-    def _score_terms(cls, z, far, log_z, nu):
-        """The sums of ``nll_score`` at g = log1p, where t = m = q = z/(1 + z):
-        (nu + 1) sum log1p z, which holds the sum of log(1/g') too, 0, (nu + 1)
-        sum q, sum q, the array log1p z - q and the array k = (nu + 1) q."""
-        q = z + 1.0
-        np.divide(z, q, out=q)
-        small = z < _LOG1P_SERIES_BELOW
-        zs = z[small]
-        h = cls._g(z, far, log_z)
+    @staticmethod
+    def _ratio(z, far):  # t = m = q = z/(1 + z), 1 where far, and c = 1 + z
+        c = z + 1.0
+        q = np.divide(z, c)
         q[far] = 1.0
+        return q, c
+
+    @staticmethod
+    def _less_ratio(z):  # log1p z - q to q^5 at q = z/(1 + z) < 1e-4, within q^4/3 of it
+        return _log1p_tail(z / (z + 1.0), 2, 5)
+
+    @classmethod
+    def _score_terms(cls, z, far, log_z, nu, q, c):
+        """The sums of ``nll_score`` at g = log1p, where t = m = q: (nu + 1) sum
+        log1p z, which holds the sum of log(1/g') too, 0, (nu + 1) sum q, sum q,
+        the array log1p z - q and the array k = (nu + 1) q."""
+        sum_g, g_less_q = cls._g_less_t(z, far, log_z, q)
         sum_q = q.sum()
-        nll_link = (nu + 1.0) * h.sum()
-        h -= q
-        h[small] = _log1p_less_ratio(zs)
         q *= nu + 1.0
-        return nll_link, 0.0, (nu + 1.0) * sum_q, sum_q, h, q
+        return (nu + 1.0) * sum_g, 0.0, (nu + 1.0) * sum_q, sum_q, g_less_q, q
 
     @classmethod
     def _hessian_terms(cls, z, far, log_z, nu):
@@ -334,7 +351,7 @@ class BurrXII(_PowerTail):
         w *= 2.0
         w -= q2
         small = q < _LOG1P_CUBIC_SERIES_BELOW
-        w[small] = _log1p_cubic_remainder(q[small])
+        w[small] = _log1p_tail(q[small], 3, 10)
         sum_q, sum_dq, sum_q2, sum_w = q.sum(), dq.sum(), q2.sum(), w.sum()
         return (nll_link, sum_q, sum_q, 0.5 * (sum_w + sum_q2), sum_dq, sum_dq, sum_q2, -sum_q2,
                 sum_w)
@@ -367,26 +384,33 @@ class Lomax(BurrXII):
 
 class _IncompleteBeta:
     """Kernel of a family with S(x) = I_v(a, beta) for v in (0, 1] decreasing
-    in x, so that v(X) ~ Beta(a, beta).  A subclass gives a = ``_A`` nu, log v
-    = ``_log_unit(x, nu)``, exact up to the float maximum of x (run with overflow
-    warnings off), ``_x_from(w, v, nu)``, the x with (1 - v(x))/v(x) = w/v, and, for the
-    density, 1 - v = (x/s) v^k and -d log v/dx = (v^k/s) h(v) as k = ``_K``,
-    s = ``_S`` nu and log h = ``_log_h(log_v)``.  v depends on x through
-    z = x/nu alone, and for the likelihood score ``_score_terms(z, log_v)``
-    gives four arrays (each may overwrite z): rho = -z d log v/dz = (1 - v) h(v),
-    the remainder -log v - rho, free of its cancellation at small z,
-    m = (k + d log h/d log v) rho and -log(1 - v)."""
+    in x, so that v(X) ~ Beta(a, beta), whose beta = 1 member, where
+    I_v(a, 1) = v^a, is the power-tail kernel ``_BETA_ONE``: with a = ``_A`` nu
+    and g its link, log v = -g(z)/A at z = x/nu.  The member gives every piece
+    of link arithmetic: log v up to the float maximum of x, and the score's
+    t = z g'(z), c = 1/g'(z), m, g - t and their sums.  A subclass gives
+    ``_A``, ``_BETA_ONE``, ``_x_from(w, v, nu)``, the x with (1 - v(x))/v(x)
+    = w/v, ``_log_h(log_v)`` = log h(v) = g - log c, and ``_log_complement(z,
+    c)`` = -log(1 - v) as a new array, the one term that depends on both the
+    link and A.  The density's 1 - v = (x/s) v^k and -d log v/dx = (v^k/s) h(v)
+    hold with k = A and s = A nu in both families, so ``_A`` serves for both."""
 
     uses_beta = True
     uses_nu = True
+
+    @classmethod
+    def _log_unit(cls, x, nu):  # log v = -g(x/nu)/A, a new array shaped like atleast_1d(x)
+        one = cls._BETA_ONE
+        out = one._g(*one._scaled_power(x, nu, 1.0))
+        out /= -cls._A
+        return out
 
     @classmethod
     def _evaluate(cls, x, nu, beta, cdf):
         """The cdf, or log S; from log v where v < 1e-300 and, for log S, where
         I_v < 1e-200: betainc can be off below 1e-238 and is 0 below 1e-243."""
         a, shape = cls._A * nu, np.shape(x)
-        with np.errstate(over="ignore"):  # where x/nu overflows
-            log_v = cls._log_unit(np.atleast_1d(np.asarray(x, dtype=float)), nu)
+        log_v = cls._log_unit(x, nu)
         v, w = np.exp(log_v), -np.expm1(log_v)
         if cdf:
             out = _near_one_from_complement(reg_inc_beta(w, beta, a), v, beta, a)
@@ -412,7 +436,7 @@ class _IncompleteBeta:
     @classmethod
     def _log_norm(cls, nu, beta):
         """beta log s + ln B(a, beta), the density's constant."""
-        return beta * math.log(cls._S * nu) + log_beta(cls._A * nu, beta)
+        return beta * math.log(cls._A * nu) + log_beta(cls._A * nu, beta)
 
     @classmethod
     def log_pdf(cls, x, nu, beta):
@@ -421,10 +445,12 @@ class _IncompleteBeta:
         + (beta - 1) log x - beta log s + log h(v) - log B(a, beta); -inf at x = inf."""
         a, shape = cls._A * nu, np.shape(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # x/nu, log 0, inf - inf
-            log_v = cls._log_unit(x, nu)
-            out = cls._log_h(log_v) - cls._log_norm(nu, beta)
-            out += (a + beta * cls._K) * log_v
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0, inf - inf
+            out = cls._log_unit(x, nu)
+            log_h = cls._log_h(out)
+            log_h -= cls._log_norm(nu, beta)
+            out *= a + beta * cls._A
+            out += log_h
             if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
                 out += (beta - 1.0) * np.log(x)
                 out[x == np.inf] = -np.inf
@@ -436,36 +462,38 @@ class _IncompleteBeta:
         beta = exp(log_beta) and location ``eta`` (0 if None), and its gradient
         in (log_tau, theta, log_beta), with an eta component last if eta is given.
 
-        With y = (x - eta)/tau, z = y/nu, the hooks' arrays at z and
-        w = (a + (beta - 1) k) rho + m: NLL = n log tau + n (beta log s +
-        ln B(a, beta)) - sum ((a + beta k) log v + (beta - 1) log y + log h), and
-        its gradient is n beta - sum w, -nu^2 (A sum (-log v - rho) - sum
-        ((beta - 1) k rho + m)/nu + n A R(a, beta)) with R the psi remainder,
-        beta (sum -log(1 - v) - n (psi(a + beta) - psi(beta))) and
-        sum (beta - 1 - w)/y / tau.  Each is a sum of terms of one size: at
+        With y = (x - eta)/tau, z = y/nu, the member's t, m and c at z, and
+        nu' = nu + beta - 1: log h = g - log c turns the NLL into n log tau
+        + n (beta log s + ln B(a, beta)) - (beta - 1) sum log y plus the member's
+        link sums at nu', nu' sum g + sum log c, and k = nu' t + m is the
+        member's k at nu'.  The gradient is n beta - sum k, nu ((beta - 1)
+        sum t + sum m) - nu^2 (sum (g - t) + n A R(a, beta)) with R the psi
+        remainder, beta (sum -log(1 - v) - n (psi(a + beta) - psi(beta))) and
+        sum (beta - 1 - k)/y / tau.  Each is a sum of terms of one size: at
         small theta the theta component is O(n), not O(n/theta) terms that cancel.
         """
+        one = cls._BETA_ONE
         nu, beta, tau = 1.0 / theta, math.exp(log_beta), math.exp(log_tau)
-        a, n, k = cls._A * nu, x.size, cls._K
+        a, n = cls._A * nu, x.size
         y = x / tau if eta is None else (x - eta) / tau
-        # At a point x = 0: log y and -log(1 - v) are -inf and inf.
+        # log y and -log(1 - v) are -inf and inf at a point x = 0; z^2 overflows where far.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_v = cls._log_unit(y, nu)
-            rho, remainder, m, log_complement = cls._score_terms(y / nu, log_v)
-            nll = (n * (log_tau + cls._log_norm(nu, beta))
-                   - np.sum(cls._log_h(log_v)) - (a + beta * k) * log_v.sum())
+            z, far, log_z = one._scaled_power(y, nu, 1.0)
+            t, c = one._ratio(z, far)
+            log_complement = cls._log_complement(z, c)
+            sum_t = t.sum()  # before the member's sums overwrite t
+            nll_link, nll_slope, sum_k, sum_m, g_less_t, k = one._score_terms(
+                z, far, log_z, nu + beta - 1.0, t, c)
+            nll = n * (log_tau + cls._log_norm(nu, beta)) + nll_link + nll_slope
             if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
                 nll -= (beta - 1.0) * np.log(y).sum()
-            sum_rho, sum_m = rho.sum(), m.sum()
-            grad = [n * beta - (a + (beta - 1.0) * k) * sum_rho - sum_m,
-                    -nu * nu * (cls._A * (remainder.sum() + n * _psi_remainder(a, beta))
-                                - ((beta - 1.0) * k * sum_rho + sum_m) / nu),
+            grad = [n * beta - sum_k,
+                    nu * ((beta - 1.0) * sum_t + sum_m)
+                    - nu * nu * (g_less_t.sum() + n * cls._A * _psi_remainder(a, beta)),
                     beta * (log_complement.sum() - n * (digamma(a + beta) - digamma(beta)))]
             if eta is not None:
-                w = rho * (a + (beta - 1.0) * k)
-                w += m
                 inv_y = np.reciprocal(y, out=y)
-                grad.append(((beta - 1.0) * inv_y.sum() - w.dot(inv_y)) / tau)
+                grad.append(((beta - 1.0) * inv_y.sum() - k.dot(inv_y)) / tau)
         return nll, np.array(grad)
 
     @classmethod
@@ -511,38 +539,20 @@ class CompoundGamma(_IncompleteBeta):
     """
 
     _A = 1.0
-
-    @staticmethod
-    def _log_unit(x, nu):  # -log1p(x/nu), and log(nu/x) where x/nu overflows
-        out = -np.log1p(x / nu)
-        top = np.isinf(out)
-        if top.any():
-            out[top] = math.log(nu) - np.log(x[top])
-        return out
+    _BETA_ONE = Lomax  # v = 1/(1 + z) = exp(-log1p z)
 
     @staticmethod
     def _x_from(w, v, nu):
         return nu * w / v
-
-    _K = _S = 1.0  # 1 - v = (x/nu) v and -d log v/dx = v/nu
 
     @staticmethod
     def _log_h(log_v):
         return 0.0
 
     @staticmethod
-    def _score_terms(z, log_v):
-        """rho = m = q = 1 - v = z/(1 + z), log1p z - q and log1p(1/z), formed as
-        the Burr XII score forms them."""
-        q = z + 1.0
-        np.divide(z, q, out=q)
-        q[np.isinf(z)] = 1.0
-        remainder = np.negative(log_v)
-        remainder -= q
-        small = z < _LOG1P_SERIES_BELOW
-        remainder[small] = _log1p_less_ratio(z[small])
-        log_complement = np.log1p(np.reciprocal(z, out=z), out=z)
-        return q, remainder, q, log_complement
+    def _log_complement(z, c):  # log1p(1/z), as 1 - v = z/(1 + z)
+        out = np.reciprocal(z)
+        return np.log1p(out, out=out)
 
     @staticmethod
     def moment_order_threshold(nu, beta):

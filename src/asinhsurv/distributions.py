@@ -22,9 +22,12 @@ beta = 1: each is a subclass that runs its parent's kernel and likelihood
 score (genexp adds only its closed-form variance, skewness and entropy),
 and the handle passes beta = 1 to the kernel of every family that ignores
 beta.  The generalised gamma runs the compound gamma's incomplete-beta
-kernel: q(X) ~ Beta(nu/2, beta) gives exact draws, the density is that
-Beta density of q(x) times |dq/dx|, and the likelihood score is the base's,
-with only gengamma's terms in a hook.  genexp2 has a score of its own.
+kernel: q(X) ~ Beta(nu/2, beta) gives exact draws and the density is that
+Beta density of q(x) times |dq/dx|.  At beta = 1 the generalised gamma is
+the generalised exponential, as the compound gamma is the Lomax, and each
+names that family as its ``_BETA_ONE``: log q = -2 asinh(x/nu) and the
+likelihood score come from the genexp kernel's link, so only -log(1 - q)
+is gengamma's own.  genexp2 has a score of its own, on genexp's link terms.
 
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
@@ -42,7 +45,6 @@ import numpy as np
 from . import baselines
 from .errors import DomainError, UnsupportedOperationError
 from .numerics import (
-    _asinh_ratio,
     digamma,
     find_root_1d,  # unused here; bench/tracing.py wraps this name by attribute
     log_beta,
@@ -133,29 +135,6 @@ def asinh_terms(x, nu: float) -> AsinhTerms:
     return AsinhTerms(c, z, q, r)
 
 
-_ASINH_SERIES_BELOW = 1e-2
-
-
-def _asinh_less_ratio(z):
-    """asinh(z) - z/sqrt(1 + z^2) for z < ``_ASINH_SERIES_BELOW``, by its series z^3/3
-    - 3z^5/10 + 15z^7/56 - 35z^9/144: the difference itself cancels there."""
-    if not z.size:
-        return z
-    zz = z * z
-    return z * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * (35.0 / 144.0))))
-
-
-def _ratio_to_hypot(z):
-    """t = z/c and c = sqrt(1 + z^2) for z >= 0 (c = inf where z^2 overflows),
-    with t = 1 past z = 1e150, where the power-tail kernel's far points start."""
-    c = np.multiply(z, z)
-    c += 1.0
-    np.sqrt(c, out=c)
-    t = np.divide(z, c)
-    t[z > 1e150] = 1.0
-    return t, c
-
-
 class _GenWeibull(baselines._PowerTail):
     """Generalised Weibull: survival exp(-nu asinh(x^beta/nu)), the power-tail
     kernel at g = asinh, for which log(1/g'(z)) = log c, c = sqrt(1 + z^2)."""
@@ -163,6 +142,7 @@ class _GenWeibull(baselines._PowerTail):
     _link = np.arcsinh
     _inverse = np.sinh
     _LINK_FAR = _LN2
+    _RATIO_SERIES_BELOW = 1e-2
 
     @staticmethod
     def _log_inv_slope(z):
@@ -179,24 +159,35 @@ class _GenWeibull(baselines._PowerTail):
         nu_asinh *= nu
         out -= nu_asinh
 
+    @staticmethod
+    def _ratio(z, far):  # t = z/c, 1 where far, and c = sqrt(1 + z^2), inf where z^2 overflows
+        c = np.multiply(z, z)
+        c += 1.0
+        np.sqrt(c, out=c)
+        t = np.divide(z, c)
+        t[far] = 1.0
+        return t, c
+
+    @staticmethod
+    def _less_ratio(z):
+        """asinh(z) - z/sqrt(1 + z^2) by its series z^3/3 - 3z^5/10 + 15z^7/56 - 35z^9/144."""
+        if not z.size:
+            return z
+        zz = z * z
+        return z * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * (35.0 / 144.0))))
+
     @classmethod
-    def _score_terms(cls, z, far, log_z, nu):
-        """The sums of ``nll_score`` at g = asinh, where t = z/c, m = t^2 and
-        k = t (nu + t): nu sum asinh z, sum log c, sum k, sum t^2, the array
-        asinh z - t and the array k."""
-        t, c = _ratio_to_hypot(z)  # t = 1 where far
+    def _score_terms(cls, z, far, log_z, nu, t, c):
+        """The sums of ``nll_score`` at g = asinh, where m = t^2 and k = t (nu + t):
+        nu sum asinh z, sum log c, sum k, sum t^2, the array asinh z - t and
+        the array k."""
         log_c = np.log(c, out=c)
-        small = z < _ASINH_SERIES_BELOW
-        zs = z[small]
-        g = cls._g(z, far, log_z)
+        sum_g, g_less_t = cls._g_less_t(z, far, log_z, t)
         log_c[far] = log_z
-        nll_link, nll_slope = nu * g.sum(), log_c.sum()
-        g -= t
-        g[small] = _asinh_less_ratio(zs)
         sum_t2 = t.dot(t)
         k = t + nu
         k *= t
-        return nll_link, nll_slope, k.sum(), sum_t2, g, k
+        return nu * sum_g, log_c.sum(), k.sum(), sum_t2, g_less_t, k
 
     @classmethod
     def _hessian_terms(cls, z, far, log_z, nu):
@@ -213,12 +204,12 @@ class _GenWeibull(baselines._PowerTail):
         t = np.sqrt(inv_c2)
         t *= z
         t[far] = 1.0
-        small = z < _ASINH_SERIES_BELOW
+        small = z < cls._RATIO_SERIES_BELOW
         zs = z[small]
         g = cls._g(z, far, log_z)
         nll_link = nu * g.sum() + 0.5 * log_c.sum()
         g -= t
-        g[small] = _asinh_less_ratio(zs)
+        g[small] = cls._less_ratio(zs)
         t2 = t * t
         sum_t2, sum_t3, sum_g_less_t = t.dot(t), t2.dot(t), g.sum()
         return (nll_link, t.sum(), sum_t2, sum_g_less_t, t.dot(inv_c2), 2.0 * t2.dot(inv_c2),
@@ -273,35 +264,23 @@ class _GenGamma(baselines._IncompleteBeta):
     """Generalised gamma: survival I_q(nu/2, beta) in q = (C+S)^(-2)."""
 
     _A = 0.5
-
-    @staticmethod
-    def _log_unit(x, nu):  # log q = -2 asinh(x/nu)
-        return -2.0 * _asinh_ratio(x, nu)
+    _BETA_ONE = _GenExp  # q = exp(-2 asinh z)
 
     @staticmethod
     def _x_from(w, v, nu):  # nu (1 - q) / (2 sqrt q) at q = v/(v+w); +inf, not NaN, at v = 0
         return 0.5 * nu * w / np.sqrt(v * (v + w))
 
-    _K = _S = 0.5  # 1 - q = 2 S r = (2x/nu) sqrt q; -d log q/dx = 2/(nu C) = (2 sqrt q/nu) 2/(1 + q)
-
     @staticmethod
-    def _log_h(log_v):
+    def _log_h(log_v):  # -d log q/dx = 2/(nu C) = (2 sqrt q/nu) h with h = 2/(1 + q)
         return _LN2 - np.log1p(np.exp(log_v))
 
     @staticmethod
-    def _score_terms(z, log_v):
-        """rho = 2t, t = z/c, 2 (asinh z - t), m = t^2 and -log(1 - q) =
-        log1p(1/(2 z (c + z))), since 1 - q = 2z/(c + z)."""
-        t, c = _ratio_to_hypot(z)
-        remainder = np.multiply(t, -2.0)
-        remainder -= log_v
-        small = z < _ASINH_SERIES_BELOW
-        remainder[small] = 2.0 * _asinh_less_ratio(z[small])
-        c += z
-        c *= z
-        c *= 2.0
-        log_complement = np.log1p(np.reciprocal(c, out=c), out=c)
-        return 2.0 * t, remainder, t * t, log_complement
+    def _log_complement(z, c):  # log1p(1/(2 z (c + z))), as 1 - q = 2z/(c + z)
+        out = c + z
+        out *= z
+        out *= 2.0
+        np.reciprocal(out, out=out)
+        return np.log1p(out, out=out)
 
     @staticmethod
     def moment_order_threshold(nu, beta):
@@ -338,8 +317,9 @@ class _GenExpType2:
     uses_nu = True
 
     @staticmethod
-    def _log_r(x, nu):
-        return -_asinh_ratio(x, nu)
+    def _log_r(x, nu):  # -asinh(x/nu), as genexp's link gives it
+        out = _GenExp._g(*_GenExp._scaled_power(x, nu, 1.0))
+        return np.negative(out, out=out).reshape(np.shape(x))
 
     @classmethod
     def log_survival(cls, x, nu, beta):
@@ -357,7 +337,10 @@ class _GenExpType2:
 
     @classmethod
     def log_pdf(cls, x, nu, beta):
-        return math.log((nu + 2.0) / (nu + 1.0)) + (nu + 1.0) * cls._log_r(x, nu)
+        out = cls._log_r(x, nu)
+        out *= nu + 1.0
+        out += math.log((nu + 2.0) / (nu + 1.0))
+        return out
 
     @classmethod
     def nll_score(cls, x, log_tau, theta, log_beta=0.0, *, eta=None):
@@ -372,17 +355,14 @@ class _GenExpType2:
         """
         nu, tau, n = 1.0 / theta, math.exp(log_tau), x.size
         y = x / tau if eta is None else (x - eta) / tau
-        asinh_z = _asinh_ratio(y, nu)
-        with np.errstate(over="ignore"):  # z = inf where y/nu overflows
-            z = np.divide(y, nu, out=y)
-            t, c = _ratio_to_hypot(z)
+        z, far, log_z = _GenExp._scaled_power(y, nu, 1.0)
+        with np.errstate(over="ignore"):  # c = inf where z^2 overflows
+            t, c = _GenExp._ratio(z, far)
+        sum_asinh, asinh_less_t = _GenExp._g_less_t(z, far, log_z, t)
         sum_t = t.sum()
-        nll = n * (log_tau - math.log((nu + 2.0) / (nu + 1.0))) + (nu + 1.0) * asinh_z.sum()
-        small = z < _ASINH_SERIES_BELOW
-        asinh_z -= t
-        asinh_z[small] = _asinh_less_ratio(z[small])
+        nll = n * (log_tau - math.log((nu + 2.0) / (nu + 1.0))) + (nu + 1.0) * sum_asinh
         grad = [n - (nu + 1.0) * sum_t,
-                nu * sum_t - nu * nu * (asinh_z.sum() + n / ((nu + 1.0) * (nu + 2.0))), 0.0]
+                nu * sum_t - nu * nu * (asinh_less_t.sum() + n / ((nu + 1.0) * (nu + 2.0))), 0.0]
         if eta is not None:
             grad.append(-(nu + 1.0) / (nu * tau) * np.reciprocal(c, out=c).sum())
         return nll, np.array(grad)

@@ -16,6 +16,7 @@ order-independent.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .distributions import _KERNELS, Family, make_handle
 from .errors import DomainError
 from .fitting import FitResult, Sample, fit_all
-from .rng import make_stream
+from .rng import _SEED_MAX, make_stream
 
 __all__ = [
     "ExperimentConfig",
@@ -49,7 +50,10 @@ class ExperimentConfig:
     base_seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(self, "sample_sizes",
+                           tuple(_integer("sample_sizes", n) for n in self.sample_sizes))
+        object.__setattr__(self, "replications", _integer("replications", self.replications))
+        object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         object.__setattr__(self, "outlier_values", tuple(float(v) for v in self.outlier_values))
         sizes = self.sample_sizes  # distinct: the cells are keyed by n
         if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
@@ -58,8 +62,17 @@ class ExperimentConfig:
             raise DomainError(f"outlier_values must be finite and >= 0, got {self.outlier_values}")
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if not 0 <= self.base_seed <= _SEED_MAX:
+            raise DomainError(f"base_seed must fit in 64 unsigned bits, got {self.base_seed}")
         if not 0.0 < self.true_tau < math.inf:
             raise DomainError(f"true_tau must be finite and > 0, got {self.true_tau}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; numpy integers pass, bools and floats fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name}: {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)

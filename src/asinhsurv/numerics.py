@@ -13,8 +13,8 @@ gengamma or cgamma likelihood reads as slope.  The series is within 5e-14 of
 40-digit mpmath for shapes in [1e-3, 1e6], and ``_psi_remainder`` gives the
 tail-index derivative of ln B that those likelihoods' scores need, free of
 the cancellation between two psi values.  Where ``betainc`` underflows,
-``_log_inc_beta_far`` gives log I_x(a, b) from log x, and where x/nu
-overflows, ``_asinh_ratio`` gives asinh(x/nu) from log x.  The quadrature,
+``_log_inc_beta_far`` gives log I_x(a, b) from log x; the families' link
+arithmetic lives in their power-tail kernels.  The quadrature,
 maximizer and root-finder are deliberately independent of any closed forms
 elsewhere in the package so they can serve as verification oracles in tests.
 """
@@ -248,14 +248,6 @@ def _log_inc_beta_far(log_x, a, b):
                            partial=lead - np.log(fraction))
 
 
-def _asinh_ratio(x, nu):
-    """asinh(x/nu) for an array x >= 0, as log(2x/nu) where x/nu overflows."""
-    with np.errstate(over="ignore", divide="ignore"):
-        out = np.arcsinh(x / nu)
-        top = np.isinf(out)
-        return np.where(top, np.log(x) + math.log(2.0 / nu), out) if top.any() else out
-
-
 def reg_inc_beta_inv(p, a, b):
     """Inverse of :func:`reg_inc_beta` in x: the x in [0, 1] with
     I_x(a, b) = p, for p in [0, 1] and scalar a, b > 0
@@ -282,8 +274,10 @@ def stable_asinh_scaled(x, nu):
     _reject_nan("x", arr)
     if np.any(arr < 0.0):
         raise DomainError("stable_asinh_scaled requires x >= 0")
-    out = nu * _asinh_ratio(arr, nu)
-    return _maybe_scalar(np.asarray(out), scalar)
+    with np.errstate(over="ignore", divide="ignore"):  # asinh = log(2x/nu) where x/nu overflows
+        out = np.arcsinh(arr / nu)
+        out = np.where(np.isinf(out), np.log(arr) + math.log(2.0 / nu), out)
+    return _maybe_scalar(np.asarray(nu * out), scalar)
 
 
 @dataclass(frozen=True)

@@ -595,14 +595,21 @@ class TestAnalyticInvariants:
             gamma_pdf = xs ** (beta - 1.0) * np.exp(-xs) / math.gamma(beta)
             assert np.max(np.abs(gg.pdf(xs[1:]) - gamma_pdf[1:])) < 1e-6
 
-    @pytest.mark.parametrize("family", ["genweibull", "gengamma"])
-    def test_beta_one_reduction_pointwise(self, family, handle_evaluations):
-        xs = np.geomspace(1e-3, 1e3, 50)
-        for nu in (0.7, 2.0, 10.0):
-            reduced = make_handle(family, nu=nu, beta=1.0)
-            genexp = make_handle("genexp", nu=nu)
-            assert reduced.survival(xs) == pytest.approx(genexp.survival(xs), rel=1e-12, abs=1e-300)
-            assert reduced.pdf(xs) == pytest.approx(genexp.pdf(xs), rel=1e-12, abs=1e-300)
+    @pytest.mark.parametrize("family, beta_one", [
+        pytest.param("genweibull", "genexp", id="genweibull"),
+        pytest.param("gengamma", "genexp", id="gengamma"),
+        pytest.param("cgamma", "lomax", id="cgamma"),
+    ])
+    def test_beta_one_reduction_pointwise(self, family, beta_one, handle_evaluations):
+        # x = 0, the body, a far point and inf; p from 0 to 1 - 1e-9.
+        for nu in (0.7, 2.0, 2.5, 10.0):
+            got = handle_evaluations(make_handle(family, nu=nu, beta=1.0))
+            expected = handle_evaluations(make_handle(beta_one, nu=nu))
+            for key in ("pdf", "cdf", "survival", "hazard", "quantile"):
+                assert got[key] == pytest.approx(expected[key], rel=1e-12, abs=1e-300), (key, nu)
+            ps = np.array([0.999, 1.0 - 1e-9])
+            assert (make_handle(family, nu=nu, beta=1.0).quantile(ps)
+                    == pytest.approx(make_handle(beta_one, nu=nu).quantile(ps), rel=1e-12)), nu
         if family != "genweibull":
             return
         # genexp runs the genweibull kernel at beta = 1, whatever beta it is given.

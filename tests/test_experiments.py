@@ -51,6 +51,22 @@ class TestConfig:
         with pytest.raises(DomainError, match="true_tau"):
             ExperimentConfig(true_tau=tau)
 
+    # Each built before and failed later: a TypeError inside the study, one
+    # replication, an error at the first stream, or a size silently truncated.
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 2.5), ("replications", True), ("base_seed", -1), ("base_seed", 2**64),
+        ("base_seed", 1.0), ("sample_sizes", (2.7,)), ("sample_sizes", (10, True)),
+    ])
+    def test_rejects_counts_and_seeds_that_are_not_integers_in_range(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        cfg = ExperimentConfig(sample_sizes=np.array([10, 20]), replications=np.int32(3),
+                               base_seed=np.uint64(2**64 - 1))
+        assert (cfg.sample_sizes, cfg.replications, cfg.base_seed) == ((10, 20), 3, 2**64 - 1)
+        assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.replications, cfg.base_seed))
+
 
 class TestStudy:
     def test_grid_shape(self, small_report):

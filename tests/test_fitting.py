@@ -350,6 +350,20 @@ def test_new_nll_scores_match_decimal_reference(x, family, log_beta, theta, log_
     assert list(grad) == pytest.approx(reference, rel=1e-10)
 
 
+@pytest.mark.parametrize("family", ["genexp2", "gengamma", "cgamma"])
+def test_new_nll_scores_at_far_points(family):
+    # z = theta y passes 1e150 at the first three points, where these scores
+    # take genexp's or the Lomax's far forms of the link and its ratio.
+    x = np.concatenate([[1e300, 1e200, 1e160, 1e80], _POSITIVE_BODY])
+    kernel = fitting._KERNELS[Family.parse(family)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nll, grad = kernel.nll_score(x, 0.5, 0.5, 1.0)
+    handle = make_handle(family, nu=2.0, beta=math.e, tau=math.exp(0.5))
+    assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
+    assert list(grad) == pytest.approx(_mp_gradient(family, x, 0.5, 0.5, 1.0), rel=1e-10)
+
+
 _SCORE_FAMILIES = ["exp", "genexp", "lomax", "genweibull", "burr12", "genexp2", "gengamma",
                    "cgamma"]
 
