@@ -107,9 +107,11 @@ class _PowerTail:
     nu)``, which takes nu g(z) + log(1/g'(z)) from ``out`` in the link's own
     rounding order, ``_ratio(z, far)``, which gives t = z g'(z) and
     c = 1/g'(z) as new arrays, ``_less_ratio(z)``, the series of g(z) - t
-    below z = ``_RATIO_SERIES_BELOW``, where the difference cancels, and the
-    sums ``_score_terms``, which is handed t and c, and ``_hessian_terms``;
-    each may overwrite the arrays it is given.
+    below z = ``_RATIO_SERIES_BELOW``, where the difference cancels, the sums
+    ``_score_terms``, which is handed t and c, and for ``nll_hessian_rows``
+    the ``_HESSIAN_POINT_TERMS`` per-point terms ``_hessian_point_terms`` and
+    the per-row sums ``_hessian_row_sums`` formed from theirs; each may
+    overwrite the arrays it is given.
 
     z overflows for moderate x and beta, so past z = 1e150 the kernel works
     from log z: there g(z) = log z + ``_LINK_FAR`` and log(1/g'(z)) = log z
@@ -155,9 +157,9 @@ class _PowerTail:
         return (math.log(beta) + (1.0 - 1.0 / beta) * math.log(nu)) - log_z / beta
 
     @classmethod
-    def _g(cls, z, far, log_z):
-        """g(z) from _scaled_power's output, in place over z."""
-        out = cls._link(z, out=z)
+    def _g(cls, z, far, log_z, out=None):
+        """g(z) from _scaled_power's output, in ``out`` or in place over z."""
+        out = cls._link(z, out=z if out is None else out)
         out[far] = log_z + cls._LINK_FAR
         return out
 
@@ -233,45 +235,60 @@ class _PowerTail:
         return nll, np.array(grad)
 
     @classmethod
-    def nll_hessian(cls, x, log_tau, theta):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        beta = 1 and location 0, with its gradient and Hessian in (log_tau,
-        theta), all as Python floats: ``nll, (g_tau, g_theta), (h_tau_tau,
-        h_tau_theta, h_theta_theta)``.
+    def nll_hessian_rows(cls, x, lengths, log_tau, theta):
+        """Negative log likelihoods at beta = 1 and location 0, with their
+        gradients and Hessians in (log_tau, theta), of many rows at once: row i
+        is the next ``lengths[i]`` (at least 1) points of ``x`` at tau =
+        exp(``log_tau[i]``) and nu = 1/``theta[i]``.  Returns the arrays
+        ``nll`` (rows), ``grad`` (rows x 2) of (g_tau, g_theta) and ``hess``
+        (rows x 3) of (h_tau_tau, h_tau_theta, h_theta_theta).
 
         With z = theta x/tau, t = z g'(z), m = -z g''(z)/g'(z) and d the
         operator z d/dz, the gradient is n - nu sum t - sum m and
         nu sum m - nu^2 sum (g - t), and the Hessian is nu sum dt + sum dm,
         nu^2 sum (t - dt) - nu sum dm and nu^2 sum (dm - m) + nu^3 sum w, with
-        w = 2 (g - t) - (t - dt).  ``_hessian_terms`` forms each sum free of
-        cancellation: at g = log1p and small z, w is O(z^3), not the difference
-        of two O(z^2) terms.
+        w = 2 (g - t) - (t - dt).  The link's ``_hessian_point_terms`` writes
+        its per-point terms, each free of cancellation (at g = log1p and small
+        z, w is O(z^3), not the difference of two O(z^2) terms), into one
+        (terms x points) buffer; one ``np.add.reduceat`` sums it per row, so a
+        row's sums do not depend on the rows beside it, and
+        ``_hessian_row_sums`` turns those into the sums above.
         """
+        lengths = np.asarray(lengths)
+        log_tau, theta = np.asarray(log_tau, dtype=float), np.asarray(theta, dtype=float)
         nu = 1.0 / theta
         # z, and the link's terms, overflow only where far.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = x * (theta * math.exp(-log_tau))
+            z = x * np.repeat(theta * np.exp(-log_tau), lengths)
             far = z > 1e150
-            log_z = np.log(x[far]) + (math.log(theta) - log_tau)
-            (nll_link, sum_t, sum_m, sum_g_less_t, sum_dt, sum_dm, sum_t_less_dt, sum_dm_less_m,
-             sum_w) = map(float, cls._hessian_terms(z, far, log_z, nu))
-        n = x.size
-        grad = (n - nu * sum_t - sum_m, nu * sum_m - nu * nu * sum_g_less_t)
-        hess = (nu * sum_dt + sum_dm, nu * nu * sum_t_less_dt - nu * sum_dm,
-                nu * nu * (sum_dm_less_m + nu * sum_w))
-        return n * log_tau + nll_link, grad, hess
+            log_z = np.log(x[far])
+            if log_z.size:
+                log_z += np.repeat(np.log(theta) - log_tau, lengths)[far]
+            terms = np.empty((cls._HESSIAN_POINT_TERMS, x.size))
+            cls._hessian_point_terms(z, far, log_z, terms)
+        offsets = np.cumsum(lengths)
+        offsets -= lengths
+        (nll_link, sum_t, sum_m, sum_g_less_t, sum_dt, sum_dm, sum_t_less_dt, sum_dm_less_m,
+         sum_w) = cls._hessian_row_sums(np.add.reduceat(terms, offsets, axis=1), nu)
+        nu2 = nu * nu
+        out = np.array([lengths * log_tau + nll_link, lengths - nu * sum_t - sum_m,
+                        nu * sum_m - nu2 * sum_g_less_t, nu * sum_dt + sum_dm,
+                        nu2 * sum_t_less_dt - nu * sum_dm, nu2 * (sum_dm_less_m + nu * sum_w)])
+        return out[0], out[1:3].T, out[3:].T
 
     @classmethod
     def nll_grid(cls, x, log_tau, theta):
-        """Negative log likelihood of ``x`` at beta = 1 and location 0 over the
-        grid of nu = 1/``theta`` by tau = exp(``log_tau``), in one pass, as an
-        array of shape (theta.size, log_tau.size); +inf where it is not finite."""
+        """Negative log likelihood at beta = 1 and location 0 of each sample
+        ``x[b]`` of the (samples x n) array ``x`` over its grid of
+        nu = 1/``theta`` by tau = exp(``log_tau[b]``), in one pass, as an array
+        of shape (samples, theta.size, log_tau.shape[1]); +inf where it is not
+        finite."""
         theta = theta[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):  # where z overflows
-            z = x * (theta * np.exp(-log_tau)[:, None])
+            z = x[:, None, None, :] * (theta * np.exp(-log_tau)[:, None, :, None])
             log_density = np.zeros(z.shape)
             cls._subtract_log_density(log_density, z, 1.0 / theta)
-            nll = x.size * log_tau - log_density.sum(axis=-1)
+            nll = x.shape[1] * log_tau[:, None, :] - log_density.sum(axis=-1)
         nll[~np.isfinite(nll)] = np.inf
         return nll
 
@@ -334,27 +351,34 @@ class BurrXII(_PowerTail):
         q *= nu + 1.0
         return (nu + 1.0) * sum_g, 0.0, (nu + 1.0) * sum_q, sum_q, g_less_q, q
 
+    _HESSIAN_POINT_TERMS = 5
+
     @classmethod
-    def _hessian_terms(cls, z, far, log_z, nu):
-        """The sums of ``nll_hessian`` at g = log1p, where t = m = q = z/(1 + z),
-        dt = dm = q/(1 + z), t - dt = q^2 = m - dm and g - t = (w + q^2)/2:
-        (nu + 1) sum log1p z, sum q twice, sum (g - q), sum dq twice, sum q^2,
-        -sum q^2 and sum w."""
-        one_z = z + 1.0
-        q = np.divide(z, one_z)
+    def _hessian_point_terms(cls, z, far, log_z, out):
+        """The point terms of ``nll_hessian_rows`` at g = log1p, where
+        t = m = q = z/(1 + z), dt = dm = q/(1 + z) = dq, t - dt = q^2 = m - dm
+        and g - t = (w + q^2)/2, into the rows of ``out``: log1p z, q, dq, q^2
+        and w."""
+        h, q, dq, q2, w = out
+        one_z = np.add(z, 1.0, out=dq)
+        np.divide(z, one_z, out=q)
         q[far] = 1.0
-        dq = np.divide(q, one_z, out=one_z)  # 0 where z = inf
-        h = cls._g(z, far, log_z)
-        nll_link = (nu + 1.0) * h.sum()
-        q2 = q * q
-        w = np.subtract(h, q, out=h)
+        np.divide(q, one_z, out=dq)  # 0 where z = inf
+        cls._g(z, far, log_z, out=h)
+        np.multiply(q, q, out=q2)
+        np.subtract(h, q, out=w)
         w *= 2.0
         w -= q2
         small = q < _LOG1P_CUBIC_SERIES_BELOW
         w[small] = _log1p_tail(q[small], 3, 10)
-        sum_q, sum_dq, sum_q2, sum_w = q.sum(), dq.sum(), q2.sum(), w.sum()
-        return (nll_link, sum_q, sum_q, 0.5 * (sum_w + sum_q2), sum_dq, sum_dq, sum_q2, -sum_q2,
-                sum_w)
+
+    @staticmethod
+    def _hessian_row_sums(sums, nu):
+        """The sums of ``nll_hessian_rows`` from the rows' sums of the point
+        terms: (nu + 1) sum log1p z, sum q twice, sum (g - q), sum dq twice,
+        sum q^2, -sum q^2 and sum w."""
+        h, q, dq, q2, w = sums
+        return (nu + 1.0) * h, q, q, 0.5 * (w + q2), dq, dq, q2, -q2, w
 
     @staticmethod
     def raw_moment(n, nu, beta):

@@ -189,31 +189,44 @@ class _GenWeibull(baselines._PowerTail):
         k *= t
         return nu * sum_g, log_c.sum(), k.sum(), sum_t2, g_less_t, k
 
+    _HESSIAN_POINT_TERMS = 9
+
     @classmethod
-    def _hessian_terms(cls, z, far, log_z, nu):
-        """The sums of ``nll_hessian`` at g = asinh, where t = z/c, m = t^2,
-        dt = t/c^2, dm = 2 t^2/c^2, t - dt = t^3 and dm - m = t^2 - 2 t^4:
-        nu sum asinh z + sum log c, sum t, sum t^2, sum (asinh z - t), sum dt,
-        sum dm, sum t^3, sum t^2 - 2 sum t^4 and 2 sum (asinh z - t) - sum t^3.
-        At small z the last is -z^3/3 per point: its two terms do not cancel."""
-        c2 = np.multiply(z, z)
-        log_c = np.log1p(c2)
-        log_c[far] = 2.0 * log_z
-        c2 += 1.0
-        inv_c2 = np.reciprocal(c2, out=c2)  # 0 where far
-        t = np.sqrt(inv_c2)
+    def _hessian_point_terms(cls, z, far, log_z, out):
+        """The point terms of ``nll_hessian_rows`` at g = asinh, where t = z/c,
+        m = t^2, dt = t/c^2, dm = 2 t^2/c^2, t - dt = t^3 and dm - m = t^2 - 2 t^4,
+        into the rows of ``out``: asinh z, log c^2, t, t^2, asinh z - t (by its
+        series at small z), t/c^2, t^2/c^2, t^3 and t^4."""
+        g, log_c2, t, t2, g_less_t, dt, t2_c2, t3, t4 = out
+        inv_c2 = np.multiply(z, z, out=dt)
+        np.log1p(inv_c2, out=log_c2)
+        log_c2[far] = 2.0 * log_z
+        inv_c2 += 1.0
+        np.reciprocal(inv_c2, out=inv_c2)  # 0 where far
+        np.sqrt(inv_c2, out=t)
         t *= z
         t[far] = 1.0
         small = z < cls._RATIO_SERIES_BELOW
         zs = z[small]
-        g = cls._g(z, far, log_z)
-        nll_link = nu * g.sum() + 0.5 * log_c.sum()
-        g -= t
-        g[small] = cls._less_ratio(zs)
-        t2 = t * t
-        sum_t2, sum_t3, sum_g_less_t = t.dot(t), t2.dot(t), g.sum()
-        return (nll_link, t.sum(), sum_t2, sum_g_less_t, t.dot(inv_c2), 2.0 * t2.dot(inv_c2),
-                sum_t3, sum_t2 - 2.0 * t2.dot(t2), 2.0 * sum_g_less_t - sum_t3)
+        cls._g(z, far, log_z, out=g)
+        np.subtract(g, t, out=g_less_t)
+        g_less_t[small] = cls._less_ratio(zs)
+        np.multiply(t, t, out=t2)
+        np.multiply(t2, inv_c2, out=t2_c2)
+        np.multiply(t, inv_c2, out=dt)
+        np.multiply(t2, t, out=t3)
+        np.multiply(t2, t2, out=t4)
+
+    @staticmethod
+    def _hessian_row_sums(sums, nu):
+        """The sums of ``nll_hessian_rows`` from the rows' sums of the point
+        terms: nu sum asinh z + sum log c, sum t, sum t^2, sum (asinh z - t),
+        sum dt, sum dm, sum t^3, sum t^2 - 2 sum t^4 and 2 sum (asinh z - t)
+        - sum t^3.  At small z the last is -z^3/3 per point: its two terms do
+        not cancel."""
+        g, log_c2, t, t2, g_less_t, dt, t2_c2, t3, t4 = sums
+        return (nu * g + 0.5 * log_c2, t, t2, g_less_t, dt, 2.0 * t2_c2, t3, t2 - 2.0 * t4,
+                2.0 * g_less_t - t3)
 
     @staticmethod
     def raw_moment(n, nu, beta):

@@ -8,9 +8,12 @@ statistics are per-cell medians (with quartiles) over many seeded
 replications.
 
 Replication (size_index, r) draws from ``make_stream(base_seed,
-size_index, r)``, so results are bit-identical for a given config and
-seed no matter how the replications are scheduled; aggregation is
-order-independent.
+size_index, r)``.  All samples of one size are fitted together, one Lomax
+and one genexp batch (see :mod:`asinhsurv.fitting`), but no fit depends on
+which samples share its batch: results are bit-identical for a given config
+and seed no matter how the replications are scheduled or batched, and a
+replication's rows are the same whatever the number of replications.
+Aggregation is order-independent.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .distributions import _KERNELS, Family, make_handle
 from .errors import DomainError
-from .fitting import FitResult, Sample, fit_all
+from .fitting import FitOptions, FitResult, Sample, _fit_samples, fit_all, fit_mle
 from .rng import _SEED_MAX, make_stream
 
 __all__ = [
@@ -56,8 +59,9 @@ class ExperimentConfig:
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         object.__setattr__(self, "outlier_values", tuple(float(v) for v in self.outlier_values))
         sizes = self.sample_sizes  # distinct: the cells are keyed by n
-        if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
-            raise DomainError(f"sample_sizes must be distinct and >= 1, got {sizes}")
+        # Lomax and genexp fit two slots, so each sample needs two points.
+        if not sizes or min(sizes) < 2 or len(set(sizes)) < len(sizes):
+            raise DomainError(f"sample_sizes must be distinct and >= 2, got {sizes}")
         if not all(0.0 <= v < math.inf for v in self.outlier_values):
             raise DomainError(f"outlier_values must be finite and >= 0, got {self.outlier_values}")
         if self.replications < 1:
@@ -218,30 +222,59 @@ def _plain(obj):
     return obj
 
 
-def _cell_summary(n: int, k: int, rows: list[ReplicationRow]) -> CellSummary:
-    # One median, one quantile and one mean over (statistic x replication)
-    # arrays: a numpy call per statistic costs more than the statistic.
-    # nu_hat is None in every row of a method without nu, or in none.
-    fits = [[getattr(r, method) for r in rows] for method in _METHODS]
-    with_nu = [i for i, method_fits in enumerate(fits) if method_fits[0].nu_hat is not None]
+def _cell_summaries(n: int, cells: list[list[ReplicationRow]]) -> list[CellSummary]:
+    """The summary of each cell (n, k), whose rows are ``cells[k]``; every
+    cell of one n holds one row per replication."""
+    # One median, one quantile and one mean over (cell x statistic x
+    # replication) arrays: a numpy call per statistic costs more than the
+    # statistic.  nu_hat is None in every row of a method without nu, or in none.
+    with_nu = [i for i, method in enumerate(_METHODS)
+               if getattr(cells[0][0], method).nu_hat is not None]
     names = ("ignore", "lomax", "genexp")
-    errors = [[getattr(r, f"error_{name}") for r in rows] for name in names]
-    medians = np.median(errors + [[f.neg_log_lik for f in m] for m in fits]
-                        + [[f.tau_hat for f in m] for m in fits]
-                        + [[f.nu_hat for f in fits[i]] for i in with_nu], axis=1).tolist()
-    q1, q3 = np.quantile(errors, [0.25, 0.75], axis=1).tolist()
-    rates = np.mean([[f.converged for f in m] for m in fits]
-                    + [[f.at_nu_bound for f in m] for m in fits], axis=1).tolist()
-    nu_medians = dict(zip(with_nu, medians[9:]))
-    stats = {}
-    for name, median, low, high in zip(names, medians, q1, q3):
-        stats.update({f"error_{name}_median": median, f"error_{name}_q1": low,
-                      f"error_{name}_q3": high})
-    for i, method in enumerate(_METHODS):
-        stats[method] = MethodCellStats(
-            neg_log_lik_median=medians[3 + i], tau_hat_median=medians[6 + i],
-            nu_hat_median=nu_medians.get(i), converged_rate=rates[i], at_nu_bound_rate=rates[3 + i])
-    return CellSummary(n=n, n_outliers=k, replications=len(rows), **stats)
+    errors, values, flags = [], [], []
+    for rows in cells:
+        fits = [[getattr(r, method) for r in rows] for method in _METHODS]
+        errors.append([[getattr(r, f"error_{name}") for r in rows] for name in names])
+        values.append(errors[-1] + [[f.neg_log_lik for f in m] for m in fits]
+                      + [[f.tau_hat for f in m] for m in fits]
+                      + [[f.nu_hat for f in fits[i]] for i in with_nu])
+        flags.append([[f.converged for f in m] for m in fits]
+                     + [[f.at_nu_bound for f in m] for m in fits])
+    medians = np.median(values, axis=2).tolist()
+    q1, q3 = np.quantile(errors, [0.25, 0.75], axis=2).tolist()
+    rates = np.mean(flags, axis=2).tolist()
+    summaries = []
+    for k, rows in enumerate(cells):
+        nu_medians = dict(zip(with_nu, medians[k][9:]))
+        stats = {}
+        for name, median, low, high in zip(names, medians[k], q1[k], q3[k]):
+            stats.update({f"error_{name}_median": median, f"error_{name}_q1": low,
+                          f"error_{name}_q3": high})
+        for i, method in enumerate(_METHODS):
+            stats[method] = MethodCellStats(
+                neg_log_lik_median=medians[k][3 + i], tau_hat_median=medians[k][6 + i],
+                nu_hat_median=nu_medians.get(i), converged_rate=rates[k][i],
+                at_nu_bound_rate=rates[k][3 + i])
+        summaries.append(CellSummary(n=n, n_outliers=k, replications=len(rows), **stats))
+    return summaries
+
+
+def _fit_study(samples: list[Sample]) -> list[tuple[FitResult, FitResult, FitResult]]:
+    """The exponential, Lomax and genexp fits of each sample.  The exponential
+    has a closed form; the Lomax and genexp fits each run as one batch.  If a
+    batch raises anything but ``DomainError``, every sample is refitted alone
+    by ``fit_all``, which turns only the fits that raise again into
+    unconverged placeholders with infinite NLL."""
+    try:
+        return list(zip([fit_mle(Family.EXPONENTIAL, sample) for sample in samples],
+                        _fit_samples(Family.LOMAX, samples, FitOptions()),
+                        _fit_samples(Family.GEN_EXP, samples, FitOptions())))
+    except DomainError:
+        raise
+    except Exception:
+        families = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)
+        by_family = [{r.family: r for r in fit_all(sample)} for sample in samples]
+        return [tuple(results[family] for family in families) for results in by_family]
 
 
 def run_robustness_study(config: ExperimentConfig) -> ExperimentReport:
@@ -255,32 +288,30 @@ def run_robustness_study(config: ExperimentConfig) -> ExperimentReport:
     outlier_prefix = [np.array(config.outlier_values[:k])
                       for k in range(len(config.outlier_values) + 1)]
     rows: list[ReplicationRow] = []
+    cells: list[CellSummary] = []
     for size_index, n in enumerate(config.sample_sizes):
+        clean_means, samples = [], []
         for rep in range(config.replications):
             rng = make_stream(config.base_seed, size_index, rep)
             clean = config.true_tau * rng.standard_exponential(n)
-            clean_mean = float(np.mean(clean))
-            for k, outliers in enumerate(outlier_prefix):
-                data = np.concatenate([clean, outliers]) if k else clean
-                results = {r.family: r for r in fit_all(Sample(data))}
-                exp_fit = MethodFit.from_result(results[Family.EXPONENTIAL])
-                lomax_fit = MethodFit.from_result(results[Family.LOMAX])
-                genexp_fit = MethodFit.from_result(results[Family.GEN_EXP])
-                contaminated_mean = float(np.mean(data))
-                rows.append(ReplicationRow(
-                    n=n, n_outliers=k, replication=rep,
-                    clean_mean=clean_mean, contaminated_mean=contaminated_mean,
-                    exp=exp_fit, lomax=lomax_fit, genexp=genexp_fit,
-                    error_ignore=abs(exp_fit.tau_hat - clean_mean),
-                    error_lomax=abs(lomax_fit.tau_hat - clean_mean),
-                    error_genexp=abs(genexp_fit.tau_hat - clean_mean),
-                ))
-
-    cells = []
-    for n in config.sample_sizes:
-        for k in range(len(config.outlier_values) + 1):
-            cell_rows = [r for r in rows if r.n == n and r.n_outliers == k]
-            cells.append(_cell_summary(n, k, cell_rows))
+            clean_means.append(float(np.mean(clean)))
+            samples += [Sample(np.concatenate([clean, outliers]) if k else clean)
+                        for k, outliers in enumerate(outlier_prefix)]
+        for index, (sample, fits) in enumerate(zip(samples, _fit_study(samples))):
+            rep, k = divmod(index, len(outlier_prefix))
+            exp_fit, lomax_fit, genexp_fit = map(MethodFit.from_result, fits)
+            clean_mean = clean_means[rep]
+            rows.append(ReplicationRow(
+                n=n, n_outliers=k, replication=rep,
+                clean_mean=clean_mean, contaminated_mean=float(np.mean(sample.values)),
+                exp=exp_fit, lomax=lomax_fit, genexp=genexp_fit,
+                error_ignore=abs(exp_fit.tau_hat - clean_mean),
+                error_lomax=abs(lomax_fit.tau_hat - clean_mean),
+                error_genexp=abs(genexp_fit.tau_hat - clean_mean),
+            ))
+        n_rows = rows[len(rows) - len(samples):]  # in (replication, outlier count) order
+        cells += _cell_summaries(n, [n_rows[k::len(outlier_prefix)]
+                                     for k in range(len(outlier_prefix))])
     return ExperimentReport(config=config, cells=tuple(cells), replications=tuple(rows))
 
 

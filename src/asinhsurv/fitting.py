@@ -11,8 +11,8 @@ data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
 
 Every fit but the closed-form exponential runs one of two bounded
 optimisers, chosen by the free mask and the kernel.  A fit whose free
-slots are exactly (log_tau, theta), on a kernel with ``nll_hessian`` (the
-power-tail kernel at beta = 1 and a fixed location), runs projected Newton
+slots are exactly (log_tau, theta), on a kernel with ``nll_hessian_rows``
+(the power-tail kernel at beta = 1 and a fixed location), runs projected Newton
 (Bertsekas 1982) in a trust region on the closed-form NLL, gradient and
 Hessian: genexp and the Lomax, and genweibull and Burr XII on a sample
 holding 0, where beta is pinned and each fit is its beta = 1 member's.
@@ -54,14 +54,27 @@ often hold several local optima, and two local runs from the fixed starts
 can both stop in a higher one: on ten heavy-tailed draws, Newton from the
 base and heavy starts stopped higher than L-BFGS-B from both starts on 11
 of 32,000 fits.  So a Newton fit to a small sample also starts from the two
-lowest 8-neighbour local minima of the NLL on a coarse grid, taken in one
-numpy pass by the kernel's ``nll_grid``: theta at 37 points a quarter
+lowest 8-neighbour local minima of the NLL on a coarse grid, taken by the
+kernel's ``nll_grid`` in one numpy pass for all samples of one length (as
+many as fit in ``_GRID_CAP`` = 2^18 grid points): theta at 37 points a quarter
 decade apart over its box, by log tau at 24 even steps from 3 below the log
 of the least positive point to 1 above the log of the largest.  The rule
 for the heavy start is the same at every size.  Over 64,000 fits to 10-15
 heavy-tailed draws, no fit stopped higher than L-BFGS-B from both starts.
 The grid's cost grows with n, and from 20 points on Newton without it
 stopped higher on none of 36,800 fits.
+
+Newton fits of many samples run as one batch, whose rows are the (sample,
+start) runs: the base and grid starts of every sample first, then the
+heavy starts of the samples whose best run needs one.  The rows run in
+lockstep, in chunks of at most ``_POINT_CAP`` = 2^14 sample points, which
+bounds the memory a batch takes.  Each iteration makes one call of the
+kernel's ``nll_hessian_rows`` for the rows that propose a trial point, on
+their samples concatenated; each row computes its own step on Python floats,
+as a fit alone does, and accepts it and stops on its own test.  The kernel
+sums each row's points by one ``np.add.reduceat``, and a segment's sum does
+not depend on the segments beside it, so a fit is the same to the last bit
+whichever samples share its batch; ``fit_mle`` is a batch of one sample.
 
 Of the starts that ran, the lowest negative log likelihood wins,
 with its own ``converged`` flag.  There is no refit by another optimiser: a
@@ -98,6 +111,8 @@ _NEWTON_RADIUS = 0.1  # the first trust radius of a Newton run
 _NEWTON_MIN_SIZE = 20  # smaller samples also start from a likelihood grid (module docstring)
 _THETA_GRID = np.logspace(-6.0, 3.0, 37)  # that grid's theta, a quarter decade apart
 _THETA_NEAR_EXP = 1e-4  # a Newton fit stopping below this theta also runs the heavy-tail start
+_POINT_CAP = 2 ** 14  # sample points per lockstep Newton chunk (module docstring)
+_GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid pass
 # The slots of every fit, in the order of every score's gradient, and the
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
 _LOG_TAU, _THETA, _LOG_BETA, _ETA = range(4)
@@ -304,113 +319,163 @@ def _newton_step(vec, grad, hess, lo, hi, radius) -> list[float]:
     return step
 
 
-def _fit_newton(kernel, x: np.ndarray, start, lo, hi):
-    """Projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20:221) in a
-    trust region, on ``kernel.nll_hessian`` over the box [lo, hi] of
-    (log_tau, theta), from ``start``: (the end point, its NLL, its gradient,
-    the iterations).
+def _propose(vec, nll, grad, hess, lo, hi, radius):
+    """One row's trial point of projected Newton, with the model's predicted
+    fall to it, the step's length and the NLL's rounding level; None where
+    the run stops."""
+    if _projected_gradient(vec, grad, lo, hi) <= 1e-10 * (1.0 + abs(nll)):
+        return None
+    step = _newton_step(vec, grad, hess, lo, hi, radius)
+    # the fraction t of the step inside the box, and the slot that meets its edge
+    t, edge = 1.0, None
+    for i, (v, s) in enumerate(zip(vec, step)):
+        if s != 0.0 and ((hi[i] if s > 0.0 else lo[i]) - v) / s < t:
+            t, edge = ((hi[i] if s > 0.0 else lo[i]) - v) / s, i
+    trial = [min(max(v + t * s, lo_i), hi_i) for v, s, lo_i, hi_i in zip(vec, step, lo, hi)]
+    if edge is not None:
+        trial[edge] = hi[edge] if step[edge] > 0.0 else lo[edge]
+    if trial == vec:
+        return None
+    (p0, p1), (a, b, c) = [u - v for u, v in zip(trial, vec)], hess
+    predicted = -(grad[0] * p0 + grad[1] * p1 + 0.5 * (a * p0 * p0 + 2.0 * b * p0 * p1 + c * p1 * p1))
+    rounding = 1e-15 * (1.0 + abs(nll))
+    if edge is None and predicted <= rounding:
+        return None
+    return trial, predicted, math.hypot(p0, p1), rounding
 
-    A step that would leave the box stops at its edge, and the slot it stops
-    on is set to its bound.  The trust radius starts at ``_NEWTON_RADIUS``; it
+
+def _row_kernel(kernel, xs):
+    """``evaluate(rows, points)``: the NLL, gradient and Hessian of each sample
+    ``xs[row]`` at its (log_tau, theta) point, as lists of Python floats, from
+    one ``kernel.nll_hessian_rows`` call.  The rows' samples are concatenated
+    once per set of rows: a Newton run's rows only ever shrink to a subset."""
+    joined, x, lengths = None, None, None  # the rows last joined, their samples and sizes
+
+    def evaluate(rows, points):
+        nonlocal joined, x, lengths
+        if rows != joined:
+            joined, x = rows, np.concatenate([xs[i] for i in rows])
+            lengths = np.array([xs[i].size for i in rows])
+        nll, grad, hess = kernel.nll_hessian_rows(x, lengths, *zip(*points))
+        return nll.tolist(), grad.tolist(), hess.tolist()
+    return evaluate
+
+
+def _chunks(sizes, cap):
+    """Consecutive slices of ``sizes`` each summing to at most ``cap``, or of one item."""
+    begin, total = 0, 0
+    for end, size in enumerate(sizes):
+        if end > begin and total + size > cap:
+            yield slice(begin, end)
+            begin, total = end, 0
+        total += size
+    if begin < len(sizes):
+        yield slice(begin, len(sizes))
+
+
+def _fit_newton(kernel, rows, lo, hi):
+    """Projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20:221) in a
+    trust region, on ``kernel.nll_hessian_rows`` over the box [lo, hi] of
+    (log_tau, theta), for each row (sample, start) of ``rows``: a list of
+    (the end point, its NLL, its gradient, the iterations), one per row.
+
+    The rows run in lockstep, in chunks of at most ``_POINT_CAP`` sample
+    points: each iteration makes one kernel call for the rows that propose a
+    trial point, and each row takes its own step, acceptance and stop.  A
+    step that would leave the box stops at its edge, and the slot it stops on
+    is set to its bound.  The trust radius starts at ``_NEWTON_RADIUS``; it
     shrinks to a quarter of the step when the NLL falls by less than a quarter
     of the quadratic model's prediction, and doubles, up to ``_THETA_MAX``,
     when a full-length step falls by more than three quarters of it.  A step
     is taken when the NLL falls by at least 1e-4 of the prediction, less the
-    NLL's rounding level, 1e-15 (1 + |nll|).  A run stops when the projected
+    NLL's rounding level, 1e-15 (1 + |nll|).  A row stops when the projected
     gradient is at most 1e-10 (1 + |nll|), when a step inside the box predicts
     a decrease at rounding level, when a step no longer moves the point, or
     after ``_NEWTON_MAX_ITER`` steps, rejected ones included.
     """
-    vec = list(start)
-    nll, grad, hess = kernel.nll_hessian(x, *vec)
-    radius = _NEWTON_RADIUS
-    for iteration in range(_NEWTON_MAX_ITER):
-        if _projected_gradient(vec, grad, lo, hi) <= 1e-10 * (1.0 + abs(nll)):
-            return vec, nll, grad, iteration
-        step = _newton_step(vec, grad, hess, lo, hi, radius)
-        # the fraction t of the step inside the box, and the slot that meets its edge
-        t, edge = 1.0, None
-        for i, (v, s) in enumerate(zip(vec, step)):
-            if s != 0.0 and ((hi[i] if s > 0.0 else lo[i]) - v) / s < t:
-                t, edge = ((hi[i] if s > 0.0 else lo[i]) - v) / s, i
-        trial = [min(max(v + t * s, lo_i), hi_i) for v, s, lo_i, hi_i in zip(vec, step, lo, hi)]
-        if edge is not None:
-            trial[edge] = hi[edge] if step[edge] > 0.0 else lo[edge]
-        if trial == vec:
-            return vec, nll, grad, iteration
-        (p0, p1), (a, b, c) = [u - v for u, v in zip(trial, vec)], hess
-        predicted = -(grad[0] * p0 + grad[1] * p1 + 0.5 * (a * p0 * p0 + 2.0 * b * p0 * p1 + c * p1 * p1))
-        rounding = 1e-15 * (1.0 + abs(nll))
-        if edge is None and predicted <= rounding:
-            return vec, nll, grad, iteration
-        trial_nll, trial_grad, trial_hess = kernel.nll_hessian(x, *trial)
-        fall, length = nll - trial_nll, math.hypot(p0, p1)
-        if fall < 0.25 * predicted:
-            radius = 0.25 * length
-        elif fall > 0.75 * predicted and length >= 0.9 * radius:
-            radius = min(2.0 * radius, _THETA_MAX)
-        if fall >= 1e-4 * predicted - rounding:
-            vec, nll, grad, hess = trial, trial_nll, trial_grad, trial_hess
-    return vec, nll, grad, _NEWTON_MAX_ITER
+    ends = []
+    for chunk in _chunks([x.size for x, _ in rows], _POINT_CAP):
+        evaluate = _row_kernel(kernel, [x for x, _ in rows[chunk]])
+        vecs = [list(start) for _, start in rows[chunk]]
+        active = list(range(len(vecs)))
+        nlls, grads, hesses = evaluate(active, vecs)
+        radii = [_NEWTON_RADIUS] * len(vecs)
+        stops = [_NEWTON_MAX_ITER] * len(vecs)
+        for iteration in range(_NEWTON_MAX_ITER):
+            proposals = []
+            for i in active:
+                proposal = _propose(vecs[i], nlls[i], grads[i], hesses[i], lo, hi, radii[i])
+                if proposal is None:
+                    stops[i] = iteration
+                else:
+                    proposals.append((i, *proposal))
+            active = [i for i, *_ in proposals]
+            if not active:
+                break
+            trial_nlls, trial_grads, trial_hesses = evaluate(active, [p[1] for p in proposals])
+            for (i, trial, predicted, length, rounding), trial_nll, trial_grad, trial_hess in zip(
+                    proposals, trial_nlls, trial_grads, trial_hesses):
+                fall = nlls[i] - trial_nll
+                if fall < 0.25 * predicted:
+                    radii[i] = 0.25 * length
+                elif fall > 0.75 * predicted and length >= 0.9 * radii[i]:
+                    radii[i] = min(2.0 * radii[i], _THETA_MAX)
+                if fall >= 1e-4 * predicted - rounding:
+                    vecs[i], nlls[i], grads[i], hesses[i] = trial, trial_nll, trial_grad, trial_hess
+        ends += zip(vecs, nlls, grads, stops)
+    return ends
 
 
-def _grid_starts(kernel, x: np.ndarray, lo, hi) -> list[list[float]]:
-    """The two lowest 8-neighbour local minima of the NLL on a coarse grid of
-    (log_tau, theta): theta at a quarter decade over its box, and log tau at
-    24 even steps from 3 below log min(x > 0) to 1 above log max(x) (from -3
-    to 1 if no point is positive), clipped to its box."""
-    positive = x[x > 0.0]
-    least, most = (float(positive.min()), float(positive.max())) if positive.size else (1.0, 1.0)
-    log_tau = np.clip(np.linspace(math.log(least) - 3.0, math.log(most) + 1.0, 24), lo[0], hi[0])
-    nll = kernel.nll_grid(x, log_tau, _THETA_GRID)
-    # a point no higher than any of its 8 neighbours (+inf off the grid)
-    padded = np.pad(nll, 1, constant_values=math.inf)
-    rows, cols = nll.shape
-    lowest = np.isfinite(nll)
-    for i in range(3):
-        for j in range(3):
-            if (i, j) != (1, 1):
-                lowest &= nll <= padded[i:i + rows, j:j + cols]
-    minima = np.flatnonzero(lowest)
-    minima = minima[np.argsort(nll.flat[minima], kind="stable")[:2]]
-    return [[float(log_tau[k % cols]), float(_THETA_GRID[k // cols])] for k in minima]
+def _grid_starts(kernel, xs, lo, hi) -> list[list[list[float]]]:
+    """For each of the equal-length samples ``xs``, the two lowest 8-neighbour
+    local minima of its NLL on a coarse grid of (log_tau, theta): theta at a
+    quarter decade over its box, and log tau at 24 even steps from 3 below
+    log min(x > 0) to 1 above log max(x) (from -3 to 1 if no point is
+    positive), clipped to its box.  One ``nll_grid`` pass takes as many
+    samples as fit in ``_GRID_CAP`` grid points."""
+    xs = np.array(xs)
+    samples, n = xs.shape
+    positive = xs > 0.0
+    least = np.min(xs, axis=1, where=positive, initial=math.inf).tolist()
+    most = np.max(xs, axis=1, where=positive, initial=-math.inf).tolist()
+    ends = [(math.log(low) - 3.0, math.log(high) + 1.0) if math.isfinite(low) else (-3.0, 1.0)
+            for low, high in zip(least, most)]
+    log_tau = np.clip(np.linspace(*zip(*ends), 24, axis=1), lo[0], hi[0])
+    starts = []
+    for chunk in _chunks([_THETA_GRID.size * 24 * n] * samples, _GRID_CAP):
+        nll = kernel.nll_grid(xs[chunk], log_tau[chunk], _THETA_GRID)
+        # a finite point no higher than any of its 8 neighbours (+inf off the
+        # grid): the least of its 3 x 3 block, taken along each axis in turn
+        size, rows, cols = nll.shape
+        block = np.full((size, rows + 2, cols + 2), math.inf)
+        block[:, 1:-1, 1:-1] = nll
+        block = np.minimum(np.minimum(block[:, :, :-2], block[:, :, 1:-1]), block[:, :, 2:])
+        block = np.minimum(np.minimum(block[:, :-2], block[:, 1:-1]), block[:, 2:])
+        lowest = (nll <= block) & np.isfinite(nll)
+        for grid, taus, minima in zip(nll, log_tau[chunk], lowest):
+            minima = np.flatnonzero(minima)
+            minima = minima[np.argsort(grid.flat[minima], kind="stable")[:2]]
+            starts.append([[float(taus[k % cols]), float(_THETA_GRID[k // cols])] for k in minima])
+    return starts
 
 
-def _fit(family: Family, sample: Sample, free: np.ndarray, bounds, starts) -> FitResult:
-    """Newton or L-BFGS-B from the base start and, in a Newton fit to a small
-    sample, from grid starts; then from the heavy-tail start, unless the fit
-    is a Newton fit whose best run converged clear of the nu cap.  The lowest
-    NLL wins."""
-    kernel, x = _KERNELS[family], sample.values
-    lo, hi = bounds
-    base, heavy = starts
-    newton = (free[_THETA] and not (free[_LOG_BETA] or free[_ETA])
-              and hasattr(kernel, "nll_hessian"))
-    if newton:
-        def run(start):
-            return _fit_newton(kernel, x, start, lo, hi)
-    else:
-        score, box = _score(kernel, free, x), Bounds(lo, hi)
+def _converged_at(free, lo, hi, vec, nll, grad) -> bool:
+    """The convergence test of the module docstring: a small projected
+    gradient, and log beta not at its bound, theta not at its upper bound
+    and log tau not at its lower bound, which are edges of the box, not
+    optima."""
+    slots = _slots(free, vec)
+    return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
+            and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
+            and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9)
+            and slots[_LOG_TAU] > -_LOG_TAU_BOUND * (1.0 - 1e-9))
 
-        def run(start):
-            return _fit_quasi_newton(score, start, box)
 
-    def converged_at(vec, nll, grad) -> bool:
-        slots = _slots(free, vec)
-        # log beta at its bound, theta at its upper bound or log tau at its
-        # lower bound is the edge of the box, not an optimum.
-        return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
-                and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
-                and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9)
-                and slots[_LOG_TAU] > -_LOG_TAU_BOUND * (1.0 - 1e-9))
-
-    grid = _grid_starts(kernel, x, lo, hi) if newton and x.size < _NEWTON_MIN_SIZE else []
-    runs = [run(start) for start in [base] + grid]
+def _result(family: Family, sample: Sample, free, bounds, runs) -> FitResult:
+    """The fit of the run with the lowest NLL (the earliest on a tie), with
+    ``iterations`` summed over every run."""
     vec, nll, grad, _ = min(runs, key=lambda r: r[1])
-    if not newton or not converged_at(vec, nll, grad) or _slots(free, vec)[_THETA] < _THETA_NEAR_EXP:
-        runs.append(run(heavy))
-        vec, nll, grad, _ = min(runs, key=lambda r: r[1])
-    converged = converged_at(vec, nll, grad)
+    converged = _converged_at(free, *bounds, vec, nll, grad)
     slots = _slots(free, vec)
     params = _params(slots)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -419,6 +484,61 @@ def _fit(family: Family, sample: Sample, free: np.ndarray, bounds, starts) -> Fi
     return FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
                      iterations=sum(r[3] for r in runs),
                      at_nu_bound=bool(slots[_THETA] <= _THETA_MIN * (1.0 + 1e-9)))
+
+
+def _fit_by_newton(family: Family, samples, boxes) -> list[FitResult]:
+    """Newton fits of ``samples``, every run of every sample in lockstep: the
+    base start and, below ``_NEWTON_MIN_SIZE`` points, the grid starts first,
+    then the heavy-tail start of each sample whose best run is unconverged or
+    stops with theta below ``_THETA_NEAR_EXP``."""
+    kernel = _KERNELS[family]
+    free, (lo, hi), _ = boxes[0]  # the (log_tau, theta) box is the same for every sample
+    xs = [sample.values for sample in samples]
+    grid = [[] for _ in samples]
+    by_size = {}
+    for i, x in enumerate(xs):
+        if x.size < _NEWTON_MIN_SIZE:
+            by_size.setdefault(x.size, []).append(i)
+    for same in by_size.values():
+        for i, starts in zip(same, _grid_starts(kernel, [xs[i] for i in same], lo, hi)):
+            grid[i] = starts
+    rows = [(i, start) for i, (_, _, (base, _)) in enumerate(boxes) for start in [base] + grid[i]]
+    runs = [[] for _ in samples]
+    for (i, _), end in zip(rows, _fit_newton(kernel, [(xs[i], start) for i, start in rows], lo, hi)):
+        runs[i].append(end)
+
+    def needs_heavy(i):
+        vec, nll, grad, _ = min(runs[i], key=lambda r: r[1])
+        return not _converged_at(free, lo, hi, vec, nll, grad) or vec[1] < _THETA_NEAR_EXP
+
+    heavy = [i for i in range(len(samples)) if needs_heavy(i)]
+    for i, end in zip(heavy, _fit_newton(kernel, [(xs[i], boxes[i][2][1]) for i in heavy], lo, hi)):
+        runs[i].append(end)
+    return [_result(family, sample, free, (lo, hi), sample_runs)
+            for sample, sample_runs in zip(samples, runs)]
+
+
+def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
+    """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives.
+    Fits whose free slots are exactly (log_tau, theta), on a kernel with
+    ``nll_hessian_rows``, run Newton together; every other fit runs L-BFGS-B
+    from the base and heavy-tail starts, one at a time."""
+    kernel = _KERNELS[family]
+    boxes = [_box(family, opts, sample.values) for sample in samples]
+    results = [None] * len(samples)
+    newton = [i for i, (free, _, _) in enumerate(boxes)
+              if free[_THETA] and not (free[_LOG_BETA] or free[_ETA])
+              and hasattr(kernel, "nll_hessian_rows")]
+    if newton:
+        for i, result in zip(newton, _fit_by_newton(family, [samples[i] for i in newton],
+                                                    [boxes[i] for i in newton])):
+            results[i] = result
+    for i, (sample, (free, bounds, starts)) in enumerate(zip(samples, boxes)):
+        if results[i] is None:
+            score, box = _score(kernel, free, sample.values), Bounds(*bounds)
+            runs = [_fit_quasi_newton(score, start, box) for start in starts]
+            results[i] = _result(family, sample, free, bounds, runs)
+    return results
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
@@ -458,7 +578,7 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
         return FitResult(family, params, nll, converged=True, iterations=0,
                          at_nu_bound=False)
 
-    return _fit(family, sample, *_box(family, opts, sample.values))
+    return _fit_samples(family, [sample], opts)[0]
 
 
 _DEFAULT_FAMILIES = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)

@@ -306,6 +306,7 @@ class TestExperiment:
         (("--outliers=-1",), "outlier_values"),
         (("--outliers", "20,inf"), "outlier_values"),
         (("--tau", "inf"), "true_tau"),
+        (("--sizes", "1"), "sample_sizes"),
     ])
     def test_invalid_config_exits_2_naming_the_field(self, capsys, flags, field):
         code, out, err = run(capsys, "experiment", "--reps", "2", *flags)

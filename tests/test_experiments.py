@@ -11,6 +11,7 @@ from asinhsurv import (
     make_stream,
     run_robustness_study,
 )
+from asinhsurv.baselines import Lomax
 
 SMALL = ExperimentConfig(sample_sizes=(10, 50), outlier_values=(20.0, 10.0),
                          replications=8, base_seed=5)
@@ -34,6 +35,14 @@ class TestConfig:
             ExperimentConfig(sample_sizes=())
         with pytest.raises(DomainError):
             ExperimentConfig(replications=0)
+
+    @pytest.mark.parametrize("sizes", [(1,), (10, 1), (0,)])
+    def test_rejects_sample_sizes_below_two(self, sizes):
+        # Lomax and genexp fit two slots: a one-point sample used to abort the
+        # study with "need at least 2 observations to fit lomax".
+        with pytest.raises(DomainError, match="sample_sizes"):
+            ExperimentConfig(sample_sizes=sizes, replications=2)
+        assert ExperimentConfig(sample_sizes=(2,), replications=2).sample_sizes == (2,)
 
     def test_rejects_repeated_sample_sizes(self):
         # Cells are keyed by n: (10, 10) would report two cells per outlier
@@ -118,6 +127,51 @@ class TestStudy:
         rep = run_robustness_study(cfg)
         assert {(c.n, c.n_outliers) for c in rep.cells} == {(20, 0)}
         assert all(r.error_ignore == 0.0 for r in rep.replications)
+
+
+class TestBatchedFits:
+    """The study fits every sample of one n in a batch; no fit may depend on
+    which samples share it."""
+
+    def test_replications_do_not_depend_on_how_many_run(self):
+        few = run_robustness_study(ExperimentConfig(sample_sizes=(10, 100), replications=3))
+        many = run_robustness_study(ExperimentConfig(sample_sizes=(10, 100), replications=7))
+        first = [r for r in many.replications if r.replication < 3]
+        assert len(few.replications) == len(first) == 18
+        assert repr(few.replications) == repr(tuple(first))
+
+    def test_a_batch_that_raises_refits_each_sample_alone(self, monkeypatch):
+        # The Lomax kernel raises on the sample of replication 1 with one
+        # outlier, whether it is fitted in the batch or alone: only that
+        # sample's Lomax fit becomes the unconverged placeholder.
+        cfg = ExperimentConfig(sample_sizes=(10,), replications=3, base_seed=4)
+        clean = run_robustness_study(cfg)
+        marker = make_stream(4, 0, 1).standard_exponential(10)[0]
+        kernel = Lomax.nll_hessian_rows.__func__
+
+        def failing(cls, x, lengths, log_tau, theta):
+            ends = np.cumsum(lengths)
+            if any(n == 11 and x[end - n] == marker for n, end in zip(lengths, ends)):
+                raise FloatingPointError("injected")
+            return kernel(cls, x, lengths, log_tau, theta)
+
+        monkeypatch.setattr(Lomax, "nll_hessian_rows", classmethod(failing))
+        with pytest.warns(UserWarning, match="fit of lomax failed: injected"):
+            report = run_robustness_study(cfg)
+        for before, after in zip(clean.replications, report.replications):
+            if (after.replication, after.n_outliers) == (1, 1):
+                assert after.lomax.neg_log_lik == math.inf and not after.lomax.converged
+                assert (after.exp, after.genexp) == (before.exp, before.genexp)
+            else:
+                assert repr(after) == repr(before)
+
+    def test_a_domain_error_propagates(self, monkeypatch):
+        def failing(cls, x, lengths, log_tau, theta):
+            raise DomainError("injected")
+
+        monkeypatch.setattr(Lomax, "nll_hessian_rows", classmethod(failing))
+        with pytest.raises(DomainError, match="injected"):
+            run_robustness_study(ExperimentConfig(sample_sizes=(10,), replications=2))
 
 
 class TestCurves:

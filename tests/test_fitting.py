@@ -323,16 +323,34 @@ _WITH_0_AND_1E200 = np.concatenate([[1e200, 20.0, 10.0], _BODY])
 @pytest.mark.parametrize("log_tau", [-3.0, 0.0, 3.0])
 def test_nll_hessian_matches_mpmath(x, family, theta, log_tau):
     # At theta = 1e-6, the nu cap, the Lomax theta-theta entry sums terms of
-    # O(y^3), not differences of two terms of O(nu y^2).
+    # O(y^3), not differences of two terms of O(nu y^2).  The row kernel is
+    # handed one row: the whole sample.
     kernel = fitting._KERNELS[Family.parse(family)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        nll, grad, hess = kernel.nll_hessian(x, log_tau, theta)
+        rows = kernel.nll_hessian_rows(x, [x.size], [log_tau], [theta])
+    assert [v.shape for v in rows] == [(1,), (1, 2), (1, 3)]
+    (nll,), (grad,), (hess,) = (v.tolist() for v in rows)
     assert all(type(v) is float for v in (nll, *grad, *hess))
     score_nll, score_grad = kernel.nll_score(x, log_tau, theta)
     assert nll == pytest.approx(score_nll, rel=1e-12)
     assert list(grad) == pytest.approx(list(score_grad[:2]), rel=1e-10)
     assert list(hess) == pytest.approx(_mp_hessian(family, x, log_tau, theta), rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["genexp", "lomax"])
+def test_row_kernel_rows_do_not_depend_on_their_neighbours(family):
+    # Each row alone gives the bits it gives among others, far points included.
+    kernel = fitting._KERNELS[Family.parse(family)]
+    samples = [_BODY, _WITH_0_AND_1E200, _BODY[:2], _WITH_0_AND_1E200[::-1]] * 3
+    points = [(log_tau, theta) for log_tau in (-3.0, 0.0, 3.0) for theta in (1e-6, 0.5, 1e3, 5.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = kernel.nll_hessian_rows(np.concatenate(samples), [x.size for x in samples],
+                                       *zip(*points))
+        for i, (x, point) in enumerate(zip(samples, points)):
+            alone = kernel.nll_hessian_rows(x, [x.size], *zip(point))
+            assert [v[i].tolist() for v in rows] == [v[0].tolist() for v in alone], i
 
 
 @pytest.mark.parametrize("x", [_POSITIVE_BODY, _POSITIVE_WITH_EXTREMES], ids=["body", "with-1e6"])
@@ -462,9 +480,9 @@ def _record_methods(monkeypatch, lbfgsb_maxiter=None):
             options = dict(options, maxiter=lbfgsb_maxiter)
         return minimize(fun, x0, method=method, options=options, **kwargs)
 
-    def recording_newton(*args):
-        methods.append("Newton")
-        return fit_newton(*args)
+    def recording_newton(kernel, rows, lo, hi):
+        methods.extend(["Newton"] * len(rows))  # one run per (sample, start) row
+        return fit_newton(kernel, rows, lo, hi)
 
     monkeypatch.setattr(fitting, "minimize", recording_minimize)
     monkeypatch.setattr(fitting, "_fit_newton", recording_newton)
@@ -621,6 +639,50 @@ def test_newton_matches_lbfgsb_from_both_starts(monkeypatch):
     assert fits >= 1000
 
 
+def _batch_samples():
+    """130 samples: the study's draws at 3-100 points with 0-2 outliers (four
+    or more of each length, which the likelihood grid takes in one pass), Lomax
+    and genexp draws at nu 0.3-3, and samples that stop at tau's bound or
+    whose fitted handle's NLL overflows."""
+    for n in (3, 10, 12, 19, 20, 100):
+        for rep in range(4):
+            clean = make_stream(31, n, rep).standard_exponential(n)
+            for outliers in range(3):
+                yield np.concatenate([clean, [20.0, 10.0][:outliers]])
+    for family in ("lomax", "genexp"):
+        for nu in (0.3, 1.0, 3.0):
+            for n in (10, 15, 40):
+                for rep in range(3):
+                    yield make_handle(family, nu=nu).sample(n, make_stream(32, n, rep, int(10 * nu)))
+    yield from ([0.0, 0.0, 3.0], [0.0, 1e300], _WITH_ZERO, [1e-300, 2e-300, 1.0, 1e200])
+
+
+@pytest.mark.parametrize("family", ["genexp", "lomax", "genweibull"])
+def test_batched_fits_do_not_depend_on_the_batch(monkeypatch, family):
+    # The same samples fitted together, permuted, split, under a point cap
+    # that cuts every batch into chunks, and one at a time through fit_mle
+    # give identical results to the last bit.  genweibull fits Newton on the
+    # samples holding 0 and L-BFGS-B on every fifth of the others.
+    samples = [Sample(x) for x in _batch_samples()]
+    if family == "genweibull":
+        samples = samples[:-4:5] + samples[-4:]
+    family, opts = Family.parse(family), FitOptions()
+
+    def fits(batch):
+        return [repr(r) for r in fitting._fit_samples(family, batch, opts)]
+
+    together = fits(samples)
+    assert len(together) in (130, 30)
+    order = np.random.default_rng(5).permutation(len(samples))
+    permuted = fits([samples[i] for i in order])
+    assert [permuted[k] for k in np.argsort(order)] == together
+    assert fits(samples[:50]) + fits(samples[50:51]) + fits(samples[51:]) == together
+    assert [repr(fit_mle(family, sample)) for sample in samples] == together
+    monkeypatch.setattr(fitting, "_POINT_CAP", 64)
+    monkeypatch.setattr(fitting, "_GRID_CAP", 5000)
+    assert fits(samples) == together
+
+
 # Ten-point samples (seed, nu, replication, drawn family, fitted family),
 # drawn as make_handle(drawn, nu=nu).sample(10, make_stream(seed, 10, rep,
 # int(10 nu))).  On the first eleven, Newton from both fixed starts stops at a
@@ -646,9 +708,10 @@ def test_small_samples_start_from_the_likelihood_grid(monkeypatch, seed, nu, rep
     _, (lo, hi), (base, heavy) = fitting._box(family, FitOptions(), x)
     fit_newton, runs = fitting._fit_newton, []
 
-    def recording(*args):
-        runs.append((args[2], fit_newton(*args)))
-        return runs[-1][1]
+    def recording(kernel, rows, lo, hi):
+        ends = fit_newton(kernel, rows, lo, hi)
+        runs.extend((start, end) for (_, start), end in zip(rows, ends))
+        return ends
 
     monkeypatch.setattr(fitting, "_fit_newton", recording)
     result = fit_mle(family, Sample(x))
@@ -664,7 +727,7 @@ def test_small_samples_start_from_the_likelihood_grid(monkeypatch, seed, nu, rep
                    for _, (vec, nll, _, _) in runs[:-1]), case
     else:
         assert heavy not in starts, case
-        assert all(fit_newton(kernel, x, start, lo, hi)[1] > lower for start in (base, heavy)), case
+        assert all(end[1] > lower for end in fit_newton(kernel, [(x, base), (x, heavy)], lo, hi)), case
 
 
 @pytest.mark.parametrize("family", ["genexp", "lomax", "genweibull", "burr12"])
@@ -997,9 +1060,9 @@ def test_every_fit_runs_on_a_closed_form_score(monkeypatch, free_eta):
         calls.append(kwargs.get("jac"))
         return minimize(fun, x0, **kwargs)
 
-    def recording_newton(*args):
-        calls.append("Newton")
-        return fit_newton(*args)
+    def recording_newton(kernel, rows, lo, hi):
+        calls.extend(["Newton"] * len(rows))
+        return fit_newton(kernel, rows, lo, hi)
 
     monkeypatch.setattr(fitting, "minimize", recording)
     monkeypatch.setattr(fitting, "_fit_newton", recording_newton)
