@@ -239,9 +239,9 @@ class _PowerTail:
         """Negative log likelihoods at beta = 1 and location 0, with their
         gradients and Hessians in (log_tau, theta), of many rows at once: row i
         is the next ``lengths[i]`` (at least 1) points of ``x`` at tau =
-        exp(``log_tau[i]``) and nu = 1/``theta[i]``.  Returns the arrays
-        ``nll`` (rows), ``grad`` (rows x 2) of (g_tau, g_theta) and ``hess``
-        (rows x 3) of (h_tau_tau, h_tau_theta, h_theta_theta).
+        exp(``log_tau[i]``) and nu = 1/``theta[i]``.  Returns a (6 x rows)
+        array of the rows' NLL, gradient (g_tau, g_theta) and Hessian
+        (h_tau_tau, h_tau_theta, h_theta_theta).
 
         With z = theta x/tau, t = z g'(z), m = -z g''(z)/g'(z) and d the
         operator z d/dz, the gradient is n - nu sum t - sum m and
@@ -257,16 +257,17 @@ class _PowerTail:
         lengths = np.asarray(lengths)
         log_tau, theta = np.asarray(log_tau, dtype=float), np.asarray(theta, dtype=float)
         nu = 1.0 / theta
-        # z, and the link's terms, overflow only where far.
+        # z, and the link's terms, overflow only where far.  The array methods
+        # skip the wrappers of np.repeat and np.cumsum, a cost paid per call.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = x * np.repeat(theta * np.exp(-log_tau), lengths)
+            z = x * (theta * np.exp(-log_tau)).repeat(lengths)
             far = z > 1e150
             log_z = np.log(x[far])
             if log_z.size:
-                log_z += np.repeat(np.log(theta) - log_tau, lengths)[far]
+                log_z += (np.log(theta) - log_tau).repeat(lengths)[far]
             terms = np.empty((cls._HESSIAN_POINT_TERMS, x.size))
             cls._hessian_point_terms(z, far, log_z, terms)
-        offsets = np.cumsum(lengths)
+        offsets = lengths.cumsum()
         offsets -= lengths
         (nll_link, sum_t, sum_m, sum_g_less_t, sum_dt, sum_dm, sum_t_less_dt, sum_dm_less_m,
          sum_w) = cls._hessian_row_sums(np.add.reduceat(terms, offsets, axis=1), nu)
@@ -274,7 +275,7 @@ class _PowerTail:
         out = np.array([lengths * log_tau + nll_link, lengths - nu * sum_t - sum_m,
                         nu * sum_m - nu2 * sum_g_less_t, nu * sum_dt + sum_dm,
                         nu2 * sum_t_less_dt - nu * sum_dm, nu2 * (sum_dm_less_m + nu * sum_w)])
-        return out[0], out[1:3].T, out[3:].T
+        return out
 
     @classmethod
     def nll_grid(cls, x, log_tau, theta):

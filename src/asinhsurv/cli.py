@@ -18,6 +18,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .distributions import _KERNELS, Family, make_handle
 from .errors import DomainError
 from .experiments import (
@@ -32,6 +34,7 @@ from .fitting import Sample, fit_all
 from .rng import make_stream
 
 _EVAL_WHAT = ("pdf", "cdf", "survival", "hazard", "quantile", "moment", "mode", "entropy")
+_EVAL_BATCHED = ("pdf", "cdf", "survival", "hazard", "quantile")  # one handle call for every --at
 _FIT_COLUMNS = ("family", "tau_hat", "nu_hat", "beta_hat", "neg_log_lik", "converged",
                 "at_nu_bound")
 
@@ -105,7 +108,16 @@ def cmd_eval(args) -> int:
 
     method = getattr(handle, what)
     try:
-        rows = [(at, method() if at is None else method(at)) for at in ats]
+        if what not in _EVAL_BATCHED or not ats:
+            rows = [(at, method() if at is None else method(at)) for at in ats]
+        else:
+            # One call for every point; a batched value equals the scalar one.
+            try:
+                rows = list(zip(ats, method(np.array(ats)).tolist()))
+            except DomainError:
+                for at in ats:  # name the first point that fails, as one call per point does
+                    method(at)
+                raise
     except DomainError as exc:
         raise DomainError(f"--at: {exc}") from None
 
@@ -128,9 +140,7 @@ def cmd_sample(args) -> int:
     rng = make_stream(args.seed)
     values = handle.sample(args.n, rng)
     with _open_out(args.out) as fh:
-        fh.write("x\n")
-        for v in values:
-            fh.write(_fmt(v) + "\n")
+        fh.write("x\n" + ("%.17g\n" * values.size) % tuple(values.tolist()))
     return 0
 
 

@@ -8,8 +8,8 @@ statistics are per-cell medians (with quartiles) over many seeded
 replications.
 
 Replication (size_index, r) draws from ``make_stream(base_seed,
-size_index, r)``.  All samples of one size are fitted together, one Lomax
-and one genexp batch (see :mod:`asinhsurv.fitting`), but no fit depends on
+size_index, r)``.  All samples of one size are fitted together, one batch
+per family (see :mod:`asinhsurv.fitting`), but no fit depends on
 which samples share its batch: results are bit-identical for a given config
 and seed no matter how the replications are scheduled or batched, and a
 replication's rows are the same whatever the number of replications.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import _KERNELS, Family, make_handle
 from .errors import DomainError
-from .fitting import FitOptions, FitResult, Sample, _fit_samples, fit_all, fit_mle
+from .fitting import FitOptions, FitResult, Sample, _fit_samples, fit_all
 from .rng import _SEED_MAX, make_stream
 
 __all__ = [
@@ -260,19 +260,17 @@ def _cell_summaries(n: int, cells: list[list[ReplicationRow]]) -> list[CellSumma
 
 
 def _fit_study(samples: list[Sample]) -> list[tuple[FitResult, FitResult, FitResult]]:
-    """The exponential, Lomax and genexp fits of each sample.  The exponential
-    has a closed form; the Lomax and genexp fits each run as one batch.  If a
-    batch raises anything but ``DomainError``, every sample is refitted alone
-    by ``fit_all``, which turns only the fits that raise again into
-    unconverged placeholders with infinite NLL."""
+    """The exponential, Lomax and genexp fits of each sample, each family's
+    as one batch (the exponential's has a closed form).  If a batch raises
+    anything but ``DomainError``, every sample is refitted alone by
+    ``fit_all``, which turns only the fits that raise again into unconverged
+    placeholders with infinite NLL."""
+    families = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)
     try:
-        return list(zip([fit_mle(Family.EXPONENTIAL, sample) for sample in samples],
-                        _fit_samples(Family.LOMAX, samples, FitOptions()),
-                        _fit_samples(Family.GEN_EXP, samples, FitOptions())))
+        return list(zip(*(_fit_samples(family, samples, FitOptions()) for family in families)))
     except DomainError:
         raise
     except Exception:
-        families = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)
         by_family = [{r.family: r for r in fit_all(sample)} for sample in samples]
         return [tuple(results[family] for family in families) for results in by_family]
 

@@ -24,7 +24,9 @@ with an eta component when the location is free, and the fit keeps the
 components of its free slots.  genexp and Lomax run the genweibull and
 Burr XII kernels at log_beta = 0, and the exponential's and genexp2's
 scores ignore what they do not use.  The reported NLL is
-``neg_log_likelihood`` of the fitted handle.  A fit is ``converged`` when
+``neg_log_likelihood`` of the fitted handle, to the bit; the exponential,
+genexp and Lomax fits of a batch take it from one log-density pass over
+their samples (``_neg_log_likelihoods``).  A fit is ``converged`` when
 the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
 beta is not at its bound e^7 or e^-7, theta is not at its upper bound
 1e3 (nu = 1e-3), tau is not at its lower bound e^-40 and the reported NLL
@@ -65,16 +67,19 @@ The grid's cost grows with n, and from 20 points on Newton without it
 stopped higher on none of 36,800 fits.
 
 Newton fits of many samples run as one batch, whose rows are the (sample,
-start) runs: the base and grid starts of every sample first, then the
-heavy starts of the samples whose best run needs one.  The rows run in
-lockstep, in chunks of at most ``_POINT_CAP`` = 2^14 sample points, which
-bounds the memory a batch takes.  Each iteration makes one call of the
-kernel's ``nll_hessian_rows`` for the rows that propose a trial point, on
-their samples concatenated; each row computes its own step on Python floats,
-as a fit alone does, and accepts it and stops on its own test.  The kernel
-sums each row's points by one ``np.add.reduceat``, and a segment's sum does
-not depend on the segments beside it, so a fit is the same to the last bit
-whichever samples share its batch; ``fit_mle`` is a batch of one sample.
+start) runs: the base and grid starts of every sample, and the heavy start
+of a sample whose best run needs one, which joins the running batch as soon
+as every other run of its sample has stopped.  The rows run in lockstep, in
+chunks of samples of at most ``_POINT_CAP`` = 2^14 sample points in all
+their rows, which bounds the memory a batch takes.  Each iteration makes one call of
+the kernel's ``nll_hessian_rows``, on the samples concatenated, for the
+rows that propose a trial point and the heavy rows that join; each row
+computes its own step on Python floats (``_propose``), as a fit alone does,
+and accepts it and stops on its own test.  The kernel sums each row's
+points by one ``np.add.reduceat``, and a segment's sum does not depend on
+the segments beside it, so a fit is the same to the last bit whichever
+samples share its batch and whenever its rows join it; ``fit_mle`` is a
+batch of one sample.  ``_counting`` counts that work for a caller who asks.
 
 Of the starts that ran, the lowest negative log likelihood wins,
 with its own ``converged`` flag.  There is no refit by another optimiser: a
@@ -89,9 +94,13 @@ Biometrika 72:67).
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -117,6 +126,27 @@ _GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid 
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
 _LOG_TAU, _THETA, _LOG_BETA, _ETA = range(4)
 _PINNED = np.array([0.0, 1.0, 0.0, 0.0])
+_NEWTON_FREE = np.array([True, True, False, False])  # the slots a Newton fit runs on
+
+# The work counts of the fits made inside ``_counting``; None outside one.
+_WORK = contextvars.ContextVar("asinhsurv_fitting_work", default=None)
+
+
+@contextlib.contextmanager
+def _counting():
+    """Count the work of the fits made inside the block into the
+    ``collections.Counter`` it yields: ``kernel_calls`` and ``kernel_rows``
+    of ``nll_hessian_rows``, ``newton_steps`` (trial points, one kernel row
+    each; the other rows are the runs' starts), ``grid_passes`` of
+    ``nll_grid`` and ``nll_passes``, the log-density passes that give the
+    reported NLLs (one per batch and one per fit that takes its handle).
+    Outside such a block each count costs one branch."""
+    counts = collections.Counter()
+    token = _WORK.set(counts)
+    try:
+        yield counts
+    finally:
+        _WORK.reset(token)
 
 
 @dataclass(frozen=True)
@@ -136,6 +166,19 @@ class Sample:
 
     def __len__(self) -> int:
         return self.values.size
+
+    @cached_property
+    def _summary(self) -> tuple[float, float, float]:
+        """The least value, the mean and the median, computed once for every
+        fit of the sample (inf and NaN if it is empty)."""
+        x = self.values
+        if not x.size:
+            return math.inf, math.nan, math.nan
+        half = x.size // 2
+        middle = np.partition(x, [(x.size - 1) // 2, half])
+        median = (float(middle[half]) if x.size % 2
+                  else float(middle[half - 1] + middle[half]) / 2.0)
+        return float(x.min()), float(x.sum()) / x.size, median
 
 
 @dataclass(frozen=True)
@@ -180,23 +223,20 @@ def neg_log_likelihood(handle: DistributionHandle, sample: Sample) -> float:
     return float(-total)
 
 
-def _box(family: Family, opts: FitOptions, x: np.ndarray):
+def _box(family: Family, opts: FitOptions, sample: Sample):
     """The free mask over the slots (log_tau, theta, log_beta, eta), the
     bounds (lo, hi) of the free slots, and the base and heavy starts clipped
     to them; bounds and starts are lists of floats."""
     kernel = _KERNELS[family]
-    least = float(x.min()) if x.size else math.inf
+    least, mean, median = sample._summary
     # At a fixed location a point x = 0 (the least, as x >= 0) makes the likelihood
     # 0 for beta > 1 and unbounded for beta < 1, so beta is pinned at 1.
-    free = np.array([True, kernel.uses_nu,
-                     kernel.uses_beta and (opts.free_eta or least != 0.0), opts.free_eta])
-    k = int(free.sum())
-    if x.size < k:
-        raise DomainError(f"need at least {k} observations to fit {family.value}, got {x.size}")
-    mean, half = float(x.sum()) / x.size, x.size // 2
-    middle = np.partition(x, [(x.size - 1) // 2, half])
-    median = float(middle[half]) if x.size % 2 else float(middle[half - 1] + middle[half]) / 2.0
-    pick = np.flatnonzero(free).tolist()
+    flags = [True, kernel.uses_nu, kernel.uses_beta and (opts.free_eta or least != 0.0),
+             opts.free_eta]
+    pick = [i for i, flag in enumerate(flags) if flag]
+    if len(sample) < len(pick):
+        raise DomainError(f"need at least {len(pick)} observations to fit {family.value}, "
+                          f"got {len(sample)}")
     # eta must stay below the smallest observation
     lo = [(-_LOG_TAU_BOUND, _THETA_MIN, -_LOG_BETA_BOUND, least - 100.0 * (mean + 1.0))[i]
           for i in pick]
@@ -207,7 +247,7 @@ def _box(family: Family, opts: FitOptions, x: np.ndarray):
     starts = [[min(max((math.log(scale), theta, 0.0, 0.0)[i], lo_i), hi_i)
                for i, lo_i, hi_i in zip(pick, lo, hi)]
               for scale, theta in ((scale_exp, 1e-3), (scale_mom, 0.5))]
-    return free, (lo, hi), starts
+    return np.array(flags), (lo, hi), starts
 
 
 def _slots(free: np.ndarray, vec) -> np.ndarray:
@@ -295,70 +335,67 @@ def _trust_step(grad, hess, radius) -> list[float]:
     return [s1 * u - s2 * v, s1 * v + s2 * u]
 
 
-def _newton_step(vec, grad, hess, lo, hi, radius) -> list[float]:
-    """The trust-region step of projected Newton in (log_tau, theta).
+def _propose(state, radius, box):
+    """One row's trial point of projected Newton in (log_tau, theta), on
+    Python floats: the trial point, the model's predicted fall to it, the
+    step's length and the NLL's rounding level; None where the run stops.
 
-    A slot at a bound whose gradient points out of the box stays there, and so
-    does one at a bound that the two-slot step would push out of it; the
-    other slot then takes the one-slot step, at most ``radius`` long.
+    ``state`` is the row's point, NLL, gradient and Hessian (a, b, c),
+    (v0, v1, nll, g0, g1, a, b, c), and ``box`` its bounds (lo0, lo1, hi0,
+    hi1).  A slot at a bound whose gradient points out of the box stays
+    there, and so does one at a bound that the two-slot step would push out
+    of it; the other slot then takes the one-slot step, at most ``radius``
+    long.  A step that would leave the box stops at its edge, and the slot it
+    stops on is set to its bound.  The run stops when the projected gradient
+    clip(v - g, lo, hi) - v is at most 1e-10 (1 + |nll|) in the infinity
+    norm, when the step no longer moves the point, or when a step inside the
+    box predicts a fall at the rounding level.  Each min(max(v, lo), hi) is
+    written out as comparisons in that order, which is cheaper on floats.
     """
-    held = [(v <= lo_i and g > 0.0) or (v >= hi_i and g < 0.0)
-            for v, g, lo_i, hi_i in zip(vec, grad, lo, hi)]
-    if not any(held):
-        step = _trust_step(grad, hess, radius)
-        held = [(v <= lo_i and s < 0.0) or (v >= hi_i and s > 0.0)
-                for v, s, lo_i, hi_i in zip(vec, step, lo, hi)]
-        if not any(held):
-            return step
-    step = [0.0, 0.0]
-    if not all(held):
-        i = held.index(False)
-        curvature = hess[0] if i == 0 else hess[2]
-        one = -grad[i] / curvature if curvature > 0.0 else -math.copysign(radius, grad[i])
-        step[i] = min(max(one, -radius), radius)
-    return step
-
-
-def _propose(vec, nll, grad, hess, lo, hi, radius):
-    """One row's trial point of projected Newton, with the model's predicted
-    fall to it, the step's length and the NLL's rounding level; None where
-    the run stops."""
-    if _projected_gradient(vec, grad, lo, hi) <= 1e-10 * (1.0 + abs(nll)):
+    v0, v1, nll, g0, g1, a, b, c = state
+    lo0, lo1, hi0, hi1 = box
+    p0, p1 = v0 - g0, v1 - g1
+    p0 = abs((lo0 if lo0 > p0 else hi0 if hi0 < p0 else p0) - v0)
+    p1 = abs((lo1 if lo1 > p1 else hi1 if hi1 < p1 else p1) - v1)
+    if (p1 if p1 > p0 else p0) <= 1e-10 * (1.0 + abs(nll)):
         return None
-    step = _newton_step(vec, grad, hess, lo, hi, radius)
+    held0 = (v0 <= lo0 and g0 > 0.0) or (v0 >= hi0 and g0 < 0.0)
+    held1 = (v1 <= lo1 and g1 > 0.0) or (v1 >= hi1 and g1 < 0.0)
+    if not (held0 or held1):
+        s0, s1 = _trust_step((g0, g1), (a, b, c), radius)
+        held0 = (v0 <= lo0 and s0 < 0.0) or (v0 >= hi0 and s0 > 0.0)
+        held1 = (v1 <= lo1 and s1 < 0.0) or (v1 >= hi1 and s1 > 0.0)
+    if held0 or held1:
+        s0 = s1 = 0.0
+        if not held0:
+            s0 = min(max(-g0 / a if a > 0.0 else -math.copysign(radius, g0), -radius), radius)
+        elif not held1:
+            s1 = min(max(-g1 / c if c > 0.0 else -math.copysign(radius, g1), -radius), radius)
     # the fraction t of the step inside the box, and the slot that meets its edge
-    t, edge = 1.0, None
-    for i, (v, s) in enumerate(zip(vec, step)):
-        if s != 0.0 and ((hi[i] if s > 0.0 else lo[i]) - v) / s < t:
-            t, edge = ((hi[i] if s > 0.0 else lo[i]) - v) / s, i
-    trial = [min(max(v + t * s, lo_i), hi_i) for v, s, lo_i, hi_i in zip(vec, step, lo, hi)]
-    if edge is not None:
-        trial[edge] = hi[edge] if step[edge] > 0.0 else lo[edge]
-    if trial == vec:
+    t, edge = 1.0, -1
+    if s0 != 0.0:
+        f = ((hi0 if s0 > 0.0 else lo0) - v0) / s0
+        if f < t:
+            t, edge = f, 0
+    if s1 != 0.0:
+        f = ((hi1 if s1 > 0.0 else lo1) - v1) / s1
+        if f < t:
+            t, edge = f, 1
+    t0, t1 = v0 + t * s0, v1 + t * s1
+    t0 = lo0 if lo0 > t0 else hi0 if hi0 < t0 else t0
+    t1 = lo1 if lo1 > t1 else hi1 if hi1 < t1 else t1
+    if edge == 0:
+        t0 = hi0 if s0 > 0.0 else lo0
+    elif edge == 1:
+        t1 = hi1 if s1 > 0.0 else lo1
+    if t0 == v0 and t1 == v1:
         return None
-    (p0, p1), (a, b, c) = [u - v for u, v in zip(trial, vec)], hess
-    predicted = -(grad[0] * p0 + grad[1] * p1 + 0.5 * (a * p0 * p0 + 2.0 * b * p0 * p1 + c * p1 * p1))
+    p0, p1 = t0 - v0, t1 - v1
+    predicted = -(g0 * p0 + g1 * p1 + 0.5 * (a * p0 * p0 + 2.0 * b * p0 * p1 + c * p1 * p1))
     rounding = 1e-15 * (1.0 + abs(nll))
-    if edge is None and predicted <= rounding:
+    if edge < 0 and predicted <= rounding:
         return None
-    return trial, predicted, math.hypot(p0, p1), rounding
-
-
-def _row_kernel(kernel, xs):
-    """``evaluate(rows, points)``: the NLL, gradient and Hessian of each sample
-    ``xs[row]`` at its (log_tau, theta) point, as lists of Python floats, from
-    one ``kernel.nll_hessian_rows`` call.  The rows' samples are concatenated
-    once per set of rows: a Newton run's rows only ever shrink to a subset."""
-    joined, x, lengths = None, None, None  # the rows last joined, their samples and sizes
-
-    def evaluate(rows, points):
-        nonlocal joined, x, lengths
-        if rows != joined:
-            joined, x = rows, np.concatenate([xs[i] for i in rows])
-            lengths = np.array([xs[i].size for i in rows])
-        nll, grad, hess = kernel.nll_hessian_rows(x, lengths, *zip(*points))
-        return nll.tolist(), grad.tolist(), hess.tolist()
-    return evaluate
+    return t0, t1, predicted, math.hypot(p0, p1), rounding
 
 
 def _chunks(sizes, cap):
@@ -373,57 +410,98 @@ def _chunks(sizes, cap):
         yield slice(begin, len(sizes))
 
 
-def _fit_newton(kernel, rows, lo, hi):
+def _needs_heavy(runs, lo, hi) -> bool:
+    """Whether a Newton fit also runs the heavy-tail start: its best run so
+    far is unconverged or stops with theta below ``_THETA_NEAR_EXP``."""
+    vec, nll, grad, _ = min(runs, key=lambda r: r[1])
+    return not _converged_at(_NEWTON_FREE, lo, hi, vec, nll, grad) or vec[1] < _THETA_NEAR_EXP
+
+
+def _fit_newton(kernel, xs, starts, heavy, lo, hi):
     """Projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20:221) in a
     trust region, on ``kernel.nll_hessian_rows`` over the box [lo, hi] of
-    (log_tau, theta), for each row (sample, start) of ``rows``: a list of
-    (the end point, its NLL, its gradient, the iterations), one per row.
+    (log_tau, theta): for each sample ``xs[i]``, the runs from each start of
+    ``starts[i]`` and then, once those have all stopped, from ``heavy[i]`` if
+    ``_needs_heavy``.  A run is (the end point, its NLL, its gradient, the
+    iterations); the runs of a sample are in the order of their starts.
 
-    The rows run in lockstep, in chunks of at most ``_POINT_CAP`` sample
-    points: each iteration makes one kernel call for the rows that propose a
-    trial point, and each row takes its own step, acceptance and stop.  A
-    step that would leave the box stops at its edge, and the slot it stops on
-    is set to its bound.  The trust radius starts at ``_NEWTON_RADIUS``; it
-    shrinks to a quarter of the step when the NLL falls by less than a quarter
-    of the quadratic model's prediction, and doubles, up to ``_THETA_MAX``,
-    when a full-length step falls by more than three quarters of it.  A step
-    is taken when the NLL falls by at least 1e-4 of the prediction, less the
-    NLL's rounding level, 1e-15 (1 + |nll|).  A row stops when the projected
-    gradient is at most 1e-10 (1 + |nll|), when a step inside the box predicts
-    a decrease at rounding level, when a step no longer moves the point, or
-    after ``_NEWTON_MAX_ITER`` steps, rejected ones included.
+    The runs are rows that run in lockstep, over chunks of samples of at most
+    ``_POINT_CAP`` sample points in all their rows: each iteration makes one
+    kernel call, on the samples concatenated, for the rows that propose a
+    trial point (``_propose``) and the heavy-tail rows that join, and each row
+    takes its own step, acceptance and stop.  The trust radius starts at
+    ``_NEWTON_RADIUS``; it shrinks to a quarter of the step when the NLL falls
+    by less than a quarter of the quadratic model's prediction, and doubles,
+    up to ``_THETA_MAX``, when a full-length step falls by more than three
+    quarters of it.  A step is taken when the NLL falls by at least 1e-4 of
+    the prediction, less the NLL's rounding level, 1e-15 (1 + |nll|).  A row
+    stops where ``_propose`` gives None or after ``_NEWTON_MAX_ITER`` steps,
+    rejected ones included.
     """
-    ends = []
-    for chunk in _chunks([x.size for x, _ in rows], _POINT_CAP):
-        evaluate = _row_kernel(kernel, [x for x, _ in rows[chunk]])
-        vecs = [list(start) for _, start in rows[chunk]]
-        active = list(range(len(vecs)))
-        nlls, grads, hesses = evaluate(active, vecs)
-        radii = [_NEWTON_RADIUS] * len(vecs)
-        stops = [_NEWTON_MAX_ITER] * len(vecs)
-        for iteration in range(_NEWTON_MAX_ITER):
-            proposals = []
-            for i in active:
-                proposal = _propose(vecs[i], nlls[i], grads[i], hesses[i], lo, hi, radii[i])
-                if proposal is None:
-                    stops[i] = iteration
-                else:
-                    proposals.append((i, *proposal))
-            active = [i for i, *_ in proposals]
-            if not active:
+    box = (*lo, *hi)
+    counts = _WORK.get()
+    runs = [[] for _ in xs]
+    # A sample's heavy-tail row runs only once its other rows have stopped.
+    for chunk in _chunks([x.size * len(s) for x, s in zip(xs, starts)], _POINT_CAP):
+        # Each row's sample, and its start until the kernel has evaluated it
+        # there: the starts, sample by sample, then the heavy-tail rows in the
+        # order they join.
+        owner, states, first = [], [], {}
+        for i in range(chunk.start, chunk.stop):
+            first[i] = len(owner)
+            owner += [i] * len(starts[i])
+            states += starts[i]
+        left = {i: len(starts[i]) for i in first}  # the runs of each sample before its heavy row
+        ends, radii, steps = [None] * len(owner), [_NEWTON_RADIUS] * len(owner), [0] * len(owner)
+        active, joining = [], list(range(len(owner)))
+        joined = x = lengths = None
+        while True:
+            trials = []
+            for r in active:
+                proposal = steps[r] < _NEWTON_MAX_ITER and _propose(states[r], radii[r], box)
+                if proposal:
+                    steps[r] += 1
+                    trials.append((r, proposal))
+                    continue
+                v0, v1, nll, g0, g1 = states[r][:5]
+                ends[r] = ([v0, v1], nll, [g0, g1], steps[r])
+                i = owner[r]
+                left[i] -= 1
+                if left[i] == 0 and _needs_heavy(ends[first[i]:first[i] + len(starts[i])], lo, hi):
+                    joining.append(len(owner))
+                    owner.append(i)
+                    states.append(heavy[i])
+                    ends.append(None)
+                    radii.append(_NEWTON_RADIUS)
+                    steps.append(0)
+            rows = [r for r, _ in trials] + joining
+            if not rows:
                 break
-            trial_nlls, trial_grads, trial_hesses = evaluate(active, [p[1] for p in proposals])
-            for (i, trial, predicted, length, rounding), trial_nll, trial_grad, trial_hess in zip(
-                    proposals, trial_nlls, trial_grads, trial_hesses):
-                fall = nlls[i] - trial_nll
+            if rows != joined:
+                joined, x = rows, np.concatenate([xs[owner[r]] for r in rows])
+                lengths = np.array([xs[owner[r]].size for r in rows])
+            log_tau = [p[0] for _, p in trials] + [states[r][0] for r in joining]
+            theta = [p[1] for _, p in trials] + [states[r][1] for r in joining]
+            values = kernel.nll_hessian_rows(x, lengths, log_tau, theta).T.tolist()
+            if counts is not None:
+                counts["kernel_calls"] += 1
+                counts["kernel_rows"] += len(rows)
+                counts["newton_steps"] += len(trials)
+            for (r, (t0, t1, predicted, length, rounding)), value in zip(trials, values):
+                fall = states[r][2] - value[0]
                 if fall < 0.25 * predicted:
-                    radii[i] = 0.25 * length
-                elif fall > 0.75 * predicted and length >= 0.9 * radii[i]:
-                    radii[i] = min(2.0 * radii[i], _THETA_MAX)
+                    radii[r] = 0.25 * length
+                elif fall > 0.75 * predicted and length >= 0.9 * radii[r]:
+                    radii[r] = min(2.0 * radii[r], _THETA_MAX)
                 if fall >= 1e-4 * predicted - rounding:
-                    vecs[i], nlls[i], grads[i], hesses[i] = trial, trial_nll, trial_grad, trial_hess
-        ends += zip(vecs, nlls, grads, stops)
-    return ends
+                    states[r] = (t0, t1, *value)
+            for r, value in zip(joining, values[len(trials):]):
+                states[r] = (*states[r], *value)
+            active = rows
+            joining = []
+        for r, i in enumerate(owner):
+            runs[i].append(ends[r])
+    return runs
 
 
 def _grid_starts(kernel, xs, lo, hi) -> list[list[list[float]]]:
@@ -442,8 +520,11 @@ def _grid_starts(kernel, xs, lo, hi) -> list[list[list[float]]]:
             for low, high in zip(least, most)]
     log_tau = np.clip(np.linspace(*zip(*ends), 24, axis=1), lo[0], hi[0])
     starts = []
+    counts = _WORK.get()
     for chunk in _chunks([_THETA_GRID.size * 24 * n] * samples, _GRID_CAP):
         nll = kernel.nll_grid(xs[chunk], log_tau[chunk], _THETA_GRID)
+        if counts is not None:
+            counts["grid_passes"] += 1
         # a finite point no higher than any of its 8 neighbours (+inf off the
         # grid): the least of its 3 x 3 block, taken along each axis in turn
         size, rows, cols = nll.shape
@@ -464,81 +545,121 @@ def _converged_at(free, lo, hi, vec, nll, grad) -> bool:
     gradient, and log beta not at its bound, theta not at its upper bound
     and log tau not at its lower bound, which are edges of the box, not
     optima."""
-    slots = _slots(free, vec)
+    log_tau, theta, log_beta, _ = _slots(free, vec).tolist()
     return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
-            and abs(slots[_LOG_BETA]) < _LOG_BETA_BOUND * (1.0 - 1e-9)
-            and slots[_THETA] < _THETA_MAX * (1.0 - 1e-9)
-            and slots[_LOG_TAU] > -_LOG_TAU_BOUND * (1.0 - 1e-9))
+            and abs(log_beta) < _LOG_BETA_BOUND * (1.0 - 1e-9)
+            and theta < _THETA_MAX * (1.0 - 1e-9)
+            and log_tau > -_LOG_TAU_BOUND * (1.0 - 1e-9))
 
 
-def _result(family: Family, sample: Sample, free, bounds, runs) -> FitResult:
-    """The fit of the run with the lowest NLL (the earliest on a tie), with
-    ``iterations`` summed over every run."""
+def _best(free, bounds, runs):
+    """The fit of the run with the lowest NLL (the earliest on a tie): its
+    ``Params``, its convergence test, the iterations summed over every run,
+    and whether theta is at its lower bound."""
     vec, nll, grad, _ = min(runs, key=lambda r: r[1])
-    converged = _converged_at(free, *bounds, vec, nll, grad)
     slots = _slots(free, vec)
-    params = _params(slots)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nll = neg_log_likelihood(DistributionHandle(family, params), sample)
-    # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
-    return FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
-                     iterations=sum(r[3] for r in runs),
-                     at_nu_bound=bool(slots[_THETA] <= _THETA_MIN * (1.0 + 1e-9)))
+    return (_params(slots), _converged_at(free, *bounds, vec, nll, grad),
+            sum(r[3] for r in runs), bool(slots[_THETA] <= _THETA_MIN * (1.0 + 1e-9)))
 
 
-def _fit_by_newton(family: Family, samples, boxes) -> list[FitResult]:
-    """Newton fits of ``samples``, every run of every sample in lockstep: the
-    base start and, below ``_NEWTON_MIN_SIZE`` points, the grid starts first,
-    then the heavy-tail start of each sample whose best run is unconverged or
-    stops with theta below ``_THETA_NEAR_EXP``."""
-    kernel = _KERNELS[family]
-    free, (lo, hi), _ = boxes[0]  # the (log_tau, theta) box is the same for every sample
-    xs = [sample.values for sample in samples]
-    grid = [[] for _ in samples]
+def _fit_by_newton(kernel, xs, fixed, lo, hi):
+    """The runs of the Newton fits of the samples ``xs`` over the box [lo, hi]
+    of (log_tau, theta), in one lockstep batch (``_fit_newton``): from each
+    sample's base start ``fixed[i][0]`` and, below ``_NEWTON_MIN_SIZE``
+    points, its grid starts, then from its heavy-tail start ``fixed[i][1]``
+    where ``_needs_heavy``."""
+    starts = [[base] for base, _ in fixed]
     by_size = {}
     for i, x in enumerate(xs):
         if x.size < _NEWTON_MIN_SIZE:
             by_size.setdefault(x.size, []).append(i)
     for same in by_size.values():
-        for i, starts in zip(same, _grid_starts(kernel, [xs[i] for i in same], lo, hi)):
-            grid[i] = starts
-    rows = [(i, start) for i, (_, _, (base, _)) in enumerate(boxes) for start in [base] + grid[i]]
-    runs = [[] for _ in samples]
-    for (i, _), end in zip(rows, _fit_newton(kernel, [(xs[i], start) for i, start in rows], lo, hi)):
-        runs[i].append(end)
+        for i, grid in zip(same, _grid_starts(kernel, [xs[i] for i in same], lo, hi)):
+            starts[i] += grid
+    return _fit_newton(kernel, xs, starts, [heavy for _, heavy in fixed], lo, hi)
 
-    def needs_heavy(i):
-        vec, nll, grad, _ = min(runs[i], key=lambda r: r[1])
-        return not _converged_at(free, lo, hi, vec, nll, grad) or vec[1] < _THETA_NEAR_EXP
 
-    heavy = [i for i in range(len(samples)) if needs_heavy(i)]
-    for i, end in zip(heavy, _fit_newton(kernel, [(xs[i], boxes[i][2][1]) for i in heavy], lo, hi)):
-        runs[i].append(end)
-    return [_result(family, sample, free, (lo, hi), sample_runs)
-            for sample, sample_runs in zip(samples, runs)]
+def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
+    """``neg_log_likelihood(DistributionHandle(family, p), sample)`` of each
+    sample and its parameters ``p``, to the bit.
+
+    Fits of the exponential, or of a power-tail kernel at beta = 1, with
+    location 0 take one log-density pass over their samples concatenated.
+    Each point takes the handle's arithmetic, and each sample's slice is
+    summed by ``np.sum``, as the handle's array is.  Every other fit takes
+    the handle, and so does a sample holding a point past z = 1e150, where
+    the kernel switches to its far form.
+    """
+    kernel = _KERNELS[family]
+    counts = _WORK.get()
+    nlls = [None] * len(samples)
+    power_tail = hasattr(kernel, "_subtract_log_density")
+    batch = [i for i, p in enumerate(params) if p.beta == 1.0 and p.eta == 0.0
+             and (power_tail or family is Family.EXPONENTIAL)]
+    if batch:
+        sizes = [len(samples[i]) for i in batch]
+        ends = np.cumsum(sizes)
+        x = np.concatenate([samples[i].values for i in batch])
+        far = set()
+        with np.errstate(over="ignore", invalid="ignore"):  # only at far points
+            y = x / np.repeat([params[i].tau for i in batch], sizes)
+            if power_tail:
+                nu = np.repeat([params[i].nu for i in batch], sizes)
+                z = y / nu
+                far.update(np.searchsorted(ends, np.flatnonzero(z > 1e150), side="right").tolist())
+                log_density = np.zeros(x.size)
+                kernel._subtract_log_density(log_density, z, nu)
+            else:
+                log_density = kernel.log_pdf(y, 1.0, 1.0)
+            log_density -= np.repeat([math.log(params[i].tau) for i in batch], sizes)
+        for k, (i, end, size) in enumerate(zip(batch, ends.tolist(), sizes)):
+            if k not in far:
+                total = np.sum(log_density[end - size:end])
+                nlls[i] = math.inf if np.isnan(total) else float(-total)
+        if counts is not None:
+            counts["nll_passes"] += 1
+    for i, nll in enumerate(nlls):
+        if nll is None:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                nlls[i] = neg_log_likelihood(DistributionHandle(family, params[i]), samples[i])
+            if counts is not None:
+                counts["nll_passes"] += 1
+    return nlls
 
 
 def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
     """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives.
-    Fits whose free slots are exactly (log_tau, theta), on a kernel with
+    The exponential at a fixed location has a closed form.  Fits whose free
+    slots are exactly (log_tau, theta), on a kernel with
     ``nll_hessian_rows``, run Newton together; every other fit runs L-BFGS-B
-    from the base and heavy-tail starts, one at a time."""
+    from the base and heavy-tail starts, one at a time.  The reported NLLs
+    come from ``_neg_log_likelihoods``."""
     kernel = _KERNELS[family]
-    boxes = [_box(family, opts, sample.values) for sample in samples]
-    results = [None] * len(samples)
-    newton = [i for i, (free, _, _) in enumerate(boxes)
-              if free[_THETA] and not (free[_LOG_BETA] or free[_ETA])
-              and hasattr(kernel, "nll_hessian_rows")]
-    if newton:
-        for i, result in zip(newton, _fit_by_newton(family, [samples[i] for i in newton],
-                                                    [boxes[i] for i in newton])):
-            results[i] = result
-    for i, (sample, (free, bounds, starts)) in enumerate(zip(samples, boxes)):
-        if results[i] is None:
-            score, box = _score(kernel, free, sample.values), Bounds(*bounds)
-            runs = [_fit_quasi_newton(score, start, box) for start in starts]
-            results[i] = _result(family, sample, free, bounds, runs)
-    return results
+    boxes = [_box(family, opts, sample) for sample in samples]
+    if family is Family.EXPONENTIAL and not opts.free_eta:
+        # Closed-form MLE: tau-hat is the sample mean, exactly.
+        fits = [(Params(nu=1.0, tau=mean if mean > 0.0 else 1e-300), True, 0, False)
+                for _, mean, _ in (sample._summary for sample in samples)]
+    else:
+        newton = [i for i, (free, _, _) in enumerate(boxes)
+                  if free[_THETA] and not (free[_LOG_BETA] or free[_ETA])
+                  and hasattr(kernel, "nll_hessian_rows")]
+        runs = {}
+        if newton:
+            _, (lo, hi), _ = boxes[newton[0]]  # the (log_tau, theta) box of every sample
+            runs = dict(zip(newton, _fit_by_newton(kernel, [samples[i].values for i in newton],
+                                                   [boxes[i][2] for i in newton], lo, hi)))
+        fits = []
+        for i, (sample, (free, bounds, starts)) in enumerate(zip(samples, boxes)):
+            if i not in runs:
+                score, box = _score(kernel, free, sample.values), Bounds(*bounds)
+                runs[i] = [_fit_quasi_newton(score, start, box) for start in starts]
+            fits.append(_best(free, bounds, runs[i]))
+    nlls = _neg_log_likelihoods(family, samples, [params for params, *_ in fits])
+    # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
+    return [FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
+                      iterations=iterations, at_nu_bound=at_bound)
+            for (params, converged, iterations, at_bound), nll in zip(fits, nlls)]
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
@@ -565,20 +686,7 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     then fitted at beta = 1, where they are genexp or the Lomax.  A sample
     with fewer points than free slots raises ``DomainError``.
     """
-    family = Family.parse(family)
-    opts = options or FitOptions()
-    # An empty sample falls through to the size check in _box.
-    if family is Family.EXPONENTIAL and not opts.free_eta and len(sample):
-        # Closed-form MLE: tau-hat is the sample mean, exactly.
-        tau_hat = float(np.mean(sample.values))
-        if tau_hat <= 0.0:
-            tau_hat = 1e-300
-        params = Params(nu=1.0, tau=tau_hat)
-        nll = neg_log_likelihood(DistributionHandle(family, params), sample)
-        return FitResult(family, params, nll, converged=True, iterations=0,
-                         at_nu_bound=False)
-
-    return _fit_samples(family, [sample], opts)[0]
+    return _fit_samples(Family.parse(family), [sample], options or FitOptions())[0]
 
 
 _DEFAULT_FAMILIES = (Family.EXPONENTIAL, Family.LOMAX, Family.GEN_EXP)

@@ -7,8 +7,9 @@ import stat
 import numpy as np
 import pytest
 
-from asinhsurv import ExperimentConfig, Family, Sample, fit_all, fitting, run_robustness_study
-from asinhsurv.cli import main
+from asinhsurv import (ExperimentConfig, Family, Sample, fit_all, fitting, make_handle,
+                       run_robustness_study)
+from asinhsurv.cli import _fmt, main
 
 
 def run(capsys, *argv):
@@ -41,6 +42,15 @@ def _assert_cell(text: str, value, name: str) -> None:
         assert text == str(int(value)), name
     else:
         assert float(text) == value, name
+
+
+# Every family, points from 0 (below the location 0.25) to inf, and
+# probabilities up to 1 - 1e-9.
+_EVAL_SHAPES = [("genexp", 2.5, 1.0), ("genweibull", 1.5, 0.7), ("gengamma", 5.0, 0.05),
+                ("genexp2", 0.2, 1.0), ("exp", 1.0, 1.0), ("lomax", 3.0, 1.0), ("burr12", 2.0, 1.5),
+                ("cgamma", 50.0, 2.0)]
+_EVAL_XS = [0.0, 1e-300, 0.25, 0.2500001, 0.26, 0.5, 1.0, 3.0, 40.0, 1e10, 1e200, 1e300, math.inf]
+_EVAL_PS = [0.0, 1e-12, 0.01, 0.5, 0.9, 0.999, 1.0 - 1e-9]
 
 
 class TestEval:
@@ -105,6 +115,28 @@ class TestEval:
                            "--what", "quantile", "--at", "0.5", "--format", "json")
         assert code == 0
         assert json.loads(out) == [{"at": 0.5, "value": 0.75}]
+
+    @pytest.mark.parametrize("what", ["pdf", "cdf", "survival", "hazard", "quantile", "moment"])
+    @pytest.mark.parametrize("family, nu, beta", _EVAL_SHAPES, ids=[c[0] for c in _EVAL_SHAPES])
+    def test_output_equals_per_point_library_values(self, capsys, family, nu, beta, what):
+        # pdf to quantile evaluate every point in one handle call, moment one
+        # point per call; each row prints the library's value at its point alone.
+        ats = {"quantile": _EVAL_PS, "moment": [1.0, 2.0, 3.0, 60.0]}.get(what, _EVAL_XS)
+        code, out, _ = run(capsys, "eval", "--dist", family, "--nu", repr(nu), "--beta", repr(beta),
+                           "--tau", "1.5", "--eta", "0.25", "--what", what,
+                           "--at", ",".join(map(repr, ats)))
+        method = getattr(make_handle(family, nu=nu, beta=beta, tau=1.5, eta=0.25), what)
+        assert code == 0
+        assert out == "at,value\n" + "".join(f"{_fmt(at)},{_fmt(method(at))}\n" for at in ats)
+
+    @pytest.mark.parametrize("at, message", [("0.5,1.5,nan", "quantile requires 0 <= p < 1"),
+                                             ("0.5,nan,1.5", "p must not be NaN")])
+    def test_error_names_the_first_bad_point(self, capsys, at, message):
+        # The batched call checks every NaN first; the message is the first bad point's.
+        code, _, err = run(capsys, "eval", "--dist", "genexp", "--nu", "1",
+                           "--what", "quantile", "--at", at)
+        assert code == 2
+        assert err == f"error: --at: {message}\n"
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import collections
 import math
 import warnings
 from decimal import Decimal, localcontext
@@ -9,6 +10,7 @@ import scipy.optimize
 from asinhsurv import (
     DistributionHandle,
     DomainError,
+    ExperimentConfig,
     Family,
     FitOptions,
     Sample,
@@ -17,8 +19,10 @@ from asinhsurv import (
     make_handle,
     make_stream,
     neg_log_likelihood,
+    run_robustness_study,
 )
 from asinhsurv import fitting
+from asinhsurv.baselines import _PowerTail
 
 
 class TestSample:
@@ -329,8 +333,9 @@ def test_nll_hessian_matches_mpmath(x, family, theta, log_tau):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rows = kernel.nll_hessian_rows(x, [x.size], [log_tau], [theta])
-    assert [v.shape for v in rows] == [(1,), (1, 2), (1, 3)]
-    (nll,), (grad,), (hess,) = (v.tolist() for v in rows)
+    assert rows.shape == (6, 1)  # NLL, gradient (2) and Hessian (3) of each row
+    (nll, *grad_hess), = rows.T.tolist()
+    grad, hess = grad_hess[:2], grad_hess[2:]
     assert all(type(v) is float for v in (nll, *grad, *hess))
     score_nll, score_grad = kernel.nll_score(x, log_tau, theta)
     assert nll == pytest.approx(score_nll, rel=1e-12)
@@ -431,8 +436,8 @@ def _nelder_mead_oracle(family, x, opts=FitOptions()):
     """The lowest NLL scipy's Nelder-Mead reaches from each of the fitter's
     two starts, each run restarted once from where it stopped."""
     family = Family.parse(family)
-    free, (lo, hi), starts = fitting._box(family, opts, x)
     sample = Sample(x)
+    free, (lo, hi), starts = fitting._box(family, opts, sample)
 
     def objective(vec):
         handle = DistributionHandle(family, fitting._params(fitting._slots(free, vec)))
@@ -480,9 +485,10 @@ def _record_methods(monkeypatch, lbfgsb_maxiter=None):
             options = dict(options, maxiter=lbfgsb_maxiter)
         return minimize(fun, x0, method=method, options=options, **kwargs)
 
-    def recording_newton(kernel, rows, lo, hi):
-        methods.extend(["Newton"] * len(rows))  # one run per (sample, start) row
-        return fit_newton(kernel, rows, lo, hi)
+    def recording_newton(*args):
+        runs = fit_newton(*args)
+        methods.extend(["Newton"] * sum(map(len, runs)))  # one per run of each sample
+        return runs
 
     monkeypatch.setattr(fitting, "minimize", recording_minimize)
     monkeypatch.setattr(fitting, "_fit_newton", recording_newton)
@@ -504,7 +510,7 @@ def _two_start_runs(family, x, opts=FitOptions()):
     stops with log beta at its bound or theta at its upper bound 1e3 is
     unconverged."""
     family = Family.parse(family)
-    free, (lo, hi), starts = fitting._box(family, opts, x)
+    free, (lo, hi), starts = fitting._box(family, opts, Sample(x))
     score = fitting._score(fitting._KERNELS[family], free, x)
     runs = []
     for start in starts:
@@ -705,12 +711,13 @@ def test_small_samples_start_from_the_likelihood_grid(monkeypatch, seed, nu, rep
     x = make_handle(drawn, nu=nu).sample(10, make_stream(seed, 10, rep, int(10 * nu)))
     family = Family.parse(family)
     kernel = fitting._KERNELS[family]
-    _, (lo, hi), (base, heavy) = fitting._box(family, FitOptions(), x)
+    _, (lo, hi), (base, heavy) = fitting._box(family, FitOptions(), Sample(x))
     fit_newton, runs = fitting._fit_newton, []
 
-    def recording(kernel, rows, lo, hi):
-        ends = fit_newton(kernel, rows, lo, hi)
-        runs.extend((start, end) for (_, start), end in zip(rows, ends))
+    def recording(kernel, xs, starts, heavies, lo, hi):
+        ends = fit_newton(kernel, xs, starts, heavies, lo, hi)
+        for sample_starts, sample_heavy, sample_ends in zip(starts, heavies, ends):
+            runs.extend(zip(sample_starts + [sample_heavy], sample_ends))
         return ends
 
     monkeypatch.setattr(fitting, "_fit_newton", recording)
@@ -727,7 +734,112 @@ def test_small_samples_start_from_the_likelihood_grid(monkeypatch, seed, nu, rep
                    for _, (vec, nll, _, _) in runs[:-1]), case
     else:
         assert heavy not in starts, case
-        assert all(end[1] > lower for end in fit_newton(kernel, [(x, base), (x, heavy)], lo, hi)), case
+        # Both fixed starts run as starts; a heavy-tail run that joins repeats the second.
+        (ends,) = fit_newton(kernel, [x], [[base, heavy]], [heavy], lo, hi)
+        assert all(end[1] > lower for end in ends), case
+
+
+@pytest.mark.parametrize("family", ["genexp", "lomax"])
+def test_heavy_starts_join_the_running_batch(monkeypatch, family):
+    # A heavy-tail run joins a running batch as soon as every other run of its
+    # sample has stopped, and only when those runs call for it; it takes the
+    # steps, iterations and end it takes alone, and so do the runs beside it.
+    family = Family.parse(family)
+    samples = [Sample(x) for x in _batch_samples()]
+    samples += [Sample(make_handle(drawn, nu=nu).sample(10, make_stream(seed, 10, rep, int(10 * nu))))
+                for seed, nu, rep, drawn, fitted in _HEAVY_WINS if fitted == family.value]
+    fit_newton, calls = fitting._fit_newton, []
+
+    def recording(*args):
+        calls.append((args, fit_newton(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fitting, "_fit_newton", recording)
+    fitting._fit_samples(family, samples, FitOptions())
+    (((kernel, xs, starts, heavies, lo, hi), runs),) = calls
+    joined = 0
+    for x, sample_starts, heavy, sample_runs in zip(xs, starts, heavies, runs):
+        ran = len(sample_starts)
+        assert len(sample_runs) == ran + fitting._needs_heavy(sample_runs[:ran], lo, hi)
+        for start, run in zip(sample_starts + [heavy], sample_runs):
+            assert run == fit_newton(kernel, [x], [[start]], [start], lo, hi)[0][0]
+        joined += len(sample_runs) > ran
+    assert joined >= 20
+
+
+@pytest.mark.parametrize("family", ["exp", "genexp", "lomax", "genweibull", "burr12"])
+def test_reported_nll_is_the_handle_nll(family):
+    # One batch mixes samples of the log-density pass with samples that take
+    # the handle's: past z = 1e150 at the fit lie the points 1e200 and 1e300,
+    # [0, 1e300] and [0, 1e-310, 1e308] stop at tau's bound e^-40 with an
+    # infinite NLL, and genweibull and Burr XII fit beta on samples without 0.
+    # Every reported NLL is the fitted handle's to the bit.
+    family = Family.parse(family)
+    samples = [Sample(x) for x in ([0, 0.5, 1, 2, 3, 7, 0.2, 1.4], [0.0, 0.0, 3.0], _BODY,
+                                    _WITH_EXTREMES, [1e-300, 2e-300, 1.0, 1e200],
+                                    [1e200, 1e200, 3e200], [0.0, 1e300], [0.0, 1e-310, 1e308])]
+    samples += [Sample(_study_like(n, k, rep)) for n in (10, 100) for k in range(3) for rep in range(2)]
+    results = fitting._fit_samples(family, samples, FitOptions())
+    for sample, result in zip(samples, results):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nll = neg_log_likelihood(DistributionHandle(family, result.estimates), sample)
+        assert repr(result.neg_log_lik) == repr(nll), (family, sample.values)
+    infinite = [r for r in results if r.neg_log_lik == math.inf]
+    assert len(infinite) == (0 if family is Family.EXPONENTIAL else 2)
+    assert not any(r.converged for r in infinite)
+
+
+def test_work_counters_match_outside_counts(monkeypatch):
+    # The counters of a fixed study config against wrappers around the row
+    # kernel, the likelihood grid, the Newton batches and the NLL passes; every
+    # study fit takes the batched pass, so no fit takes its handle's NLL.
+    outside = collections.Counter()
+    rows, grid = _PowerTail.nll_hessian_rows.__func__, _PowerTail.nll_grid.__func__
+    fit_newton, passes, handle_nll = (fitting._fit_newton, fitting._neg_log_likelihoods,
+                                      fitting.neg_log_likelihood)
+
+    def counted_rows(cls, x, lengths, *args):
+        outside["kernel_calls"] += 1
+        outside["kernel_rows"] += len(lengths)
+        return rows(cls, x, lengths, *args)
+
+    def counted_grid(cls, *args):
+        outside["grid_passes"] += 1
+        return grid(cls, *args)
+
+    def counted_newton(*args):
+        runs = fit_newton(*args)
+        outside["runs"] += sum(map(len, runs))
+        return runs
+
+    def counted_passes(*args):
+        outside["nll_passes"] += 1
+        return passes(*args)
+
+    def counted_handle_nll(*args):
+        outside["handle_nlls"] += 1
+        return handle_nll(*args)
+
+    config = ExperimentConfig(sample_sizes=(10, 100), replications=3)
+    report = run_robustness_study(config)
+    monkeypatch.setattr(_PowerTail, "nll_hessian_rows", classmethod(counted_rows))
+    monkeypatch.setattr(_PowerTail, "nll_grid", classmethod(counted_grid))
+    monkeypatch.setattr(fitting, "_fit_newton", counted_newton)
+    monkeypatch.setattr(fitting, "_neg_log_likelihoods", counted_passes)
+    monkeypatch.setattr(fitting, "neg_log_likelihood", counted_handle_nll)
+    assert fitting._WORK.get() is None
+    with fitting._counting() as counts:
+        assert repr(run_robustness_study(config)) == repr(report)
+    assert fitting._WORK.get() is None
+    # three samples of each of three lengths at n = 10, for Lomax and genexp
+    assert outside["grid_passes"] == 6 and outside["handle_nlls"] == 0
+    assert outside["nll_passes"] == 3 * len(config.sample_sizes)
+    assert counts == {"kernel_calls": outside["kernel_calls"],
+                      "kernel_rows": outside["kernel_rows"],
+                      "newton_steps": outside["kernel_rows"] - outside["runs"],
+                      "grid_passes": 6, "nll_passes": outside["nll_passes"]}
+    run_robustness_study(config)
+    assert counts["kernel_calls"] == outside["kernel_calls"] / 2  # not counted outside
 
 
 @pytest.mark.parametrize("family", ["genexp", "lomax", "genweibull", "burr12"])
@@ -906,7 +1018,7 @@ def test_zero_in_the_sample_pins_beta_at_one(family, beta_one):
         assert result.neg_log_lik == pytest.approx(nested.neg_log_lik, rel=1e-10)
     for free_eta in (False, True):
         free, _, _ = fitting._box(Family.parse(family), FitOptions(free_eta=free_eta),
-                                  np.array(_WITH_ZERO))
+                                  Sample(_WITH_ZERO))
         assert free[fitting._LOG_BETA] == free_eta
 
 
@@ -1060,9 +1172,10 @@ def test_every_fit_runs_on_a_closed_form_score(monkeypatch, free_eta):
         calls.append(kwargs.get("jac"))
         return minimize(fun, x0, **kwargs)
 
-    def recording_newton(kernel, rows, lo, hi):
-        calls.extend(["Newton"] * len(rows))
-        return fit_newton(kernel, rows, lo, hi)
+    def recording_newton(*args):
+        runs = fit_newton(*args)
+        calls.extend(["Newton"] * sum(map(len, runs)))
+        return runs
 
     monkeypatch.setattr(fitting, "minimize", recording)
     monkeypatch.setattr(fitting, "_fit_newton", recording_newton)
