@@ -69,17 +69,19 @@ stopped higher on none of 36,800 fits.
 Newton fits of many samples run as one batch, whose rows are the (sample,
 start) runs: the base and grid starts of every sample, and the heavy start
 of a sample whose best run needs one, which joins the running batch as soon
-as every other run of its sample has stopped.  The rows run in lockstep, in
-chunks of samples of at most ``_POINT_CAP`` = 2^14 sample points in all
-their rows, which bounds the memory a batch takes.  Each iteration makes one call of
-the kernel's ``nll_hessian_rows``, on the samples concatenated, for the
-rows that propose a trial point and the heavy rows that join; each row
-computes its own step on Python floats (``_propose``), as a fit alone does,
-and accepts it and stops on its own test.  The kernel sums each row's
-points by one ``np.add.reduceat``, and a segment's sum does not depend on
-the segments beside it, so a fit is the same to the last bit whichever
-samples share its batch and whenever its rows join it; ``fit_mle`` is a
-batch of one sample.  ``_counting`` counts that work for a caller who asks.
+as every other run of its sample has stopped.  The rows run in lockstep.
+Samples join in order while the points in all their rows fit in
+``_POINT_CAP`` = 2^14, which bounds the memory a batch takes, and a waiting
+sample joins as soon as the samples that finish make room for it.  Each
+iteration makes one call of the kernel's ``nll_hessian_rows``, on the
+samples concatenated, for the rows that propose a trial point and the rows
+that join; each row computes its own step on Python floats (``_propose``),
+as a fit alone does, and accepts it and stops on its own test.  The kernel
+sums each row's points by one ``np.add.reduceat``, and a segment's sum does
+not depend on the segments beside it, so a fit is the same to the last bit
+whichever samples share its batch and whenever its rows join it;
+``fit_mle`` is a batch of one sample.  ``_counting`` counts that work for a
+caller who asks.
 
 Of the starts that ran, the lowest negative log likelihood wins,
 with its own ``converged`` flag.  There is no refit by another optimiser: a
@@ -120,7 +122,7 @@ _NEWTON_RADIUS = 0.1  # the first trust radius of a Newton run
 _NEWTON_MIN_SIZE = 20  # smaller samples also start from a likelihood grid (module docstring)
 _THETA_GRID = np.logspace(-6.0, 3.0, 37)  # that grid's theta, a quarter decade apart
 _THETA_NEAR_EXP = 1e-4  # a Newton fit stopping below this theta also runs the heavy-tail start
-_POINT_CAP = 2 ** 14  # sample points per lockstep Newton chunk (module docstring)
+_POINT_CAP = 2 ** 14  # sample points in the rows of a lockstep Newton batch (module docstring)
 _GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid pass
 # The slots of every fit, in the order of every score's gradient, and the
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
@@ -425,82 +427,89 @@ def _fit_newton(kernel, xs, starts, heavy, lo, hi):
     ``_needs_heavy``.  A run is (the end point, its NLL, its gradient, the
     iterations); the runs of a sample are in the order of their starts.
 
-    The runs are rows that run in lockstep, over chunks of samples of at most
-    ``_POINT_CAP`` sample points in all their rows: each iteration makes one
-    kernel call, on the samples concatenated, for the rows that propose a
-    trial point (``_propose``) and the heavy-tail rows that join, and each row
-    takes its own step, acceptance and stop.  The trust radius starts at
-    ``_NEWTON_RADIUS``; it shrinks to a quarter of the step when the NLL falls
-    by less than a quarter of the quadratic model's prediction, and doubles,
-    up to ``_THETA_MAX``, when a full-length step falls by more than three
-    quarters of it.  A step is taken when the NLL falls by at least 1e-4 of
-    the prediction, less the NLL's rounding level, 1e-15 (1 + |nll|).  A row
-    stops where ``_propose`` gives None or after ``_NEWTON_MAX_ITER`` steps,
-    rejected ones included.
+    The runs are rows that run in lockstep.  Samples join in order while the
+    points in all their rows fit in ``_POINT_CAP`` (a larger sample runs
+    alone), and each iteration makes one kernel call, on the samples
+    concatenated, for the rows that propose a trial point (``_propose``) and
+    the rows that join; each row takes its own step, acceptance and stop.
+    The trust radius starts at ``_NEWTON_RADIUS``; it shrinks to a quarter of
+    the step when the NLL falls by less than a quarter of the quadratic
+    model's prediction, and doubles, up to ``_THETA_MAX``, when a full-length
+    step falls by more than three quarters of it.  A step is taken when the
+    NLL falls by at least 1e-4 of the prediction, less the NLL's rounding
+    level, 1e-15 (1 + |nll|).  A row stops where ``_propose`` gives None or
+    after ``_NEWTON_MAX_ITER`` steps, rejected ones included.
     """
     box = (*lo, *hi)
     counts = _WORK.get()
+    # The points each sample holds while it runs; its heavy-tail row runs only
+    # once its other rows have stopped.
+    weight = [x.size * len(s) for x, s in zip(xs, starts)]
+    waiting, load = 0, 0  # the next sample to join, and the points of those running
+    # Each row's sample, and its start until the kernel has evaluated it there;
+    # a sample's rows are its starts, then its heavy-tail row if that joins.
+    owner, states, ends, radii, steps, first, left = [], [], [], [], [], {}, {}
+    active, joining = [], []
+    joined = x = lengths = None
+
+    def join(i, start):
+        joining.append(len(owner))
+        owner.append(i)
+        states.append(start)
+        ends.append(None)
+        radii.append(_NEWTON_RADIUS)
+        steps.append(0)
+
+    while True:
+        trials = []
+        for r in active:
+            proposal = steps[r] < _NEWTON_MAX_ITER and _propose(states[r], radii[r], box)
+            if proposal:
+                steps[r] += 1
+                trials.append((r, proposal))
+                continue
+            v0, v1, nll, g0, g1 = states[r][:5]
+            ends[r] = ([v0, v1], nll, [g0, g1], steps[r])
+            i = owner[r]
+            left[i] -= 1  # -1 once its heavy-tail row stops
+            if left[i] == 0 and _needs_heavy(ends[first[i]:first[i] + len(starts[i])], lo, hi):
+                join(i, heavy[i])
+            elif left[i] <= 0:
+                load -= weight[i]  # every run of the sample has stopped
+        # Samples join in order while their points fit in _POINT_CAP.
+        while waiting < len(xs) and (not load or load + weight[waiting] <= _POINT_CAP):
+            i, waiting, load = waiting, waiting + 1, load + weight[waiting]
+            first[i], left[i] = len(owner), len(starts[i])
+            for start in starts[i]:
+                join(i, start)
+        rows = [r for r, _ in trials] + joining
+        if not rows:
+            break
+        if rows != joined:
+            joined, x = rows, np.concatenate([xs[owner[r]] for r in rows])
+            lengths = np.array([xs[owner[r]].size for r in rows])
+        log_tau = [p[0] for _, p in trials] + [states[r][0] for r in joining]
+        theta = [p[1] for _, p in trials] + [states[r][1] for r in joining]
+        values = kernel.nll_hessian_rows(x, lengths, log_tau, theta).T.tolist()
+        if counts is not None:
+            counts["kernel_calls"] += 1
+            counts["kernel_rows"] += len(rows)
+            counts["newton_steps"] += len(trials)
+        for (r, (t0, t1, predicted, length, rounding)), value in zip(trials, values):
+            fall = states[r][2] - value[0]
+            if fall < 0.25 * predicted:
+                radii[r] = 0.25 * length
+            elif fall > 0.75 * predicted and length >= 0.9 * radii[r]:
+                radii[r] = min(2.0 * radii[r], _THETA_MAX)
+            if fall >= 1e-4 * predicted - rounding:
+                states[r] = (t0, t1, *value)
+        for r, value in zip(joining, values[len(trials):]):
+            states[r] = (*states[r], *value)
+        active = rows
+        joining = []
     runs = [[] for _ in xs]
-    # A sample's heavy-tail row runs only once its other rows have stopped.
-    for chunk in _chunks([x.size * len(s) for x, s in zip(xs, starts)], _POINT_CAP):
-        # Each row's sample, and its start until the kernel has evaluated it
-        # there: the starts, sample by sample, then the heavy-tail rows in the
-        # order they join.
-        owner, states, first = [], [], {}
-        for i in range(chunk.start, chunk.stop):
-            first[i] = len(owner)
-            owner += [i] * len(starts[i])
-            states += starts[i]
-        left = {i: len(starts[i]) for i in first}  # the runs of each sample before its heavy row
-        ends, radii, steps = [None] * len(owner), [_NEWTON_RADIUS] * len(owner), [0] * len(owner)
-        active, joining = [], list(range(len(owner)))
-        joined = x = lengths = None
-        while True:
-            trials = []
-            for r in active:
-                proposal = steps[r] < _NEWTON_MAX_ITER and _propose(states[r], radii[r], box)
-                if proposal:
-                    steps[r] += 1
-                    trials.append((r, proposal))
-                    continue
-                v0, v1, nll, g0, g1 = states[r][:5]
-                ends[r] = ([v0, v1], nll, [g0, g1], steps[r])
-                i = owner[r]
-                left[i] -= 1
-                if left[i] == 0 and _needs_heavy(ends[first[i]:first[i] + len(starts[i])], lo, hi):
-                    joining.append(len(owner))
-                    owner.append(i)
-                    states.append(heavy[i])
-                    ends.append(None)
-                    radii.append(_NEWTON_RADIUS)
-                    steps.append(0)
-            rows = [r for r, _ in trials] + joining
-            if not rows:
-                break
-            if rows != joined:
-                joined, x = rows, np.concatenate([xs[owner[r]] for r in rows])
-                lengths = np.array([xs[owner[r]].size for r in rows])
-            log_tau = [p[0] for _, p in trials] + [states[r][0] for r in joining]
-            theta = [p[1] for _, p in trials] + [states[r][1] for r in joining]
-            values = kernel.nll_hessian_rows(x, lengths, log_tau, theta).T.tolist()
-            if counts is not None:
-                counts["kernel_calls"] += 1
-                counts["kernel_rows"] += len(rows)
-                counts["newton_steps"] += len(trials)
-            for (r, (t0, t1, predicted, length, rounding)), value in zip(trials, values):
-                fall = states[r][2] - value[0]
-                if fall < 0.25 * predicted:
-                    radii[r] = 0.25 * length
-                elif fall > 0.75 * predicted and length >= 0.9 * radii[r]:
-                    radii[r] = min(2.0 * radii[r], _THETA_MAX)
-                if fall >= 1e-4 * predicted - rounding:
-                    states[r] = (t0, t1, *value)
-            for r, value in zip(joining, values[len(trials):]):
-                states[r] = (*states[r], *value)
-            active = rows
-            joining = []
-        for r, i in enumerate(owner):
-            runs[i].append(ends[r])
+    for r, i in enumerate(owner):
+        runs[i].append(ends[r])
     return runs
 
 

@@ -686,7 +686,16 @@ def test_batched_fits_do_not_depend_on_the_batch(monkeypatch, family):
     assert [repr(fit_mle(family, sample)) for sample in samples] == together
     monkeypatch.setattr(fitting, "_POINT_CAP", 64)
     monkeypatch.setattr(fitting, "_GRID_CAP", 5000)
+    rows, points = _PowerTail.nll_hessian_rows.__func__, []
+
+    def recording(cls, x, *args):
+        points.append(x.size)
+        return rows(cls, x, *args)
+
+    monkeypatch.setattr(_PowerTail, "nll_hessian_rows", classmethod(recording))
     assert fits(samples) == together
+    # No kernel call holds more than the cap, or one sample's rows where those exceed it.
+    assert 0 < max(points) <= max(64, max(map(len, samples)))
 
 
 # Ten-point samples (seed, nu, replication, drawn family, fitted family),
