@@ -14,8 +14,8 @@ beta = 1.  The compound gamma runs ``_IncompleteBeta``, the kernel it shares
 with the generalised gamma: survival, density and likelihood score from one
 log v(x), and its link arithmetic (log v, the score's terms and sums) from
 the power-tail kernel it equals at beta = 1, named as ``_BETA_ONE``: the
-Lomax.  Every kernel the fitter runs has a closed-form ``nll_score``, the
-exponential's included (for a free location).
+Lomax.  Every kernel the fitter optimises has a closed-form ``nll_score``;
+the exponential has none, since its fit is closed-form at any location.
 """
 
 from __future__ import annotations
@@ -61,16 +61,6 @@ class Exponential:
     @staticmethod
     def log_pdf(x, nu, beta):
         return -x
-
-    @staticmethod
-    def nll_score(x, log_tau, theta=None, log_beta=0.0, *, eta=None):
-        """Negative log likelihood n log tau + sum y of ``x``, y = (x - eta)/tau, and
-        its gradient n - sum y in log_tau, 0 in theta and log_beta (which it
-        ignores), and -n/tau in eta if eta is given."""
-        tau = math.exp(log_tau)
-        sum_y = (x if eta is None else x - eta).sum() / tau
-        grad = [x.size - sum_y, 0.0, 0.0] + ([] if eta is None else [-x.size / tau])
-        return x.size * log_tau + sum_y, np.array(grad)
 
     @staticmethod
     def hazard(x, nu, beta):
@@ -553,6 +543,10 @@ class _IncompleteBeta:
         with np.errstate(divide="ignore", over="ignore"):  # G_a underflows: x = inf
             return cls._x_from(w, v, nu)
 
+    @staticmethod
+    def moment_order_threshold(nu, beta):  # S(x) ~ v^(A nu) falls as x^(-nu) in both
+        return nu
+
 
 class CompoundGamma(_IncompleteBeta):
     """Gamma with gamma-mixed scale (Pearson VI, a scaled F distribution).
@@ -578,10 +572,6 @@ class CompoundGamma(_IncompleteBeta):
     def _log_complement(z, c):  # log1p(1/z), as 1 - v = z/(1 + z)
         out = np.reciprocal(z)
         return np.log1p(out, out=out)
-
-    @staticmethod
-    def moment_order_threshold(nu, beta):
-        return nu
 
     @staticmethod
     def raw_moment(n, nu, beta):

@@ -296,10 +296,6 @@ class _GenGamma(baselines._IncompleteBeta):
         return np.log1p(out, out=out)
 
     @staticmethod
-    def moment_order_threshold(nu, beta):
-        return nu
-
-    @staticmethod
     def raw_moment(n, nu, beta):
         if n >= nu:
             return None

@@ -58,6 +58,7 @@ class ExperimentConfig:
         object.__setattr__(self, "replications", _integer("replications", self.replications))
         object.__setattr__(self, "base_seed", _integer("base_seed", self.base_seed))
         object.__setattr__(self, "outlier_values", tuple(float(v) for v in self.outlier_values))
+        object.__setattr__(self, "true_tau", float(self.true_tau))
         sizes = self.sample_sizes  # distinct: the cells are keyed by n
         # Lomax and genexp fit two slots, so each sample needs two points.
         if not sizes or min(sizes) < 2 or len(set(sizes)) < len(sizes):
@@ -183,9 +184,9 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": _plain(asdict(self.config)),
-            "cells": [_plain(asdict(c)) for c in self.cells],
-            "replications": [_plain(asdict(r)) for r in self.replications],
+            "config": asdict(self.config),
+            "cells": [asdict(c) for c in self.cells],
+            "replications": [asdict(r) for r in self.replications],
         }
 
     def replication_rows(self) -> list[tuple]:
@@ -207,19 +208,6 @@ def _column(row, name: str):
         row, name = getattr(row, method), field
     value = getattr(row, name)
     return int(value) if isinstance(value, bool) else value
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars for JSON emission."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _cell_summaries(n: int, cells: list[list[ReplicationRow]]) -> list[CellSummary]:

@@ -9,24 +9,25 @@ the exponential limit nu -> infinity is a reachable boundary point (theta
 -> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).  Light-tailed
 data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
 
-Every fit but the closed-form exponential runs one of two bounded
-optimisers, chosen by the free mask and the kernel.  A fit whose free
-slots are exactly (log_tau, theta), on a kernel with ``nll_hessian_rows``
-(the power-tail kernel at beta = 1 and a fixed location), runs projected Newton
-(Bertsekas 1982) in a trust region on the closed-form NLL, gradient and
-Hessian: genexp and the Lomax, and genweibull and Burr XII on a sample
-holding 0, where beta is pinned and each fit is its beta = 1 member's.
-Every other fit (log beta free, eta free, genexp2, gengamma and cgamma)
-falls back to the bounded quasi-Newton method L-BFGS-B on the kernel's
-closed-form score:
+The exponential's MLE is closed-form at either location: eta is the box's
+upper edge just below the smallest point (or 0 when fixed) and tau = mean -
+eta, held to tau's lower bound e^-40, where it is flagged as every other
+fit is.  Every other fit runs one of two bounded optimisers, chosen by the
+free mask and the kernel.  A fit whose free slots are exactly (log_tau,
+theta), on a kernel with ``nll_hessian_rows`` (the power-tail kernel at
+beta = 1 and a fixed location), runs projected Newton (Bertsekas 1982) in a
+trust region on the closed-form NLL, gradient and Hessian: genexp and the
+Lomax, and genweibull and Burr XII on a sample holding 0, where beta is
+pinned and each fit is its beta = 1 member's.  Every other fit (log beta
+free, eta free, genexp2, gengamma and cgamma) falls back to the bounded
+quasi-Newton method L-BFGS-B on the kernel's closed-form score:
 ``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
 with an eta component when the location is free, and the fit keeps the
 components of its free slots.  genexp and Lomax run the genweibull and
-Burr XII kernels at log_beta = 0, and the exponential's and genexp2's
-scores ignore what they do not use.  The reported NLL is
-``neg_log_likelihood`` of the fitted handle, to the bit; the exponential,
-genexp and Lomax fits of a batch take it from one log-density pass over
-their samples (``_neg_log_likelihoods``).  A fit is ``converged`` when
+Burr XII kernels at log_beta = 0, and genexp2's score ignores log_beta.
+The reported NLL is ``neg_log_likelihood`` of the fitted handle, to the
+bit; the exponential, genexp and Lomax fits of a batch take it from one
+log-density pass over their samples (``_neg_log_likelihoods``).  A fit is ``converged`` when
 the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
 beta is not at its bound e^7 or e^-7, theta is not at its upper bound
 1e3 (nu = 1e-3), tau is not at its lower bound e^-40 and the reported NLL
@@ -638,17 +639,23 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
 
 def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
     """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives.
-    The exponential at a fixed location has a closed form.  Fits whose free
+    The exponential has a closed form at either location.  Fits whose free
     slots are exactly (log_tau, theta), on a kernel with
     ``nll_hessian_rows``, run Newton together; every other fit runs L-BFGS-B
     from the base and heavy-tail starts, one at a time.  The reported NLLs
     come from ``_neg_log_likelihoods``."""
     kernel = _KERNELS[family]
     boxes = [_box(family, opts, sample) for sample in samples]
-    if family is Family.EXPONENTIAL and not opts.free_eta:
-        # Closed-form MLE: tau-hat is the sample mean, exactly.
-        fits = [(Params(nu=1.0, tau=mean if mean > 0.0 else 1e-300), True, 0, False)
-                for _, mean, _ in (sample._summary for sample in samples)]
+    if family is Family.EXPONENTIAL:
+        # Closed-form MLE: eta-hat is the box's edge below the least point (or
+        # eta = 0) and tau-hat = mean - eta.  The projected gradient is 0 there,
+        # so ``_converged_at`` reduces to its test of tau's lower bound e^-40.
+        fits = []
+        for sample, (free, (_, hi), _) in zip(samples, boxes):
+            eta = hi[-1] if free[_ETA] else 0.0
+            tau = max(sample._summary[1] - eta, math.exp(-_LOG_TAU_BOUND))
+            fits.append((Params(nu=1.0, tau=tau, eta=eta),
+                         math.log(tau) > -_LOG_TAU_BOUND * (1.0 - 1e-9), 0, False))
     else:
         newton = [i for i, (free, _, _) in enumerate(boxes)
                   if free[_THETA] and not (free[_LOG_BETA] or free[_ETA])
@@ -674,7 +681,9 @@ def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
-    The exponential with fixed location has a closed form.  Every other fit
+    The exponential has a closed form at either location: eta at the box's
+    upper edge just below the smallest point (or 0 when fixed) and tau =
+    mean - eta, held to tau's lower bound e^-40.  Every other fit
     works on the free slots of (log_tau, theta, log_beta, eta), the others
     pinned at theta = 1, log_beta = 0 and eta = 0.  Where the free slots are
     exactly (log_tau, theta) and the kernel has a closed-form Hessian (genexp

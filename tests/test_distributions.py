@@ -435,6 +435,10 @@ class TestMoments:
         assert make_handle("genexp", nu=2.0).moment_report().order_threshold == 2.0
         assert make_handle("genweibull", nu=2.0, beta=3.0).moment_report().order_threshold == 6.0
         assert make_handle("exp").moment_report().order_threshold == math.inf
+        # Each of these tails falls as x^-nu, whatever beta is.
+        for family in ("genexp2", "gengamma", "cgamma", "lomax"):
+            handle = make_handle(family, nu=2.5, beta=3.0)
+            assert handle.moment_report().order_threshold == 2.5, family
 
     @pytest.mark.parametrize("family,kw,n", [
         ("genexp", dict(nu=3.0), 1.0),

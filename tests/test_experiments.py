@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -75,6 +76,14 @@ class TestConfig:
                                base_seed=np.uint64(2**64 - 1))
         assert (cfg.sample_sizes, cfg.replications, cfg.base_seed) == ((10, 20), 3, 2**64 - 1)
         assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.replications, cfg.base_seed))
+
+    def test_numpy_true_tau_reports_as_a_python_float(self):
+        # The report is serialized from dataclasses.asdict, which keeps numpy scalars.
+        cfg = ExperimentConfig(sample_sizes=(10, 30), replications=3, true_tau=np.float32(1.5))
+        assert type(cfg.true_tau) is float
+        plain = ExperimentConfig(sample_sizes=(10, 30), replications=3, true_tau=1.5)
+        assert (json.dumps(run_robustness_study(cfg).to_json_dict())
+                == json.dumps(run_robustness_study(plain).to_json_dict()))
 
 
 class TestStudy:

@@ -254,8 +254,6 @@ def test_beta_nll_score_at_far_points(family):
 def _mp_log_density(family, y, nu, beta):
     """The standard member's log density at the mpmath number y >= 0."""
     import mpmath as mp
-    if family == "exp":
-        return -y
     if family == "genexp2":
         return mp.log((nu + 2) / (nu + 1)) - (nu + 1) * mp.asinh(y / nu)
     if family == "gengamma":
@@ -275,7 +273,7 @@ def _mp_gradient(family, x, log_tau, theta, log_beta=0.0, eta=None):
     """Central differences at 50 digits of the NLL of ``x`` in (log_tau, theta,
     log_beta), and eta if it is given; genexp, genexp2 and Lomax take beta = 1."""
     import mpmath as mp
-    ignores_beta = family in ("exp", "genexp", "genexp2", "lomax")
+    ignores_beta = family in ("genexp", "genexp2", "lomax")
 
     def nll(log_tau, theta, log_beta, eta):
         tau, beta = mp.exp(log_tau), 1 if ignores_beta else mp.exp(log_beta)
@@ -387,8 +385,7 @@ def test_new_nll_scores_at_far_points(family):
     assert list(grad) == pytest.approx(_mp_gradient(family, x, 0.5, 0.5, 1.0), rel=1e-10)
 
 
-_SCORE_FAMILIES = ["exp", "genexp", "lomax", "genweibull", "burr12", "genexp2", "gengamma",
-                   "cgamma"]
+_SCORE_FAMILIES = ["genexp", "lomax", "genweibull", "burr12", "genexp2", "gengamma", "cgamma"]
 
 
 @pytest.mark.parametrize("x", [_POSITIVE_BODY, _POSITIVE_WITH_EXTREMES], ids=["body", "with-1e6"])
@@ -407,7 +404,7 @@ def test_nll_score_eta_component(x, family, theta, log_beta, gap):
                          eta=eta)
     assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
     reference = _mp_gradient(family, x, log_tau, theta, log_beta, eta)
-    keep = [0, 3] if family == "exp" else [0, 1, 2, 3] if kernel.uses_beta else [0, 1, 3]
+    keep = [0, 1, 2, 3] if kernel.uses_beta else [0, 1, 3]
     assert [grad[i] for i in keep] == pytest.approx([reference[i] for i in keep], rel=1e-10)
     # Without eta the score is the eta = 0 score, less its eta component.
     assert len(kernel.nll_score(x, log_tau, theta, log_beta)[1]) == 3
@@ -871,6 +868,57 @@ def test_two_slot_fits_never_call_minimize(monkeypatch, family):
         assert (result.converged, at_tau_bound) == (n > 5, n <= 5), (family, n)
 
 
+def _exponential_samples():
+    """Draws of exp, Lomax and genexp at n = 2 to 1000, each also with its first
+    point set to 0, and two samples of zeros."""
+    for k, (family, nu) in enumerate([("exp", 1.0), ("lomax", 2.0), ("genexp", 0.7)]):
+        for n in (2, 3, 5, 10, 30, 100, 1000):
+            x = make_handle(family, nu=nu).sample(n, make_stream(29, n, k))
+            yield x
+            yield np.append(0.0, x[1:])
+    yield np.zeros(2)
+    yield np.zeros(5)
+
+
+def test_exponential_fits_never_call_an_optimiser(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimiser called")
+
+    monkeypatch.setattr(fitting, "minimize", forbidden)
+    monkeypatch.setattr(fitting, "_fit_newton", forbidden)
+    for free_eta in (False, True):
+        for x in _exponential_samples():
+            result = fit_mle("exp", Sample(x), FitOptions(free_eta=free_eta))
+            assert result.iterations == 0 and math.isfinite(result.neg_log_lik), (free_eta, x)
+
+
+def test_free_location_exponential_is_the_closed_form():
+    # eta at the box's upper edge just below the least point, tau = mean - eta.
+    opts = FitOptions(free_eta=True)
+    for x in _exponential_samples():
+        result = fit_mle("exp", Sample(x), opts)
+        eta = float(np.min(x)) * (1.0 - 1e-12) - 1e-300
+        assert result.estimates.eta == eta, x
+        if np.any(x > 0.0):
+            assert result.estimates.tau == float(np.mean(x)) - eta, x
+            assert result.converged, x
+        assert _no_worse(result.neg_log_lik, _nelder_mead_oracle("exp", x, opts)), x
+
+
+@pytest.mark.parametrize("free_eta", [False, True], ids=["fixed", "free_eta"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_exponential_fit_of_zeros_is_flagged_at_the_tau_bound(n, free_eta):
+    # The likelihood tau^-n of n points at 0 grows without bound as tau -> 0, so
+    # the fit stops at tau's bound e^-40, flagged, as Lomax and genexp do.
+    result = fit_mle("exp", Sample(np.zeros(n)), FitOptions(free_eta=free_eta))
+    assert result.estimates.tau == math.exp(-40.0)
+    assert not result.converged and result.iterations == 0
+    assert result.neg_log_lik == -40.0 * n
+    for family in ("lomax", "genexp"):
+        heavy = fit_mle(family, Sample(np.zeros(n)))
+        assert not heavy.converged and heavy.neg_log_lik == result.neg_log_lik, family
+
+
 def _very_heavy_samples():
     """The first three samples of genexp draws at nu = 0.004 and 0.005, n = 20
     and 50, that are finite in double precision: the MLE of theta = 1/nu is
@@ -1172,8 +1220,9 @@ def test_every_fit_takes_quasi_newton(monkeypatch, family, beta, free_eta):
 
 @pytest.mark.parametrize("free_eta", [False, True], ids=["fixed", "free_eta"])
 def test_every_fit_runs_on_a_closed_form_score(monkeypatch, free_eta):
-    # genexp and Lomax at a fixed location run Newton on the kernel's closed-form
-    # Hessian; every other fit runs L-BFGS-B on its closed-form score.
+    # The exponential has a closed form at either location, and genexp and Lomax
+    # at a fixed location run Newton on the kernel's closed-form Hessian; every
+    # other fit runs L-BFGS-B on its closed-form score.
     calls = []
     minimize, fit_newton = fitting.minimize, fitting._fit_newton
 
@@ -1190,10 +1239,11 @@ def test_every_fit_runs_on_a_closed_form_score(monkeypatch, free_eta):
     monkeypatch.setattr(fitting, "_fit_newton", recording_newton)
     x = make_handle("genexp", nu=3.0, eta=0.5 if free_eta else 0.0).sample(200, make_stream(3))
     for family in Family:
-        if family is Family.EXPONENTIAL and not free_eta:
-            continue  # the closed form
         calls.clear()
         fit_mle(family, Sample(x), FitOptions(free_eta=free_eta))
+        if family is Family.EXPONENTIAL:
+            assert not calls
+            continue
         newton = family in (Family.GEN_EXP, Family.LOMAX) and not free_eta
         assert calls and all(call == ("Newton" if newton else True) for call in calls), family
 
