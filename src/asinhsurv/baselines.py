@@ -99,8 +99,10 @@ class _PowerTail:
     c = 1/g'(z) as new arrays, ``_less_ratio(z)``, the series of g(z) - t
     below z = ``_RATIO_SERIES_BELOW``, where the difference cancels, the sums
     ``_score_terms``, which is handed t and c, and for ``nll_hessian_rows``
-    the ``_HESSIAN_POINT_TERMS`` per-point terms ``_hessian_point_terms`` and
-    the per-row sums ``_hessian_row_sums`` formed from theirs; each may
+    the ``_HESSIAN_POINT_TERMS`` per-point terms ``_hessian_point_terms``, the
+    per-row sums ``_hessian_row_sums`` formed from theirs, and, for log beta,
+    the slices ``_U_TERMS`` and ``_U2_TERMS`` of the point terms weighted by
+    u and u^2 and the sums ``_beta_row_sums`` formed from theirs; each may
     overwrite the arrays it is given.
 
     z overflows for moderate x and beta, so past z = 1e150 the kernel works
@@ -225,13 +227,18 @@ class _PowerTail:
         return nll, np.array(grad)
 
     @classmethod
-    def nll_hessian_rows(cls, x, lengths, log_tau, theta):
-        """Negative log likelihoods at beta = 1 and location 0, with their
-        gradients and Hessians in (log_tau, theta), of many rows at once: row i
-        is the next ``lengths[i]`` (at least 1) points of ``x`` at tau =
-        exp(``log_tau[i]``) and nu = 1/``theta[i]``.  Returns a (6 x rows)
-        array of the rows' NLL, gradient (g_tau, g_theta) and Hessian
-        (h_tau_tau, h_tau_theta, h_theta_theta).
+    def nll_hessian_rows(cls, x, lengths, log_tau, theta, log_beta=None):
+        """Negative log likelihoods at location 0, with their gradients and
+        Hessians, of many rows at once: row i is the next ``lengths[i]`` (at
+        least 1) points of ``x`` at tau = exp(``log_tau[i]``), nu =
+        1/``theta[i]`` and beta = exp(``log_beta[i]``).  Without ``log_beta``
+        the rows are at beta = 1 and the result is a (6 x rows) array of the
+        rows' NLL, gradient (g_tau, g_theta) and Hessian (h_tau_tau,
+        h_tau_theta, h_theta_theta) in (log_tau, theta).  With it every point
+        must be positive, and the result is a (10 x rows) array of the NLL,
+        the gradient in (log_tau, theta, log_beta) and the Hessian's upper
+        triangle by rows (h_tau_tau, h_tau_theta, h_tau_beta, h_theta_theta,
+        h_theta_beta, h_beta_beta).
 
         With z = theta x/tau, t = z g'(z), m = -z g''(z)/g'(z) and d the
         operator z d/dz, the gradient is n - nu sum t - sum m and
@@ -243,29 +250,75 @@ class _PowerTail:
         (terms x points) buffer; one ``np.add.reduceat`` sums it per row, so a
         row's sums do not depend on the rows beside it, and
         ``_hessian_row_sums`` turns those into the sums above.
+
+        At a free beta, z = theta exp(u) with u = beta log(x/tau), k = nu t + m
+        and dk = nu dt + dm.  The NLL gains -n log beta - (1 - 1/beta) sum u,
+        the log-tau entries take a factor beta (h_tau_tau two), and the new
+        entries are g_beta = sum (k - 1) u - n, h_tau_beta = beta (n - sum k)
+        - beta sum u dk, h_theta_beta = nu sum u dm - nu^2 sum u (t - dt) and
+        h_beta_beta = sum u^2 dk + sum (k - 1) u.  These take the point terms
+        ``_U_TERMS`` times u, and ``_U2_TERMS`` of those times u again, in the
+        same buffer; ``_beta_row_sums`` turns their sums into sum u t, sum u m,
+        sum u dt, sum u dm, sum u (t - dt), sum u^2 dt and sum u^2 dm.  Far
+        points take log z = log theta + u.
         """
         lengths = np.asarray(lengths)
         log_tau, theta = np.asarray(log_tau, dtype=float), np.asarray(theta, dtype=float)
         nu = 1.0 / theta
+        size = cls._HESSIAN_POINT_TERMS
         # z, and the link's terms, overflow only where far.  The array methods
         # skip the wrappers of np.repeat and np.cumsum, a cost paid per call.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = x * (theta * np.exp(-log_tau)).repeat(lengths)
-            far = z > 1e150
-            log_z = np.log(x[far])
-            if log_z.size:
-                log_z += (np.log(theta) - log_tau).repeat(lengths)[far]
-            terms = np.empty((cls._HESSIAN_POINT_TERMS, x.size))
-            cls._hessian_point_terms(z, far, log_z, terms)
+            if log_beta is None:
+                z = x * (theta * np.exp(-log_tau)).repeat(lengths)
+                far = z > 1e150
+                log_z = np.log(x[far])
+                if log_z.size:
+                    log_z += (np.log(theta) - log_tau).repeat(lengths)[far]
+                terms = np.empty((size, x.size))
+            else:
+                log_beta = np.asarray(log_beta, dtype=float)
+                beta = np.exp(log_beta)
+                # the point terms, then u, the _U_TERMS times u and the _U2_TERMS of those times u
+                once = len(range(size)[cls._U_TERMS])
+                terms = np.empty((size + 1 + once + len(range(once)[cls._U2_TERMS]), x.size))
+                u = np.log(x, out=terms[size])
+                u -= log_tau.repeat(lengths)
+                u *= beta.repeat(lengths)
+                z = np.add(u, np.log(theta).repeat(lengths))  # log z until the exp below
+                far = z > math.log(1e150)
+                log_z = z[far]
+                np.exp(z, out=z)
+            cls._hessian_point_terms(z, far, log_z, terms[:size])
+        if log_beta is not None:
+            weighted = terms[size + 1:size + 1 + once]
+            np.multiply(terms[cls._U_TERMS], u, out=weighted)
+            np.multiply(weighted[cls._U2_TERMS], u, out=terms[size + 1 + once:])
         offsets = lengths.cumsum()
         offsets -= lengths
+        sums = np.add.reduceat(terms, offsets, axis=1)
         (nll_link, sum_t, sum_m, sum_g_less_t, sum_dt, sum_dm, sum_t_less_dt, sum_dm_less_m,
-         sum_w) = cls._hessian_row_sums(np.add.reduceat(terms, offsets, axis=1), nu)
+         sum_w) = cls._hessian_row_sums(sums[:size], nu)
         nu2 = nu * nu
-        out = np.array([lengths * log_tau + nll_link, lengths - nu * sum_t - sum_m,
-                        nu * sum_m - nu2 * sum_g_less_t, nu * sum_dt + sum_dm,
-                        nu2 * sum_t_less_dt - nu * sum_dm, nu2 * (sum_dm_less_m + nu * sum_w)])
-        return out
+        nll = lengths * log_tau + nll_link
+        g_tau = lengths - nu * sum_t - sum_m
+        g_theta = nu * sum_m - nu2 * sum_g_less_t
+        h_tau_tau = nu * sum_dt + sum_dm
+        h_tau_theta = nu2 * sum_t_less_dt - nu * sum_dm
+        h_theta_theta = nu2 * (sum_dm_less_m + nu * sum_w)
+        if log_beta is None:
+            return np.array([nll, g_tau, g_theta, h_tau_tau, h_tau_theta, h_theta_theta])
+        sum_u = sums[size]
+        sum_ut, sum_um, sum_udt, sum_udm, sum_u_t_less_dt, sum_u2dt, sum_u2dm = (
+            cls._beta_row_sums(sums[size + 1:]))
+        sum_uk_less_u = nu * sum_ut + sum_um - sum_u
+        g_tau *= beta
+        return np.array([nll - lengths * log_beta - (1.0 - 1.0 / beta) * sum_u,
+                         g_tau, g_theta, sum_uk_less_u - lengths,
+                         beta * beta * h_tau_tau, beta * h_tau_theta,
+                         g_tau - beta * (nu * sum_udt + sum_udm), h_theta_theta,
+                         nu * sum_udm - nu2 * sum_u_t_less_dt,
+                         nu * sum_u2dt + sum_u2dm + sum_uk_less_u])
 
     @classmethod
     def nll_grid(cls, x, log_tau, theta):
@@ -370,6 +423,15 @@ class BurrXII(_PowerTail):
         sum q^2, -sum q^2 and sum w."""
         h, q, dq, q2, w = sums
         return (nu + 1.0) * h, q, q, 0.5 * (w + q2), dq, dq, q2, -q2, w
+
+    _U_TERMS, _U2_TERMS = slice(1, 4), slice(1, 2)  # u q, u dq and u q^2; u^2 dq
+
+    @staticmethod
+    def _beta_row_sums(sums):
+        """The log-beta sums of ``nll_hessian_rows`` from the rows' sums of
+        u q, u dq, u q^2 and u^2 dq, where t = m = q and dt = dm = dq."""
+        uq, udq, uq2, u2dq = sums
+        return uq, uq, udq, udq, uq2, u2dq, u2dq
 
     @staticmethod
     def raw_moment(n, nu, beta):

@@ -195,9 +195,9 @@ class _GenWeibull(baselines._PowerTail):
     def _hessian_point_terms(cls, z, far, log_z, out):
         """The point terms of ``nll_hessian_rows`` at g = asinh, where t = z/c,
         m = t^2, dt = t/c^2, dm = 2 t^2/c^2, t - dt = t^3 and dm - m = t^2 - 2 t^4,
-        into the rows of ``out``: asinh z, log c^2, t, t^2, asinh z - t (by its
-        series at small z), t/c^2, t^2/c^2, t^3 and t^4."""
-        g, log_c2, t, t2, g_less_t, dt, t2_c2, t3, t4 = out
+        into the rows of ``out``: asinh z, log c^2, asinh z - t (by its series
+        at small z), t^4, t, t^2, t/c^2, t^2/c^2 and t^3."""
+        g, log_c2, g_less_t, t4, t, t2, dt, t2_c2, t3 = out
         inv_c2 = np.multiply(z, z, out=dt)
         np.log1p(inv_c2, out=log_c2)
         log_c2[far] = 2.0 * log_z
@@ -224,9 +224,20 @@ class _GenWeibull(baselines._PowerTail):
         sum dt, sum dm, sum t^3, sum t^2 - 2 sum t^4 and 2 sum (asinh z - t)
         - sum t^3.  At small z the last is -z^3/3 per point: its two terms do
         not cancel."""
-        g, log_c2, t, t2, g_less_t, dt, t2_c2, t3, t4 = sums
+        g, log_c2, g_less_t, t4, t, t2, dt, t2_c2, t3 = sums
         return (nu * g + 0.5 * log_c2, t, t2, g_less_t, dt, 2.0 * t2_c2, t3, t2 - 2.0 * t4,
                 2.0 * g_less_t - t3)
+
+    # u t, u t^2, u dt, u t^2/c^2 and u t^3; u^2 dt and u^2 t^2/c^2
+    _U_TERMS, _U2_TERMS = slice(4, 9), slice(2, 4)
+
+    @staticmethod
+    def _beta_row_sums(sums):
+        """The log-beta sums of ``nll_hessian_rows`` from the rows' sums of
+        u t, u t^2, u dt, u t^2/c^2, u t^3, u^2 dt and u^2 t^2/c^2, where
+        m = t^2, dm = 2 t^2/c^2 and t - dt = t^3."""
+        ut, ut2, udt, ut2_c2, ut3, u2dt, u2t2_c2 = sums
+        return ut, ut2, udt, 2.0 * ut2_c2, ut3, u2dt, 2.0 * u2t2_c2
 
     @staticmethod
     def raw_moment(n, nu, beta):

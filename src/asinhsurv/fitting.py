@@ -13,21 +13,22 @@ The exponential's MLE is closed-form at either location: eta is the box's
 upper edge just below the smallest point (or 0 when fixed) and tau = mean -
 eta, held to tau's lower bound e^-40, where it is flagged as every other
 fit is.  Every other fit runs one of two bounded optimisers, chosen by the
-free mask and the kernel.  A fit whose free slots are exactly (log_tau,
-theta), on a kernel with ``nll_hessian_rows`` (the power-tail kernel at
-beta = 1 and a fixed location), runs projected Newton (Bertsekas 1982) in a
-trust region on the closed-form NLL, gradient and Hessian: genexp and the
-Lomax, and genweibull and Burr XII on a sample holding 0, where beta is
-pinned and each fit is its beta = 1 member's.  Every other fit (log beta
-free, eta free, genexp2, gengamma and cgamma) falls back to the bounded
-quasi-Newton method L-BFGS-B on the kernel's closed-form score:
-``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
-with an eta component when the location is free, and the fit keeps the
-components of its free slots.  genexp and Lomax run the genweibull and
-Burr XII kernels at log_beta = 0, and genexp2's score ignores log_beta.
-The reported NLL is ``neg_log_likelihood`` of the fitted handle, to the
-bit; the exponential, genexp and Lomax fits of a batch take it from one
-log-density pass over their samples (``_neg_log_likelihoods``).  A fit is ``converged`` when
+free mask and the kernel.  A fit at a fixed location on a kernel with
+``nll_hessian_rows`` (the power-tail kernel) runs projected Newton
+(Bertsekas 1982) in a trust region on the closed-form NLL, gradient and
+Hessian: on two slots, (log_tau, theta), for genexp and the Lomax, and for
+genweibull and Burr XII on a sample holding 0, where beta is pinned and each
+fit is its beta = 1 member's; on three slots, (log_tau, theta, log_beta),
+for every other genweibull and Burr XII fit.  Every other fit (eta free,
+genexp2, gengamma and cgamma) falls back to the bounded quasi-Newton method
+L-BFGS-B on the kernel's closed-form score: ``nll_score`` gives the NLL and
+its gradient in (log_tau, theta, log_beta), with an eta component when the
+location is free, and the fit keeps the components of its free slots.
+genexp and Lomax run the genweibull and Burr XII kernels at log_beta = 0,
+and genexp2's score ignores log_beta.  The reported NLL is
+``neg_log_likelihood`` of the fitted handle, to the bit; the exponential,
+genexp and Lomax fits of a batch take it from one log-density pass over
+their samples (``_neg_log_likelihoods``).  A fit is ``converged`` when
 the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
 beta is not at its bound e^7 or e^-7, theta is not at its upper bound
 1e3 (nu = 1e-3), tau is not at its lower bound e^-40 and the reported NLL
@@ -40,17 +41,25 @@ termination" when the likelihood is flat.  Newton runs further, to a
 projected gradient of at most 1e-10 (1 + |nll|).
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3) and
-the heavy-tail start (median-matched scale, nu = 2).  L-BFGS-B always runs
-both: with log beta or eta free the NLL's infimum can lie on an edge of
-the box (log beta at its bound, or eta at the smallest point) even when
-the base fit is a converged interior optimum, and a genexp2 sample can
-hold a second, lower optimum.  Newton adds the heavy start only when its
-best run is unconverged or stops with theta below 1e-4, at or beside the
-nu cap: the genexp log-survival is even in theta to second order, so a
-fit can stop at a stationary point beside the exponential limit, and a
-shallow interior optimum can lie where only the heavy start reaches it.
-Samples of ten with one outlier can hold two genexp optima, one of them
-interior.
+the heavy-tail start (median-matched scale, nu = 2).  L-BFGS-B and
+three-slot Newton run both from the outset: with log beta or eta free the
+NLL's infimum can lie on an edge of the box (log beta at its bound, or eta
+at the smallest point) even when the base fit is a converged interior
+optimum, and a genexp2 sample can hold a second, lower optimum.  Two-slot
+Newton adds the heavy start only when its best run is unconverged or stops
+with theta below 1e-4, at or beside the nu cap: the genexp log-survival is
+even in theta to second order, so a fit can stop at a stationary point
+beside the exponential limit, and a shallow interior optimum can lie where
+only the heavy start reaches it.  Samples of ten with one outlier can hold
+two genexp optima, one of them interior.  Three-slot Newton adds the edge
+start (the heavy start's scale, theta at its upper bound 1e3, log beta 0)
+when its best run is unconverged, stops with theta above 3 or, below 20
+points, stops with theta below 1e-4: on heavy-tailed samples the
+likelihood can rise along a ridge, nu -> 0 and beta -> infinity, to
+theta's bound past an interior optimum that every other start reaches.
+Without the edge start, Newton stopped higher than L-BFGS-B from both
+starts on five of 792 genweibull and Burr XII fits to 10-100 points: four
+inside, below such a ridge, and one at the nu cap.
 
 Below ``_NEWTON_MIN_SIZE`` = 20 points the genexp and Lomax likelihoods
 often hold several local optima, and two local runs from the fixed starts
@@ -58,25 +67,27 @@ can both stop in a higher one: on ten heavy-tailed draws, Newton from the
 base and heavy starts stopped higher than L-BFGS-B from both starts on 11
 of 32,000 fits.  So a Newton fit to a small sample also starts from the two
 lowest 8-neighbour local minima of the NLL on a coarse grid, taken by the
-kernel's ``nll_grid`` in one numpy pass for all samples of one length (as
-many as fit in ``_GRID_CAP`` = 2^18 grid points): theta at 37 points a quarter
-decade apart over its box, by log tau at 24 even steps from 3 below the log
-of the least positive point to 1 above the log of the largest.  The rule
-for the heavy start is the same at every size.  Over 64,000 fits to 10-15
+kernel's ``nll_grid`` at beta = 1 in one numpy pass for all samples of one
+length (as many as fit in ``_GRID_CAP`` = 2^18 grid points): theta at 37
+points a quarter decade apart over its box, by log tau at 24 even steps
+from 3 below the log of the least positive point to 1 above the log of the
+largest; a three-slot fit starts from them at log beta = 0.  The rule for
+the heavy start is the same at every size.  Over 64,000 fits to 10-15
 heavy-tailed draws, no fit stopped higher than L-BFGS-B from both starts.
 The grid's cost grows with n, and from 20 points on Newton without it
 stopped higher on none of 36,800 fits.
 
-Newton fits of many samples run as one batch, whose rows are the (sample,
-start) runs: the base and grid starts of every sample, and the heavy start
-of a sample whose best run needs one, which joins the running batch as soon
-as every other run of its sample has stopped.  The rows run in lockstep.
-Samples join in order while the points in all their rows fit in
-``_POINT_CAP`` = 2^14, which bounds the memory a batch takes, and a waiting
-sample joins as soon as the samples that finish make room for it.  Each
-iteration makes one call of the kernel's ``nll_hessian_rows``, on the
-samples concatenated, for the rows that propose a trial point and the rows
-that join; each row computes its own step on Python floats (``_propose``),
+Newton fits of many samples on the same slots run as one batch, whose rows
+are the (sample, start) runs: the starts of every sample, and the late
+start (heavy or edge) of a sample whose best run needs one, which joins
+the running batch as soon as every other run of its sample has stopped.
+The rows run in lockstep.  Samples join in order while the points in all
+their rows fit in ``_POINT_CAP`` = 2^14, which bounds the memory a batch
+takes, and a waiting sample joins as soon as the samples that finish make
+room for it.  Each iteration makes one call of the kernel's
+``nll_hessian_rows``, on the samples concatenated, for the rows that
+propose a trial point and the rows that join; each row computes its own
+step on Python floats (``_propose`` on two slots, ``_propose3`` on three),
 as a fit alone does, and accepts it and stops on its own test.  The kernel
 sums each row's points by one ``np.add.reduceat``, and a segment's sum does
 not depend on the segments beside it, so a fit is the same to the last bit
@@ -122,14 +133,19 @@ _NEWTON_MAX_ITER = 200  # per Newton run
 _NEWTON_RADIUS = 0.1  # the first trust radius of a Newton run
 _NEWTON_MIN_SIZE = 20  # smaller samples also start from a likelihood grid (module docstring)
 _THETA_GRID = np.logspace(-6.0, 3.0, 37)  # that grid's theta, a quarter decade apart
-_THETA_NEAR_EXP = 1e-4  # a Newton fit stopping below this theta also runs the heavy-tail start
+# A two-slot Newton fit stopping below this theta also runs the heavy-tail start,
+# and a small three-slot one the edge start, which a three-slot fit stopping
+# above _THETA_NEAR_EDGE runs at any size.
+_THETA_NEAR_EXP = 1e-4
+_THETA_NEAR_EDGE = 3.0
 _POINT_CAP = 2 ** 14  # sample points in the rows of a lockstep Newton batch (module docstring)
 _GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid pass
 # The slots of every fit, in the order of every score's gradient, and the
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
 _LOG_TAU, _THETA, _LOG_BETA, _ETA = range(4)
 _PINNED = np.array([0.0, 1.0, 0.0, 0.0])
-_NEWTON_FREE = np.array([True, True, False, False])  # the slots a Newton fit runs on
+_NEWTON_FREE = np.array([True, True, False, False])  # the slots a two-slot Newton fit runs on
+_BETA_FREE = np.array([True, True, True, False])  # and a three-slot one
 
 # The work counts of the fits made inside ``_counting``; None outside one.
 _WORK = contextvars.ContextVar("asinhsurv_fitting_work", default=None)
@@ -141,9 +157,11 @@ def _counting():
     ``collections.Counter`` it yields: ``kernel_calls`` and ``kernel_rows``
     of ``nll_hessian_rows``, ``newton_steps`` (trial points, one kernel row
     each; the other rows are the runs' starts), ``grid_passes`` of
-    ``nll_grid`` and ``nll_passes``, the log-density passes that give the
-    reported NLLs (one per batch and one per fit that takes its handle).
-    Outside such a block each count costs one branch."""
+    ``nll_grid``, ``nll_passes``, the log-density passes that give the
+    reported NLLs (one per batch and one per fit that takes its handle),
+    ``score_calls``, the evaluations of ``nll_score`` by L-BFGS-B, and
+    ``lbfgsb_iterations``.  Outside such a block each count costs one
+    branch."""
     counts = collections.Counter()
     token = _WORK.set(counts)
     try:
@@ -204,8 +222,8 @@ class FitResult:
     """Estimates and diagnostics from one maximum-likelihood fit.
 
     ``iterations`` counts the Newton or L-BFGS-B iterations over every start
-    that ran: the base start, the grid starts of a small sample and the
-    heavy-tail start.
+    that ran: the base start, the heavy-tail start, the grid starts of a
+    small Newton fit and the edge start of a three-slot Newton fit.
     """
 
     family: Family
@@ -271,8 +289,11 @@ def _score(kernel, free: np.ndarray, x: np.ndarray):
     slots = _PINNED.copy()
     pick = np.flatnonzero(free)  # the gradient has an eta component only if eta is free
     free_eta = bool(free[_ETA])
+    counts = _WORK.get()
 
     def score(vec):
+        if counts is not None:
+            counts["score_calls"] += 1
         slots[pick] = vec
         log_tau, theta, log_beta, eta = slots.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -292,6 +313,9 @@ def _fit_quasi_newton(score, start, bounds: Bounds):
     gradient, the iterations)."""
     res = minimize(score, start, method="L-BFGS-B", jac=True, bounds=bounds,
                    options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER})
+    counts = _WORK.get()
+    if counts is not None:
+        counts["lbfgsb_iterations"] += res.nit
     return res.x.tolist(), res.fun, res.jac.tolist(), res.nit
 
 
@@ -401,6 +425,111 @@ def _propose(state, radius, box):
     return t0, t1, predicted, math.hypot(p0, p1), rounding
 
 
+def _trust_step3(grad, hess, radius) -> list[float]:
+    """``_trust_step`` for the 3x3 Hessian whose upper triangle by rows is
+    ``hess``: the Newton step, by a Cholesky factor on Python floats, if H is
+    positive definite and the step is at most ``radius`` long; otherwise the
+    step -(H + lam I)^-1 g that is ``radius`` long, with lam above the least
+    eigenvalue's negative, found in H's eigenbasis (``numpy.linalg.eigh``) by
+    Newton's method on 1/radius - 1/|s(lam)| from the left of the root, where
+    one component alone is ``radius`` long.  In the hard case, where g has no
+    component along the least eigenvector and the step at lam = -l_min is
+    shorter, that step is completed along the least eigenvector."""
+    (g0, g1, g2), (a, b, c, d, e, f) = grad, hess
+    if a > 0.0:
+        l00 = math.sqrt(a)
+        l10, l20 = b / l00, c / l00
+        pivot = d - l10 * l10
+        if pivot > 0.0:
+            l11 = math.sqrt(pivot)
+            l21 = (e - l20 * l10) / l11
+            pivot = f - l20 * l20 - l21 * l21
+            if pivot > 0.0:
+                l22 = math.sqrt(pivot)
+                y0 = -g0 / l00
+                y1 = (-g1 - l10 * y0) / l11
+                y2 = (-g2 - l20 * y0 - l21 * y1) / l22
+                s2 = y2 / l22
+                s1 = (y1 - l21 * s2) / l11
+                s0 = (y0 - l10 * s1 - l20 * s2) / l00
+                if s0 * s0 + s1 * s1 + s2 * s2 <= radius * radius:
+                    return [s0, s1, s2]
+    values, vectors = np.linalg.eigh(np.array([[a, b, c], [b, d, e], [c, e, f]]))
+    y, low = (vectors.T @ grad).tolist(), values.tolist()
+    lam = max([-low[0], 0.0] + [abs(yi) / radius - li for yi, li in zip(y, low) if yi != 0.0])
+    for _ in range(50):
+        shifted = [li + lam for li in low]
+        length = math.sqrt(sum((yi / di) ** 2 for yi, di in zip(y, shifted) if yi != 0.0))
+        if length <= radius * (1.0 + 1e-9):
+            break
+        slope = sum(yi * yi / di ** 3 for yi, di in zip(y, shifted) if yi != 0.0) / length ** 3
+        lam += (1.0 / radius - 1.0 / length) / slope
+    step = [-yi / (li + lam) if yi != 0.0 else 0.0 for yi, li in zip(y, low)]
+    if lam == -low[0]:  # the hard case: y[0] is 0, or lam would lie above -l_min
+        step[0] = math.sqrt(max(radius * radius - sum(si * si for si in step), 0.0))
+    return (vectors @ step).tolist()
+
+
+def _propose3(state, radius, box):
+    """``_propose`` for a row in (log_tau, theta, log_beta), on Python floats:
+    ``state`` is (v0, v1, v2, nll, g0, g1, g2) and the Hessian's upper
+    triangle by rows, and ``box`` is (lo0, lo1, lo2, hi0, hi1, hi2).  The
+    rules are ``_propose``'s.  The slots held at a bound, those whose gradient
+    points out of the box and then those the step would push out of it,
+    leave the others to the trust step on their sub-block of the Hessian
+    (``_trust_step3``, ``_trust_step`` or the one-slot step), which is taken
+    again until it pushes no free slot out.  The step stops at the box's
+    edge, and the run stops on ``_propose``'s tests."""
+    v, nll, g, h = state[:3], state[3], state[4:7], state[7:]
+    lo, hi = box[:3], box[3:]
+    if max(abs(min(max(vi - gi, li), ui) - vi)
+           for vi, gi, li, ui in zip(v, g, lo, hi)) <= 1e-10 * (1.0 + abs(nll)):
+        return None
+    a, b, c, d, e, f = h
+    hess = ((a, b, c), (b, d, e), (c, e, f))
+    held = [(vi <= li and gi > 0.0) or (vi >= ui and gi < 0.0)
+            for vi, gi, li, ui in zip(v, g, lo, hi)]
+    while True:
+        free = [i for i in range(3) if not held[i]]
+        step = [0.0, 0.0, 0.0]
+        if len(free) == 3:
+            step = _trust_step3(g, h, radius)
+        elif len(free) == 2:
+            i, j = free
+            step[i], step[j] = _trust_step((g[i], g[j]), (hess[i][i], hess[i][j], hess[j][j]),
+                                           radius)
+        elif free:
+            (i,) = free
+            step[i] = min(max(-g[i] / hess[i][i] if hess[i][i] > 0.0
+                              else -math.copysign(radius, g[i]), -radius), radius)
+        out = [i for i in free
+               if (v[i] <= lo[i] and step[i] < 0.0) or (v[i] >= hi[i] and step[i] > 0.0)]
+        if not out:
+            break
+        for i in out:
+            held[i] = True
+    # the fraction t of the step inside the box, and the slot that meets its edge
+    t, edge = 1.0, -1
+    for i, si in enumerate(step):
+        if si != 0.0:
+            fraction = ((hi[i] if si > 0.0 else lo[i]) - v[i]) / si
+            if fraction < t:
+                t, edge = fraction, i
+    trial = [min(max(vi + t * si, li), ui) for vi, si, li, ui in zip(v, step, lo, hi)]
+    if edge >= 0:
+        trial[edge] = hi[edge] if step[edge] > 0.0 else lo[edge]
+    p0, p1, p2 = (ti - vi for ti, vi in zip(trial, v))
+    if p0 == p1 == p2 == 0.0:
+        return None
+    predicted = -(g[0] * p0 + g[1] * p1 + g[2] * p2
+                  + 0.5 * (a * p0 * p0 + d * p1 * p1 + f * p2 * p2)
+                  + b * p0 * p1 + c * p0 * p2 + e * p1 * p2)
+    rounding = 1e-15 * (1.0 + abs(nll))
+    if edge < 0 and predicted <= rounding:
+        return None
+    return (*trial, predicted, math.sqrt(p0 * p0 + p1 * p1 + p2 * p2), rounding)
+
+
 def _chunks(sizes, cap):
     """Consecutive slices of ``sizes`` each summing to at most ``cap``, or of one item."""
     begin, total = 0, 0
@@ -414,44 +543,64 @@ def _chunks(sizes, cap):
 
 
 def _needs_heavy(runs, lo, hi) -> bool:
-    """Whether a Newton fit also runs the heavy-tail start: its best run so
-    far is unconverged or stops with theta below ``_THETA_NEAR_EXP``."""
+    """Whether a two-slot Newton fit also runs the heavy-tail start: its best
+    run so far is unconverged or stops with theta below ``_THETA_NEAR_EXP``."""
     vec, nll, grad, _ = min(runs, key=lambda r: r[1])
     return not _converged_at(_NEWTON_FREE, lo, hi, vec, nll, grad) or vec[1] < _THETA_NEAR_EXP
 
 
-def _fit_newton(kernel, xs, starts, heavy, lo, hi):
+def _needs_edge(runs, lo, hi, size) -> bool:
+    """Whether a three-slot Newton fit of ``size`` points also runs the edge
+    start: its best run so far is unconverged or stops with theta above
+    ``_THETA_NEAR_EDGE`` or, below ``_NEWTON_MIN_SIZE`` points, below
+    ``_THETA_NEAR_EXP``."""
+    vec, nll, grad, _ = min(runs, key=lambda r: r[1])
+    return (not _converged_at(_BETA_FREE, lo, hi, vec, nll, grad) or vec[1] > _THETA_NEAR_EDGE
+            or (size < _NEWTON_MIN_SIZE and vec[1] < _THETA_NEAR_EXP))
+
+
+def _fit_newton(kernel, xs, starts, late, lo, hi):
     """Projected Newton (Bertsekas 1982, SIAM J. Control Optim. 20:221) in a
     trust region, on ``kernel.nll_hessian_rows`` over the box [lo, hi] of
-    (log_tau, theta): for each sample ``xs[i]``, the runs from each start of
-    ``starts[i]`` and then, once those have all stopped, from ``heavy[i]`` if
-    ``_needs_heavy``.  A run is (the end point, its NLL, its gradient, the
-    iterations); the runs of a sample are in the order of their starts.
+    (log_tau, theta) or, with three bounds, (log_tau, theta, log_beta): for
+    each sample ``xs[i]``, the runs from each start of ``starts[i]`` and
+    then, once those have all stopped, from ``late[i]`` where
+    ``_needs_heavy`` (two slots) or ``_needs_edge`` (three).  A run is (the
+    end point, its NLL, its gradient, the iterations); the runs of a sample
+    are in the order of their starts.
 
     The runs are rows that run in lockstep.  Samples join in order while the
     points in all their rows fit in ``_POINT_CAP`` (a larger sample runs
     alone), and each iteration makes one kernel call, on the samples
     concatenated, for the rows that propose a trial point (``_propose``) and
-    the rows that join; each row takes its own step, acceptance and stop.
+    the rows that join; each row takes its own step (``_propose`` or
+    ``_propose3``, by the number of slots), acceptance and stop.
     The trust radius starts at ``_NEWTON_RADIUS``; it shrinks to a quarter of
     the step when the NLL falls by less than a quarter of the quadratic
     model's prediction, and doubles, up to ``_THETA_MAX``, when a full-length
     step falls by more than three quarters of it.  A step is taken when the
     NLL falls by at least 1e-4 of the prediction, less the NLL's rounding
-    level, 1e-15 (1 + |nll|).  A row stops where ``_propose`` gives None or
+    level, 1e-15 (1 + |nll|).  A row stops where its step gives None or
     after ``_NEWTON_MAX_ITER`` steps, rejected ones included.
     """
-    box = (*lo, *hi)
+    box, slots = (*lo, *hi), len(lo)
+    propose = _propose if slots == 2 else _propose3
     counts = _WORK.get()
-    # The points each sample holds while it runs; its heavy-tail row runs only
-    # once its other rows have stopped.
+    # The points each sample holds while it runs; its late row runs only once
+    # its other rows have stopped.
     weight = [x.size * len(s) for x, s in zip(xs, starts)]
     waiting, load = 0, 0  # the next sample to join, and the points of those running
     # Each row's sample, and its start until the kernel has evaluated it there;
-    # a sample's rows are its starts, then its heavy-tail row if that joins.
+    # a sample's rows are its starts, then its late row if that joins.
     owner, states, ends, radii, steps, first, left = [], [], [], [], [], {}, {}
     active, joining = [], []
     joined = x = lengths = None
+
+    def needs_late(i):
+        runs = ends[first[i]:first[i] + len(starts[i])]
+        if slots == 2:
+            return _needs_heavy(runs, lo, hi)
+        return _needs_edge(runs, lo, hi, xs[i].size)
 
     def join(i, start):
         joining.append(len(owner))
@@ -464,17 +613,18 @@ def _fit_newton(kernel, xs, starts, heavy, lo, hi):
     while True:
         trials = []
         for r in active:
-            proposal = steps[r] < _NEWTON_MAX_ITER and _propose(states[r], radii[r], box)
+            proposal = steps[r] < _NEWTON_MAX_ITER and propose(states[r], radii[r], box)
             if proposal:
                 steps[r] += 1
                 trials.append((r, proposal))
                 continue
-            v0, v1, nll, g0, g1 = states[r][:5]
-            ends[r] = ([v0, v1], nll, [g0, g1], steps[r])
+            state = states[r]
+            ends[r] = (list(state[:slots]), state[slots], list(state[slots + 1:2 * slots + 1]),
+                       steps[r])
             i = owner[r]
-            left[i] -= 1  # -1 once its heavy-tail row stops
-            if left[i] == 0 and _needs_heavy(ends[first[i]:first[i] + len(starts[i])], lo, hi):
-                join(i, heavy[i])
+            left[i] -= 1  # -1 once its late row stops
+            if left[i] == 0 and needs_late(i):
+                join(i, late[i])
             elif left[i] <= 0:
                 load -= weight[i]  # every run of the sample has stopped
         # Samples join in order while their points fit in _POINT_CAP.
@@ -489,21 +639,22 @@ def _fit_newton(kernel, xs, starts, heavy, lo, hi):
         if rows != joined:
             joined, x = rows, np.concatenate([xs[owner[r]] for r in rows])
             lengths = np.array([xs[owner[r]].size for r in rows])
-        log_tau = [p[0] for _, p in trials] + [states[r][0] for r in joining]
-        theta = [p[1] for _, p in trials] + [states[r][1] for r in joining]
-        values = kernel.nll_hessian_rows(x, lengths, log_tau, theta).T.tolist()
+        columns = [[p[k] for _, p in trials] + [states[r][k] for r in joining]
+                   for k in range(slots)]
+        values = kernel.nll_hessian_rows(x, lengths, *columns).T.tolist()
         if counts is not None:
             counts["kernel_calls"] += 1
             counts["kernel_rows"] += len(rows)
             counts["newton_steps"] += len(trials)
-        for (r, (t0, t1, predicted, length, rounding)), value in zip(trials, values):
-            fall = states[r][2] - value[0]
+        for (r, proposal), value in zip(trials, values):
+            fall = states[r][slots] - value[0]
+            predicted, length, rounding = proposal[-3], proposal[-2], proposal[-1]
             if fall < 0.25 * predicted:
                 radii[r] = 0.25 * length
             elif fall > 0.75 * predicted and length >= 0.9 * radii[r]:
                 radii[r] = min(2.0 * radii[r], _THETA_MAX)
             if fall >= 1e-4 * predicted - rounding:
-                states[r] = (t0, t1, *value)
+                states[r] = proposal[:slots] + tuple(value)
         for r, value in zip(joining, values[len(trials):]):
             states[r] = (*states[r], *value)
         active = rows
@@ -574,19 +725,27 @@ def _best(free, bounds, runs):
 
 def _fit_by_newton(kernel, xs, fixed, lo, hi):
     """The runs of the Newton fits of the samples ``xs`` over the box [lo, hi]
-    of (log_tau, theta), in one lockstep batch (``_fit_newton``): from each
-    sample's base start ``fixed[i][0]`` and, below ``_NEWTON_MIN_SIZE``
-    points, its grid starts, then from its heavy-tail start ``fixed[i][1]``
-    where ``_needs_heavy``."""
-    starts = [[base] for base, _ in fixed]
+    of their free slots, in one lockstep batch (``_fit_newton``).  On two
+    slots, from each sample's base start ``fixed[i][0]`` and, below
+    ``_NEWTON_MIN_SIZE`` points, its grid starts, then from its heavy-tail
+    start ``fixed[i][1]`` where ``_needs_heavy``.  On three, from both fixed
+    starts and the grid starts at log beta = 0, then from the edge start
+    where ``_needs_edge``."""
+    beta_free = len(lo) == 3
+    if beta_free:  # both fixed starts from the outset, and the edge start late
+        starts = [[base, heavy] for base, heavy in fixed]
+        late = [[heavy[0], _THETA_MAX, 0.0] for _, heavy in fixed]
+    else:
+        starts = [[base] for base, _ in fixed]
+        late = [heavy for _, heavy in fixed]
     by_size = {}
     for i, x in enumerate(xs):
         if x.size < _NEWTON_MIN_SIZE:
             by_size.setdefault(x.size, []).append(i)
     for same in by_size.values():
         for i, grid in zip(same, _grid_starts(kernel, [xs[i] for i in same], lo, hi)):
-            starts[i] += grid
-    return _fit_newton(kernel, xs, starts, [heavy for _, heavy in fixed], lo, hi)
+            starts[i] += [start + [0.0] for start in grid] if beta_free else grid
+    return _fit_newton(kernel, xs, starts, late, lo, hi)
 
 
 def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
@@ -639,11 +798,12 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
 
 def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
     """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives.
-    The exponential has a closed form at either location.  Fits whose free
-    slots are exactly (log_tau, theta), on a kernel with
-    ``nll_hessian_rows``, run Newton together; every other fit runs L-BFGS-B
-    from the base and heavy-tail starts, one at a time.  The reported NLLs
-    come from ``_neg_log_likelihoods``."""
+    The exponential has a closed form at either location.  Fits at a fixed
+    location on a kernel with ``nll_hessian_rows`` run Newton, one batch for
+    the fits on two slots (log_tau, theta) and one for those on three, with
+    log_beta; every other fit runs L-BFGS-B from the base and heavy-tail
+    starts, one at a time.  The reported NLLs come from
+    ``_neg_log_likelihoods``."""
     kernel = _KERNELS[family]
     boxes = [_box(family, opts, sample) for sample in samples]
     if family is Family.EXPONENTIAL:
@@ -657,14 +817,16 @@ def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
             fits.append((Params(nu=1.0, tau=tau, eta=eta),
                          math.log(tau) > -_LOG_TAU_BOUND * (1.0 - 1e-9), 0, False))
     else:
-        newton = [i for i, (free, _, _) in enumerate(boxes)
-                  if free[_THETA] and not (free[_LOG_BETA] or free[_ETA])
-                  and hasattr(kernel, "nll_hessian_rows")]
+        # One Newton batch for the fits on each number of slots, which share a box.
+        newton = {}
+        for i, (free, (lo, _), _) in enumerate(boxes):
+            if free[_THETA] and not free[_ETA] and hasattr(kernel, "nll_hessian_rows"):
+                newton.setdefault(len(lo), []).append(i)
         runs = {}
-        if newton:
-            _, (lo, hi), _ = boxes[newton[0]]  # the (log_tau, theta) box of every sample
-            runs = dict(zip(newton, _fit_by_newton(kernel, [samples[i].values for i in newton],
-                                                   [boxes[i][2] for i in newton], lo, hi)))
+        for batch in newton.values():
+            _, (lo, hi), _ = boxes[batch[0]]
+            runs.update(zip(batch, _fit_by_newton(kernel, [samples[i].values for i in batch],
+                                                  [boxes[i][2] for i in batch], lo, hi)))
         fits = []
         for i, (sample, (free, bounds, starts)) in enumerate(zip(samples, boxes)):
             if i not in runs:
@@ -685,15 +847,19 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     upper edge just below the smallest point (or 0 when fixed) and tau =
     mean - eta, held to tau's lower bound e^-40.  Every other fit
     works on the free slots of (log_tau, theta, log_beta, eta), the others
-    pinned at theta = 1, log_beta = 0 and eta = 0.  Where the free slots are
-    exactly (log_tau, theta) and the kernel has a closed-form Hessian (genexp
-    and Lomax, and genweibull and Burr XII on a sample holding 0), it runs
-    projected Newton; every other fit (log beta or eta free, genexp2,
-    gengamma or cgamma) runs L-BFGS-B on the kernel's closed-form score.
-    L-BFGS-B runs from the base and heavy-tail starts.  Newton runs from the
-    base start, from the two lowest local minima of a coarse likelihood grid
-    too below 20 points, and from the heavy start only if the best of those
-    is unconverged or stops with theta below 1e-4.  A fit that fails the
+    pinned at theta = 1, log_beta = 0 and eta = 0.  At a fixed location on a
+    kernel with a closed-form Hessian it runs projected Newton: on two slots,
+    (log_tau, theta), for genexp and Lomax, and for genweibull and Burr XII
+    on a sample holding 0; on three, with log_beta, for genweibull and Burr
+    XII otherwise.  Every other fit (eta free, genexp2, gengamma or cgamma)
+    runs L-BFGS-B on the kernel's closed-form score, from the base and
+    heavy-tail starts.  Below 20 points Newton also starts from the two
+    lowest local minima of a coarse likelihood grid.  Two-slot Newton runs
+    from the base start, and from the heavy start only if the best run is
+    unconverged or stops with theta below 1e-4.  Three-slot Newton runs
+    from both fixed starts from the outset, and from the edge start, theta
+    at its upper bound, only if the best run is unconverged or stops with
+    theta above 3 or, below 20 points, below 1e-4.  A fit that fails the
     convergence test, stops with beta at its bound, theta at its upper bound
     1e3 or tau at its lower bound e^-40, or has no finite NLL, is returned
     with ``converged`` False (see the module docstring).
