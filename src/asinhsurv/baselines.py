@@ -212,16 +212,21 @@ class _PowerTail:
         z, far, log_z = cls._scaled_power(y, nu, beta)
         # log y is -inf at a point x = 0; the link's terms overflow only where far.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            inv_y = None if eta is None else np.reciprocal(y)
-            log_y = np.log(y, out=y)
+            log_y = np.log(y, out=y if eta is None else None)
             nll_link, nll_slope, sum_k, sum_m, g_less_t, k = cls._score_terms(
                 z, far, log_z, nu, *cls._ratio(z, far))
         nll = n * (log_tau - log_beta) + nll_link + nll_slope
         if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
             nll -= (beta - 1.0) * log_y.sum()
         grad = [beta * (n - sum_k), nu * sum_m - nu * nu * g_less_t.sum(), 0.0]
-        if inv_y is not None:
-            grad.append(((beta - 1.0) * inv_y.sum() - beta * k.dot(inv_y)) / tau)
+        if eta is not None:
+            # k/y, not k times 1/y: 1/y overflows at a point just above eta, where k
+            # is 0, and the (beta - 1)/y term is 0 at beta = 1, as in the NLL.
+            with np.errstate(over="ignore"):
+                grad_eta = -beta * np.divide(k, y).sum()
+                if beta != 1.0:
+                    grad_eta += (beta - 1.0) * np.reciprocal(y).sum()
+            grad.append(grad_eta / tau)
         k -= 1.0
         grad[2] = beta * k.dot(log_y) - n
         return nll, np.array(grad)

@@ -363,28 +363,24 @@ class _GenExpType2:
         return out
 
     @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0, *, eta=None):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta and
-        location ``eta`` (0 if None), and its gradient in (log_tau, theta,
-        log_beta), with an eta component last if eta is given; beta is ignored.
+    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau) and nu = 1/theta,
+        and its gradient in (log_tau, theta, log_beta); beta is ignored.
 
-        With y = (x - eta)/tau, z = y/nu, c = sqrt(1 + z^2) and t = z/c:
-        NLL = n log tau - n log((nu + 2)/(nu + 1)) + (nu + 1) sum asinh z, and its
-        gradient is n - (nu + 1) sum t, nu sum t - nu^2 sum (asinh z - t)
-        - n nu^2/((nu + 1)(nu + 2)), 0 and -(nu + 1)/(nu tau) sum 1/c.
+        With y = x/tau, z = y/nu, c = sqrt(1 + z^2) and t = z/c: NLL = n log tau
+        - n log((nu + 2)/(nu + 1)) + (nu + 1) sum asinh z, and its gradient is
+        n - (nu + 1) sum t, nu sum t - nu^2 sum (asinh z - t)
+        - n nu^2/((nu + 1)(nu + 2)) and 0.
         """
         nu, tau, n = 1.0 / theta, math.exp(log_tau), x.size
-        y = x / tau if eta is None else (x - eta) / tau
-        z, far, log_z = _GenExp._scaled_power(y, nu, 1.0)
+        z, far, log_z = _GenExp._scaled_power(x / tau, nu, 1.0)
         with np.errstate(over="ignore"):  # c = inf where z^2 overflows
-            t, c = _GenExp._ratio(z, far)
+            t, _ = _GenExp._ratio(z, far)
         sum_asinh, asinh_less_t = _GenExp._g_less_t(z, far, log_z, t)
         sum_t = t.sum()
         nll = n * (log_tau - math.log((nu + 2.0) / (nu + 1.0))) + (nu + 1.0) * sum_asinh
         grad = [n - (nu + 1.0) * sum_t,
                 nu * sum_t - nu * nu * (asinh_less_t.sum() + n / ((nu + 1.0) * (nu + 2.0))), 0.0]
-        if eta is not None:
-            grad.append(-(nu + 1.0) / (nu * tau) * np.reciprocal(c, out=c).sum())
         return nll, np.array(grad)
 
     @staticmethod

@@ -9,41 +9,50 @@ the exponential limit nu -> infinity is a reachable boundary point (theta
 -> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).  Light-tailed
 data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
 
-The exponential's MLE is closed-form at either location: eta is the box's
-upper edge just below the smallest point (or 0 when fixed) and tau = mean -
-eta, held to tau's lower bound e^-40, where it is flagged as every other
-fit is.  Every other fit runs one of two bounded optimisers, chosen by the
-free mask and the kernel.  A fit at a fixed location on a kernel with
+A free location is closed-form for every family without beta (the
+exponential, genexp, Lomax and genexp2).  Their densities do not increase
+on [0, inf), so at every (tau, nu) the likelihood rises with eta, to the
+box's upper edge just below the smallest point, least (1 - 1e-12) - 1e-300.
+Such a fit puts eta there and takes the other slots from the fixed-location
+fit of x - eta.  Below 20 points that fit can stop at a mode with tau a few
+times the gap least - eta, which exists only because of the box's margin:
+a fit with tau below ``_GAP_FACTOR`` = 1e6 times the gap is unconverged.
+The exponential's MLE at a fixed location is closed-form, tau = mean, held
+to tau's lower bound e^-40, where it is flagged as every other fit is.
+Every other fit runs one of two bounded optimisers, chosen by the free mask
+and the kernel.  A fit at a fixed location on a kernel with
 ``nll_hessian_rows`` (the power-tail kernel) runs projected Newton
 (Bertsekas 1982) in a trust region on the closed-form NLL, gradient and
 Hessian: on two slots, (log_tau, theta), for genexp and the Lomax, and for
 genweibull and Burr XII on a sample holding 0, where beta is pinned and each
 fit is its beta = 1 member's; on three slots, (log_tau, theta, log_beta),
-for every other genweibull and Burr XII fit.  Every other fit (eta free,
-genexp2, gengamma and cgamma) falls back to the bounded quasi-Newton method
-L-BFGS-B on the kernel's closed-form score: ``nll_score`` gives the NLL and
-its gradient in (log_tau, theta, log_beta), with an eta component when the
-location is free, and the fit keeps the components of its free slots.
-genexp and Lomax run the genweibull and Burr XII kernels at log_beta = 0,
-and genexp2's score ignores log_beta.  The reported NLL is
-``neg_log_likelihood`` of the fitted handle, to the bit; the exponential,
-genexp and Lomax fits of a batch take it from one log-density pass over
-their samples (``_neg_log_likelihoods``).  A fit is ``converged`` when
-the infinity norm of its projected gradient is at most 1e-6 (1 + |nll|),
-beta is not at its bound e^7 or e^-7, theta is not at its upper bound
-1e3 (nu = 1e-3), tau is not at its lower bound e^-40 and the reported NLL
+for every other genweibull and Burr XII fit.  Every other fit (genexp2,
+gengamma and cgamma, and a free location with beta) falls back to the
+bounded quasi-Newton method L-BFGS-B on the kernel's closed-form score:
+``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
+with an eta component for a free location (the power-tail and
+incomplete-beta kernels), and the fit keeps the components of its free
+slots.  genexp and Lomax run the genweibull and Burr XII kernels at
+log_beta = 0, and genexp2's score ignores log_beta.  The reported NLL is
+``neg_log_likelihood`` of the fitted handle on the sample, to the bit; the
+fits at location 0 of the exponential, genexp and Lomax in a batch take it
+from one log-density pass over their samples (``_neg_log_likelihoods``).
+A fit is ``converged`` when the infinity norm of its projected gradient is
+at most 1e-6 (1 + |nll|), beta is not at its bound e^7 or e^-7, theta is
+not at its upper bound 1e3 (nu = 1e-3), tau is not at its lower bound
+e^-40, eta is not at its upper bound with beta < 1, and the reported NLL
 is finite.  Those bounds are edges of the box, not optima: a point at 0
 has density 1/tau, so a sample holding 0 can drive the NLL down without
 bound as tau -> 0.  The kernel's NLL stays finite where x/tau overflows,
-while the handle's does not.  The optimiser's own status is not used,
-because its line search can stop at the optimum with an "abnormal
-termination" when the likelihood is flat.  Newton runs further, to a
-projected gradient of at most 1e-10 (1 + |nll|).
+while the handle's does not.  The optimiser's own status is not used, because its line search can
+stop at the optimum with an "abnormal termination" when the likelihood is
+flat.  Newton runs further, to a projected gradient of at most 1e-10
+(1 + |nll|).
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3) and
 the heavy-tail start (median-matched scale, nu = 2).  L-BFGS-B and
-three-slot Newton run both from the outset: with log beta or eta free the
-NLL's infimum can lie on an edge of the box (log beta at its bound, or eta
+three-slot Newton run both from the outset: with log beta free the NLL's
+infimum can lie on an edge of the box (log beta at its bound, or a free eta
 at the smallest point) even when the base fit is a converged interior
 optimum, and a genexp2 sample can hold a second, lower optimum.  Two-slot
 Newton adds the heavy start only when its best run is unconverged or stops
@@ -103,7 +112,7 @@ to its bound e^7 on a small sample; on ten draws with a tail index near
 1/4 the likelihood rises along a ridge, nu -> 0 and beta -> infinity, to
 theta's bound; or, with a free location and beta < 1, the likelihood grows
 without bound as eta approaches the smallest observation (Smith 1985,
-Biometrika 72:67).
+Biometrika 72:67), and the fit stops with eta at its edge.
 """
 
 from __future__ import annotations
@@ -113,7 +122,7 @@ import contextlib
 import contextvars
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -140,6 +149,9 @@ _THETA_NEAR_EXP = 1e-4
 _THETA_NEAR_EDGE = 3.0
 _POINT_CAP = 2 ** 14  # sample points in the rows of a lockstep Newton batch (module docstring)
 _GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid pass
+# A free-location fit of a family without beta whose tau is below this many
+# times the gap between eta and the least point is unconverged.
+_GAP_FACTOR = 1e6
 # The slots of every fit, in the order of every score's gradient, and the
 # values of the slots a family does not fit: nu = beta = 1, eta = 0.
 _LOG_TAU, _THETA, _LOG_BETA, _ETA = range(4)
@@ -297,8 +309,8 @@ def _score(kernel, free: np.ndarray, x: np.ndarray):
         slots[pick] = vec
         log_tau, theta, log_beta, eta = slots.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nll, grad = kernel.nll_score(x, log_tau, theta, log_beta,
-                                         eta=eta if free_eta else None)
+            nll, grad = (kernel.nll_score(x, log_tau, theta, log_beta, eta=eta) if free_eta
+                         else kernel.nll_score(x, log_tau, theta, log_beta))
         return nll, grad[pick]
     return score
 
@@ -703,14 +715,15 @@ def _grid_starts(kernel, xs, lo, hi) -> list[list[list[float]]]:
 
 def _converged_at(free, lo, hi, vec, nll, grad) -> bool:
     """The convergence test of the module docstring: a small projected
-    gradient, and log beta not at its bound, theta not at its upper bound
-    and log tau not at its lower bound, which are edges of the box, not
-    optima."""
-    log_tau, theta, log_beta, _ = _slots(free, vec).tolist()
+    gradient, and log beta not at its bound, theta not at its upper bound,
+    log tau not at its lower bound and, with beta < 1, eta not at its upper
+    bound, which are edges of the box, not optima."""
+    log_tau, theta, log_beta, eta = _slots(free, vec).tolist()
     return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
             and abs(log_beta) < _LOG_BETA_BOUND * (1.0 - 1e-9)
             and theta < _THETA_MAX * (1.0 - 1e-9)
-            and log_tau > -_LOG_TAU_BOUND * (1.0 - 1e-9))
+            and log_tau > -_LOG_TAU_BOUND * (1.0 - 1e-9)
+            and not (free[_ETA] and log_beta < 0.0 and eta >= hi[-1]))
 
 
 def _best(free, bounds, runs):
@@ -798,23 +811,29 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
 
 def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
     """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives.
-    The exponential has a closed form at either location.  Fits at a fixed
-    location on a kernel with ``nll_hessian_rows`` run Newton, one batch for
-    the fits on two slots (log_tau, theta) and one for those on three, with
-    log_beta; every other fit runs L-BFGS-B from the base and heavy-tail
-    starts, one at a time.  The reported NLLs come from
-    ``_neg_log_likelihoods``."""
+    A family without beta puts a free eta at the box's edge and fits the
+    samples less eta at a fixed location.  The exponential has a closed
+    form.  Fits at a fixed location on a kernel with ``nll_hessian_rows`` run
+    Newton, one batch for the fits on two slots (log_tau, theta) and one for
+    those on three, with log_beta; every other fit runs L-BFGS-B from the
+    base and heavy-tail starts, one at a time.  The reported NLLs come from
+    ``_neg_log_likelihoods`` on the samples."""
     kernel = _KERNELS[family]
     boxes = [_box(family, opts, sample) for sample in samples]
+    fitted, etas = samples, None
+    if opts.free_eta and not kernel.uses_beta:
+        # eta-hat is the box's edge below the least point; the other slots are
+        # the fixed-location fit of x - eta, whose least point is the gap.
+        etas = [hi[-1] for _, (_, hi), _ in boxes]
+        fitted = [Sample(sample.values - eta) for sample, eta in zip(samples, etas)]
+        boxes = [_box(family, FitOptions(), sample) for sample in fitted]
     if family is Family.EXPONENTIAL:
-        # Closed-form MLE: eta-hat is the box's edge below the least point (or
-        # eta = 0) and tau-hat = mean - eta.  The projected gradient is 0 there,
-        # so ``_converged_at`` reduces to its test of tau's lower bound e^-40.
+        # Closed-form MLE: tau-hat = mean.  The projected gradient is 0 there, so
+        # ``_converged_at`` reduces to its test of tau's lower bound e^-40.
         fits = []
-        for sample, (free, (_, hi), _) in zip(samples, boxes):
-            eta = hi[-1] if free[_ETA] else 0.0
-            tau = max(sample._summary[1] - eta, math.exp(-_LOG_TAU_BOUND))
-            fits.append((Params(nu=1.0, tau=tau, eta=eta),
+        for sample in fitted:
+            tau = max(sample._summary[1], math.exp(-_LOG_TAU_BOUND))
+            fits.append((Params(nu=1.0, tau=tau),
                          math.log(tau) > -_LOG_TAU_BOUND * (1.0 - 1e-9), 0, False))
     else:
         # One Newton batch for the fits on each number of slots, which share a box.
@@ -825,14 +844,19 @@ def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
         runs = {}
         for batch in newton.values():
             _, (lo, hi), _ = boxes[batch[0]]
-            runs.update(zip(batch, _fit_by_newton(kernel, [samples[i].values for i in batch],
+            runs.update(zip(batch, _fit_by_newton(kernel, [fitted[i].values for i in batch],
                                                   [boxes[i][2] for i in batch], lo, hi)))
         fits = []
-        for i, (sample, (free, bounds, starts)) in enumerate(zip(samples, boxes)):
+        for i, (sample, (free, bounds, starts)) in enumerate(zip(fitted, boxes)):
             if i not in runs:
                 score, box = _score(kernel, free, sample.values), Bounds(*bounds)
                 runs[i] = [_fit_quasi_newton(score, start, box) for start in starts]
             fits.append(_best(free, bounds, runs[i]))
+    if etas is not None:
+        # A tau below _GAP_FACTOR times the gap is at a mode made by the box's margin.
+        fits = [(replace(params, eta=eta),
+                 converged and params.tau >= _GAP_FACTOR * sample._summary[0], *rest)
+                for (params, converged, *rest), eta, sample in zip(fits, etas, fitted)]
     nlls = _neg_log_likelihoods(family, samples, [params for params, *_ in fits])
     # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
     return [FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
@@ -843,26 +867,32 @@ def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
-    The exponential has a closed form at either location: eta at the box's
-    upper edge just below the smallest point (or 0 when fixed) and tau =
-    mean - eta, held to tau's lower bound e^-40.  Every other fit
-    works on the free slots of (log_tau, theta, log_beta, eta), the others
-    pinned at theta = 1, log_beta = 0 and eta = 0.  At a fixed location on a
-    kernel with a closed-form Hessian it runs projected Newton: on two slots,
-    (log_tau, theta), for genexp and Lomax, and for genweibull and Burr XII
-    on a sample holding 0; on three, with log_beta, for genweibull and Burr
-    XII otherwise.  Every other fit (eta free, genexp2, gengamma or cgamma)
-    runs L-BFGS-B on the kernel's closed-form score, from the base and
-    heavy-tail starts.  Below 20 points Newton also starts from the two
-    lowest local minima of a coarse likelihood grid.  Two-slot Newton runs
+    A free location of a family without beta (exp, genexp, Lomax, genexp2)
+    is closed-form: eta at the box's upper edge just below the smallest
+    point, where the likelihood is highest at every other slot, and the
+    other slots from the fit of x - eta at a fixed location.  A fit with tau
+    under 1e6 times the gap between eta and the smallest point is at a mode
+    made by the box's margin, and is unconverged.  At a fixed location the
+    exponential has a closed form, tau = mean, held to tau's lower bound
+    e^-40.  Every other fit works on the free slots of (log_tau, theta,
+    log_beta, eta), the others pinned at theta = 1, log_beta = 0 and eta =
+    0.  At a fixed location on a kernel with a closed-form Hessian it runs
+    projected Newton: on two slots, (log_tau, theta), for genexp and Lomax,
+    and for genweibull and Burr XII on a sample holding 0; on three, with
+    log_beta, for genweibull and Burr XII otherwise.  Every other fit
+    (genexp2, gengamma, cgamma, or a free location with beta) runs L-BFGS-B
+    on the kernel's closed-form score, from the base and heavy-tail starts.
+    Below 20 points Newton also starts from the two lowest local minima of a
+    coarse likelihood grid.  Two-slot Newton runs
     from the base start, and from the heavy start only if the best run is
     unconverged or stops with theta below 1e-4.  Three-slot Newton runs
     from both fixed starts from the outset, and from the edge start, theta
     at its upper bound, only if the best run is unconverged or stops with
     theta above 3 or, below 20 points, below 1e-4.  A fit that fails the
     convergence test, stops with beta at its bound, theta at its upper bound
-    1e3 or tau at its lower bound e^-40, or has no finite NLL, is returned
-    with ``converged`` False (see the module docstring).
+    1e3, tau at its lower bound e^-40 or eta at its upper bound with
+    beta < 1, or has no finite NLL, is returned with ``converged`` False
+    (see the module docstring).
 
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The
