@@ -29,8 +29,12 @@ def main() -> int:
     ap.add_argument("--prefix", default="pdf_curves")
     args = ap.parse_args()
 
-    body = emit_curves(args.nu, args.body_xmax, args.points, log_scale=False)
-    tail = emit_curves(args.nu, args.tail_xmax, args.points, log_scale=True)
+    try:
+        body = emit_curves(args.nu, args.body_xmax, args.points, log_scale=False)
+        tail = emit_curves(args.nu, args.tail_xmax, args.points, log_scale=True)
+    except ValueError as exc:  # DomainError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     body_path = f"{args.prefix}_linear.csv"
     tail_path = f"{args.prefix}_log10.csv"
     write_csv(body_path, body)

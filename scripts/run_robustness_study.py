@@ -27,15 +27,19 @@ def main() -> int:
     ap.add_argument("--out", default="robustness_report.json")
     args = ap.parse_args()
 
-    config = ExperimentConfig(
-        sample_sizes=tuple(int(t) for t in args.sizes.split(",") if t),
-        outlier_values=tuple(float(t) for t in args.outliers.split(",") if t),
-        true_tau=args.tau,
-        replications=args.reps,
-        base_seed=args.seed,
-    )
     t0 = time.time()
-    report = run_robustness_study(config)
+    try:
+        config = ExperimentConfig(
+            sample_sizes=tuple(int(t) for t in args.sizes.split(",") if t),
+            outlier_values=tuple(float(t) for t in args.outliers.split(",") if t),
+            true_tau=args.tau,
+            replications=args.reps,
+            base_seed=args.seed,
+        )
+        report = run_robustness_study(config)
+    except ValueError as exc:  # DomainError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.time() - t0
 
     with open(args.out, "w") as fh:

@@ -14,8 +14,10 @@ beta = 1.  The compound gamma runs ``_IncompleteBeta``, the kernel it shares
 with the generalised gamma: survival, density and likelihood score from one
 log v(x), and its link arithmetic (log v, the score's terms and sums) from
 the power-tail kernel it equals at beta = 1, named as ``_BETA_ONE``: the
-Lomax.  Every kernel the fitter optimises has a closed-form ``nll_score``;
-the exponential has none, since its fit is closed-form at any location.
+Lomax.  Every kernel the fitter optimises has a closed-form ``nll_score``
+in (log tau, theta, log beta) at location 0; the exponential has none,
+since its fit is closed-form.  No kernel sees a free location: the fitter
+profiles it over fixed-location fits of x - eta.
 """
 
 from __future__ import annotations
@@ -194,42 +196,31 @@ class _PowerTail:
         return np.exp(out, out=out).reshape(np.shape(x))
 
     @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0, *, eta=None):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        beta = exp(log_beta) and location ``eta`` (0 if None), and its gradient
-        in (log_tau, theta, log_beta), with an eta component last if eta is given.
+    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta
+        and beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
 
-        With y = (x - eta)/tau, z = theta y^beta, t = z g'(z), m = -z g''(z)/g'(z)
-        and k = nu t + m: NLL = n log tau - n log beta - (beta - 1) sum log y
+        With y = x/tau, z = theta y^beta, t = z g'(z), m = -z g''(z)/g'(z) and
+        k = nu t + m: NLL = n log tau - n log beta - (beta - 1) sum log y
         + sum (nu g(z) - log g'(z)), and its gradient is beta (n - sum k),
-        nu sum m - nu^2 sum (g(z) - t), beta sum (k - 1) log y - n and
-        sum (beta - 1 - beta k)/y / tau.
+        nu sum m - nu^2 sum (g(z) - t) and beta sum (k - 1) log y - n.
         """
         nu, beta, tau = 1.0 / theta, math.exp(log_beta), math.exp(log_tau)
         n = x.size
         # y before the power: tau^-beta alone can overflow.
-        y = x / tau if eta is None else (x - eta) / tau
+        y = x / tau
         z, far, log_z = cls._scaled_power(y, nu, beta)
         # log y is -inf at a point x = 0; the link's terms overflow only where far.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_y = np.log(y, out=y if eta is None else None)
+            log_y = np.log(y, out=y)
             nll_link, nll_slope, sum_k, sum_m, g_less_t, k = cls._score_terms(
                 z, far, log_z, nu, *cls._ratio(z, far))
         nll = n * (log_tau - log_beta) + nll_link + nll_slope
         if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
             nll -= (beta - 1.0) * log_y.sum()
-        grad = [beta * (n - sum_k), nu * sum_m - nu * nu * g_less_t.sum(), 0.0]
-        if eta is not None:
-            # k/y, not k times 1/y: 1/y overflows at a point just above eta, where k
-            # is 0, and the (beta - 1)/y term is 0 at beta = 1, as in the NLL.
-            with np.errstate(over="ignore"):
-                grad_eta = -beta * np.divide(k, y).sum()
-                if beta != 1.0:
-                    grad_eta += (beta - 1.0) * np.reciprocal(y).sum()
-            grad.append(grad_eta / tau)
         k -= 1.0
-        grad[2] = beta * k.dot(log_y) - n
-        return nll, np.array(grad)
+        return nll, np.array([beta * (n - sum_k), nu * sum_m - nu * nu * g_less_t.sum(),
+                              beta * k.dot(log_y) - n])
 
     @classmethod
     def nll_hessian_rows(cls, x, lengths, log_tau, theta, log_beta=None):
@@ -539,44 +530,40 @@ class _IncompleteBeta:
         return out.reshape(shape)
 
     @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0, *, eta=None):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta,
-        beta = exp(log_beta) and location ``eta`` (0 if None), and its gradient
-        in (log_tau, theta, log_beta), with an eta component last if eta is given.
+    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
+        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta
+        and beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
 
-        With y = (x - eta)/tau, z = y/nu, the member's t, m and c at z, and
+        With y = x/tau, z = y/nu, the member's t, m and c at z, and
         nu' = nu + beta - 1: log h = g - log c turns the NLL into n log tau
         + n (beta log s + ln B(a, beta)) - (beta - 1) sum log y plus the member's
-        link sums at nu', nu' sum g + sum log c, and k = nu' t + m is the
-        member's k at nu'.  The gradient is n beta - sum k, nu ((beta - 1)
-        sum t + sum m) - nu^2 (sum (g - t) + n A R(a, beta)) with R the psi
-        remainder, beta (sum -log(1 - v) - n (psi(a + beta) - psi(beta))) and
-        sum (beta - 1 - k)/y / tau.  Each is a sum of terms of one size: at
-        small theta the theta component is O(n), not O(n/theta) terms that cancel.
+        link sums at nu', nu' sum g + sum log c.  The gradient is n beta - sum k,
+        with k = nu' t + m the member's k at nu', nu ((beta - 1) sum t + sum m)
+        - nu^2 (sum (g - t) + n A R(a, beta)) with R the psi remainder, and
+        beta (sum -log(1 - v) - n (psi(a + beta) - psi(beta))).  Each is a sum
+        of terms of one size: at small theta the theta component is O(n), not
+        O(n/theta) terms that cancel.
         """
         one = cls._BETA_ONE
         nu, beta, tau = 1.0 / theta, math.exp(log_beta), math.exp(log_tau)
         a, n = cls._A * nu, x.size
-        y = x / tau if eta is None else (x - eta) / tau
+        y = x / tau
         # log y and -log(1 - v) are -inf and inf at a point x = 0; z^2 overflows where far.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             z, far, log_z = one._scaled_power(y, nu, 1.0)
             t, c = one._ratio(z, far)
             log_complement = cls._log_complement(z, c)
             sum_t = t.sum()  # before the member's sums overwrite t
-            nll_link, nll_slope, sum_k, sum_m, g_less_t, k = one._score_terms(
+            nll_link, nll_slope, sum_k, sum_m, g_less_t, _ = one._score_terms(
                 z, far, log_z, nu + beta - 1.0, t, c)
             nll = n * (log_tau + cls._log_norm(nu, beta)) + nll_link + nll_slope
             if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
                 nll -= (beta - 1.0) * np.log(y).sum()
-            grad = [n * beta - sum_k,
-                    nu * ((beta - 1.0) * sum_t + sum_m)
-                    - nu * nu * (g_less_t.sum() + n * cls._A * _psi_remainder(a, beta)),
-                    beta * (log_complement.sum() - n * (digamma(a + beta) - digamma(beta)))]
-            if eta is not None:
-                inv_y = np.reciprocal(y, out=y)
-                grad.append(((beta - 1.0) * inv_y.sum() - k.dot(inv_y)) / tau)
-        return nll, np.array(grad)
+            return nll, np.array([
+                n * beta - sum_k,
+                nu * ((beta - 1.0) * sum_t + sum_m)
+                - nu * nu * (g_less_t.sum() + n * cls._A * _psi_remainder(a, beta)),
+                beta * (log_complement.sum() - n * (digamma(a + beta) - digamma(beta)))])
 
     @classmethod
     def hazard(cls, x, nu, beta):

@@ -343,9 +343,10 @@ class _GenExpType2:
 
     @classmethod
     def log_survival(cls, x, nu, beta):
+        # Near x = 0 the rounded nu r^2 + nu + 2 can exceed 2(nu+1) by an ulp.
         ln_r = cls._log_r(x, nu)
         r2 = np.exp(2.0 * ln_r)
-        return nu * ln_r + np.log(nu * r2 + nu + 2.0) - math.log(2.0 * (nu + 1.0))
+        return np.minimum(nu * ln_r + np.log(nu * r2 + nu + 2.0) - math.log(2.0 * (nu + 1.0)), 0.0)
 
     @classmethod
     def cdf(cls, x, nu, beta):

@@ -1,37 +1,45 @@
 """Maximum-likelihood fitting of any family member to a univariate sample.
 
-Every fit works on four fixed slots, (log tau, theta, log beta, eta), the
-order of every kernel's score gradient.  A free mask marks the slots the
-family fits; a slot that is not free holds its pinned value, theta = 1,
-log beta = 0 or eta = 0, which gives nu = beta = 1 where a family ignores
+Every fit at a fixed location works on three slots, (log tau, theta, log
+beta), the order of every kernel's score gradient.  A free mask marks the
+slots the family fits; a slot that is not free holds its pinned value,
+theta = 1 or log beta = 0, which gives nu = beta = 1 where a family ignores
 them.  The tail index is fitted as theta = 1/nu on [1e-6, 1e3], so that
 the exponential limit nu -> infinity is a reachable boundary point (theta
 -> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).  Light-tailed
 data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
 
-A free location is closed-form for every family without beta (the
-exponential, genexp, Lomax and genexp2).  Their densities do not increase
-on [0, inf), so at every (tau, nu) the likelihood rises with eta, to the
-box's upper edge just below the smallest point, least (1 - 1e-12) - 1e-300.
-Such a fit puts eta there and takes the other slots from the fixed-location
-fit of x - eta.  Below 20 points that fit can stop at a mode with tau a few
-times the gap least - eta, which exists only because of the box's margin:
-a fit with tau below ``_GAP_FACTOR`` = 1e6 times the gap is unconverged.
+A free location eta is fitted one way for every family, and no optimiser
+or kernel sees it: eta-hat minimises the profile NLL, the NLL of the
+fixed-location fit of x - eta, over eta below the least point.  The
+densities of the families without beta (the exponential, genexp, Lomax and
+genexp2) do not increase on [0, inf), so at every (tau, nu) their
+likelihood rises with eta, and their profile falls all the way to the edge
+just below the least point, least (1 - 1e-12) - 1e-300: eta is put there.
+For a family with beta the search runs in log(least - eta): the edge, a
+grid of gaps least - eta a decade apart from 1e-12 to 100 times the mean,
+fitted as one batch, and a bounded scalar search between the grid points
+either side of the lowest.  Each scale in it is the data's, so the fit of
+c x has the NLL of the fit of x plus n log c.  A fit with eta at the edge
+is unconverged if beta < 1, where the likelihood grows without bound as eta
+approaches the least point (Smith 1985, Biometrika 72:67), or if tau is
+below ``_GAP_FACTOR`` = 1e6 times the gap: below 20 points the fit of
+x - eta can stop at a mode with tau a few times the gap, which exists only
+because of the edge's margin.
+
 The exponential's MLE at a fixed location is closed-form, tau = mean, held
 to tau's lower bound e^-40, where it is flagged as every other fit is.
 Every other fit runs one of two bounded optimisers, chosen by the free mask
-and the kernel.  A fit at a fixed location on a kernel with
-``nll_hessian_rows`` (the power-tail kernel) runs projected Newton
-(Bertsekas 1982) in a trust region on the closed-form NLL, gradient and
-Hessian: on two slots, (log_tau, theta), for genexp and the Lomax, and for
-genweibull and Burr XII on a sample holding 0, where beta is pinned and each
-fit is its beta = 1 member's; on three slots, (log_tau, theta, log_beta),
-for every other genweibull and Burr XII fit.  Every other fit (genexp2,
-gengamma and cgamma, and a free location with beta) falls back to the
-bounded quasi-Newton method L-BFGS-B on the kernel's closed-form score:
-``nll_score`` gives the NLL and its gradient in (log_tau, theta, log_beta),
-with an eta component for a free location (the power-tail and
-incomplete-beta kernels), and the fit keeps the components of its free
+and the kernel.  A fit on a kernel with ``nll_hessian_rows`` (the
+power-tail kernel) runs projected Newton (Bertsekas 1982) in a trust region
+on the closed-form NLL, gradient and Hessian: on two slots, (log_tau,
+theta), for genexp and the Lomax, and for genweibull and Burr XII on a
+sample holding 0, where beta is pinned and each fit is its beta = 1
+member's; on three slots, (log_tau, theta, log_beta), for every other
+genweibull and Burr XII fit.  Every other fit (genexp2, gengamma and
+cgamma) falls back to the bounded quasi-Newton method L-BFGS-B on the
+kernel's closed-form score: ``nll_score`` gives the NLL and its gradient in
+(log_tau, theta, log_beta), and the fit keeps the components of its free
 slots.  genexp and Lomax run the genweibull and Burr XII kernels at
 log_beta = 0, and genexp2's score ignores log_beta.  The reported NLL is
 ``neg_log_likelihood`` of the fitted handle on the sample, to the bit; the
@@ -40,21 +48,20 @@ from one log-density pass over their samples (``_neg_log_likelihoods``).
 A fit is ``converged`` when the infinity norm of its projected gradient is
 at most 1e-6 (1 + |nll|), beta is not at its bound e^7 or e^-7, theta is
 not at its upper bound 1e3 (nu = 1e-3), tau is not at its lower bound
-e^-40, eta is not at its upper bound with beta < 1, and the reported NLL
-is finite.  Those bounds are edges of the box, not optima: a point at 0
-has density 1/tau, so a sample holding 0 can drive the NLL down without
-bound as tau -> 0.  The kernel's NLL stays finite where x/tau overflows,
-while the handle's does not.  The optimiser's own status is not used, because its line search can
-stop at the optimum with an "abnormal termination" when the likelihood is
-flat.  Newton runs further, to a projected gradient of at most 1e-10
-(1 + |nll|).
+e^-40, and the reported NLL is finite.  Those bounds are edges of the box,
+not optima: a point at 0 has density 1/tau, so a sample holding 0 can drive
+the NLL down without bound as tau -> 0.  The kernel's NLL stays finite
+where x/tau overflows, while the handle's does not.  The optimiser's own
+status is not used, because its line search can stop at the optimum with
+an "abnormal termination" when the likelihood is flat.  Newton runs
+further, to a projected gradient of at most 1e-10 (1 + |nll|).
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3) and
 the heavy-tail start (median-matched scale, nu = 2).  L-BFGS-B and
 three-slot Newton run both from the outset: with log beta free the NLL's
-infimum can lie on an edge of the box (log beta at its bound, or a free eta
-at the smallest point) even when the base fit is a converged interior
-optimum, and a genexp2 sample can hold a second, lower optimum.  Two-slot
+infimum can lie on an edge of the box (log beta at its bound) even when the
+base fit is a converged interior optimum, and a genexp2 sample can hold a
+second, lower optimum.  Two-slot
 Newton adds the heavy start only when its best run is unconverged or stops
 with theta below 1e-4, at or beside the nu cap: the genexp log-survival is
 even in theta to second order, so a fit can stop at a stationary point
@@ -110,9 +117,8 @@ fit that fails the convergence test from every start it ran is returned with
 ``converged`` False.  Then there is no interior maximum to find: beta runs
 to its bound e^7 on a small sample; on ten draws with a tail index near
 1/4 the likelihood rises along a ridge, nu -> 0 and beta -> infinity, to
-theta's bound; or, with a free location and beta < 1, the likelihood grows
-without bound as eta approaches the smallest observation (Smith 1985,
-Biometrika 72:67), and the fit stops with eta at its edge.
+theta's bound; or, with a free location and beta < 1, the profile falls
+without bound toward the edge, where the fit stops.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
+from scipy.optimize import Bounds, minimize, minimize_scalar
 
 from .distributions import _KERNELS, DistributionHandle, Family, Params
 from .errors import DomainError
@@ -149,15 +155,15 @@ _THETA_NEAR_EXP = 1e-4
 _THETA_NEAR_EDGE = 3.0
 _POINT_CAP = 2 ** 14  # sample points in the rows of a lockstep Newton batch (module docstring)
 _GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid pass
-# A free-location fit of a family without beta whose tau is below this many
-# times the gap between eta and the least point is unconverged.
+# A free-location fit with eta at the edge is unconverged if tau is below this
+# many times the gap between eta and the least point.
 _GAP_FACTOR = 1e6
 # The slots of every fit, in the order of every score's gradient, and the
-# values of the slots a family does not fit: nu = beta = 1, eta = 0.
-_LOG_TAU, _THETA, _LOG_BETA, _ETA = range(4)
-_PINNED = np.array([0.0, 1.0, 0.0, 0.0])
-_NEWTON_FREE = np.array([True, True, False, False])  # the slots a two-slot Newton fit runs on
-_BETA_FREE = np.array([True, True, True, False])  # and a three-slot one
+# values of the slots a family does not fit: nu = beta = 1.
+_LOG_TAU, _THETA, _LOG_BETA = range(3)
+_PINNED = np.array([0.0, 1.0, 0.0])
+_NEWTON_FREE = np.array([True, True, False])  # the slots a two-slot Newton fit runs on
+_BETA_FREE = np.array([True, True, True])  # and a three-slot one
 
 # The work counts of the fits made inside ``_counting``; None outside one.
 _WORK = contextvars.ContextVar("asinhsurv_fitting_work", default=None)
@@ -171,9 +177,10 @@ def _counting():
     each; the other rows are the runs' starts), ``grid_passes`` of
     ``nll_grid``, ``nll_passes``, the log-density passes that give the
     reported NLLs (one per batch and one per fit that takes its handle),
-    ``score_calls``, the evaluations of ``nll_score`` by L-BFGS-B, and
-    ``lbfgsb_iterations``.  Outside such a block each count costs one
-    branch."""
+    ``score_calls``, the evaluations of ``nll_score`` by L-BFGS-B,
+    ``lbfgsb_iterations``, and ``location_fits``, the fixed-location fits of
+    x - eta that a free location's profile runs.  Outside such a block each
+    count costs one branch."""
     counts = collections.Counter()
     token = _WORK.set(counts)
     try:
@@ -219,7 +226,8 @@ class FitOptions:
     """Knobs for :func:`fit_mle`; the defaults match the robustness study.
 
     ``free_eta`` also fits the location eta (below the smallest
-    observation); by default it is fixed at 0.  ``nu_cap`` is the fixed cap
+    observation), by a profile over fixed-location fits of x - eta; by
+    default it is fixed at 0.  ``nu_cap`` is the fixed cap
     on the tail index, 1e6 (theta = 1/nu is bounded below by 1e-6); it can
     be read but not set.  The optimiser's tolerances and iteration limit
     are fixed module constants.
@@ -235,7 +243,9 @@ class FitResult:
 
     ``iterations`` counts the Newton or L-BFGS-B iterations over every start
     that ran: the base start, the heavy-tail start, the grid starts of a
-    small Newton fit and the edge start of a three-slot Newton fit.
+    small Newton fit and the edge start of a three-slot Newton fit.  With a
+    free location it sums them over every fixed-location fit of x - eta
+    that the profile search ran.
     """
 
     family: Family
@@ -257,60 +267,49 @@ def neg_log_likelihood(handle: DistributionHandle, sample: Sample) -> float:
 
 
 def _box(family: Family, opts: FitOptions, sample: Sample):
-    """The free mask over the slots (log_tau, theta, log_beta, eta), the
-    bounds (lo, hi) of the free slots, and the base and heavy starts clipped
-    to them; bounds and starts are lists of floats."""
+    """The free mask over the slots (log_tau, theta, log_beta) of a fit at
+    location 0, the bounds (lo, hi) of the free slots, and the base and
+    heavy starts clipped to them; bounds and starts are lists of floats.
+    With ``opts.free_eta`` the sample needs one more point, for eta, and
+    beta is free, as it is in the fits of x less an eta below its least
+    point."""
     kernel = _KERNELS[family]
     least, mean, median = sample._summary
     # At a fixed location a point x = 0 (the least, as x >= 0) makes the likelihood
     # 0 for beta > 1 and unbounded for beta < 1, so beta is pinned at 1.
-    flags = [True, kernel.uses_nu, kernel.uses_beta and (opts.free_eta or least != 0.0),
-             opts.free_eta]
+    flags = [True, kernel.uses_nu, kernel.uses_beta and (opts.free_eta or least != 0.0)]
     pick = [i for i, flag in enumerate(flags) if flag]
-    if len(sample) < len(pick):
-        raise DomainError(f"need at least {len(pick)} observations to fit {family.value}, "
-                          f"got {len(sample)}")
-    # eta must stay below the smallest observation
-    lo = [(-_LOG_TAU_BOUND, _THETA_MIN, -_LOG_BETA_BOUND, least - 100.0 * (mean + 1.0))[i]
-          for i in pick]
-    hi = [(_LOG_TAU_BOUND, _THETA_MAX, _LOG_BETA_BOUND, least * (1.0 - 1e-12) - 1e-300)[i]
-          for i in pick]
+    if len(sample) < len(pick) + opts.free_eta:
+        raise DomainError(f"need at least {len(pick) + opts.free_eta} observations to fit "
+                          f"{family.value}, got {len(sample)}")
+    lo = [(-_LOG_TAU_BOUND, _THETA_MIN, -_LOG_BETA_BOUND)[i] for i in pick]
+    hi = [(_LOG_TAU_BOUND, _THETA_MAX, _LOG_BETA_BOUND)[i] for i in pick]
     scale_exp = max(mean, 1e-12)
     scale_mom = max(median / math.log(2.0), 1e-12) if median > 0.0 else scale_exp
-    starts = [[min(max((math.log(scale), theta, 0.0, 0.0)[i], lo_i), hi_i)
+    starts = [[min(max((math.log(scale), theta, 0.0)[i], lo_i), hi_i)
                for i, lo_i, hi_i in zip(pick, lo, hi)]
               for scale, theta in ((scale_exp, 1e-3), (scale_mom, 0.5))]
     return np.array(flags), (lo, hi), starts
 
 
 def _slots(free: np.ndarray, vec) -> np.ndarray:
-    """The slots (log_tau, theta, log_beta, eta), ``vec`` in the free ones."""
+    """The slots (log_tau, theta, log_beta), ``vec`` in the free ones."""
     slots = _PINNED.copy()
     slots[free] = vec
     return slots
 
 
-def _params(slots: np.ndarray) -> Params:
-    log_tau, theta, log_beta, eta = slots
-    return Params(nu=1.0 / theta, beta=math.exp(log_beta), tau=math.exp(log_tau), eta=eta)
-
-
 def _score(kernel, free: np.ndarray, x: np.ndarray):
     """The kernel's NLL and its gradient in the free slots, as a function of
     the free slots' values."""
-    slots = _PINNED.copy()
-    pick = np.flatnonzero(free)  # the gradient has an eta component only if eta is free
-    free_eta = bool(free[_ETA])
-    counts = _WORK.get()
+    slots, pick, counts = _PINNED.copy(), np.flatnonzero(free), _WORK.get()
 
     def score(vec):
         if counts is not None:
             counts["score_calls"] += 1
         slots[pick] = vec
-        log_tau, theta, log_beta, eta = slots.tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nll, grad = (kernel.nll_score(x, log_tau, theta, log_beta, eta=eta) if free_eta
-                         else kernel.nll_score(x, log_tau, theta, log_beta))
+            nll, grad = kernel.nll_score(x, *slots.tolist())
         return nll, grad[pick]
     return score
 
@@ -715,25 +714,25 @@ def _grid_starts(kernel, xs, lo, hi) -> list[list[list[float]]]:
 
 def _converged_at(free, lo, hi, vec, nll, grad) -> bool:
     """The convergence test of the module docstring: a small projected
-    gradient, and log beta not at its bound, theta not at its upper bound,
-    log tau not at its lower bound and, with beta < 1, eta not at its upper
-    bound, which are edges of the box, not optima."""
-    log_tau, theta, log_beta, eta = _slots(free, vec).tolist()
+    gradient, and log beta not at its bound, theta not at its upper bound
+    and log tau not at its lower bound, which are edges of the box, not
+    optima."""
+    log_tau, theta, log_beta = _slots(free, vec).tolist()
     return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
             and abs(log_beta) < _LOG_BETA_BOUND * (1.0 - 1e-9)
             and theta < _THETA_MAX * (1.0 - 1e-9)
-            and log_tau > -_LOG_TAU_BOUND * (1.0 - 1e-9)
-            and not (free[_ETA] and log_beta < 0.0 and eta >= hi[-1]))
+            and log_tau > -_LOG_TAU_BOUND * (1.0 - 1e-9))
 
 
 def _best(free, bounds, runs):
     """The fit of the run with the lowest NLL (the earliest on a tie): its
     ``Params``, its convergence test, the iterations summed over every run,
-    and whether theta is at its lower bound."""
+    whether theta is at its lower bound, and its NLL."""
     vec, nll, grad, _ = min(runs, key=lambda r: r[1])
-    slots = _slots(free, vec)
-    return (_params(slots), _converged_at(free, *bounds, vec, nll, grad),
-            sum(r[3] for r in runs), bool(slots[_THETA] <= _THETA_MIN * (1.0 + 1e-9)))
+    log_tau, theta, log_beta = _slots(free, vec).tolist()
+    return (Params(nu=1.0 / theta, beta=math.exp(log_beta), tau=math.exp(log_tau)),
+            _converged_at(free, *bounds, vec, nll, grad), sum(r[3] for r in runs),
+            theta <= _THETA_MIN * (1.0 + 1e-9), nll)
 
 
 def _fit_by_newton(kernel, xs, fixed, lo, hi):
@@ -809,96 +808,138 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
     return nlls
 
 
-def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
-    """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives.
-    A family without beta puts a free eta at the box's edge and fits the
-    samples less eta at a fixed location.  The exponential has a closed
-    form.  Fits at a fixed location on a kernel with ``nll_hessian_rows`` run
-    Newton, one batch for the fits on two slots (log_tau, theta) and one for
-    those on three, with log_beta; every other fit runs L-BFGS-B from the
-    base and heavy-tail starts, one at a time.  The reported NLLs come from
-    ``_neg_log_likelihoods`` on the samples."""
+def _fit_fixed(family: Family, samples, opts: FitOptions):
+    """The fit of ``family`` at location 0 to each of ``samples``, in its
+    ``_box``: (``Params``, converged, iterations, at_nu_bound, the NLL it
+    reached).  The exponential has a closed form.  Fits on a kernel with
+    ``nll_hessian_rows`` run Newton, one batch for the fits on two slots
+    (log_tau, theta) and one for those on three, with log_beta; every other
+    fit runs L-BFGS-B from the base and heavy-tail starts, one at a time."""
     kernel = _KERNELS[family]
     boxes = [_box(family, opts, sample) for sample in samples]
-    fitted, etas = samples, None
-    if opts.free_eta and not kernel.uses_beta:
-        # eta-hat is the box's edge below the least point; the other slots are
-        # the fixed-location fit of x - eta, whose least point is the gap.
-        etas = [hi[-1] for _, (_, hi), _ in boxes]
-        fitted = [Sample(sample.values - eta) for sample, eta in zip(samples, etas)]
-        boxes = [_box(family, FitOptions(), sample) for sample in fitted]
     if family is Family.EXPONENTIAL:
         # Closed-form MLE: tau-hat = mean.  The projected gradient is 0 there, so
         # ``_converged_at`` reduces to its test of tau's lower bound e^-40.
-        fits = []
-        for sample in fitted:
-            tau = max(sample._summary[1], math.exp(-_LOG_TAU_BOUND))
-            fits.append((Params(nu=1.0, tau=tau),
-                         math.log(tau) > -_LOG_TAU_BOUND * (1.0 - 1e-9), 0, False))
-    else:
-        # One Newton batch for the fits on each number of slots, which share a box.
-        newton = {}
-        for i, (free, (lo, _), _) in enumerate(boxes):
-            if free[_THETA] and not free[_ETA] and hasattr(kernel, "nll_hessian_rows"):
-                newton.setdefault(len(lo), []).append(i)
-        runs = {}
-        for batch in newton.values():
-            _, (lo, hi), _ = boxes[batch[0]]
-            runs.update(zip(batch, _fit_by_newton(kernel, [fitted[i].values for i in batch],
-                                                  [boxes[i][2] for i in batch], lo, hi)))
-        fits = []
-        for i, (sample, (free, bounds, starts)) in enumerate(zip(fitted, boxes)):
-            if i not in runs:
-                score, box = _score(kernel, free, sample.values), Bounds(*bounds)
-                runs[i] = [_fit_quasi_newton(score, start, box) for start in starts]
-            fits.append(_best(free, bounds, runs[i]))
-    if etas is not None:
-        # A tau below _GAP_FACTOR times the gap is at a mode made by the box's margin.
-        fits = [(replace(params, eta=eta),
-                 converged and params.tau >= _GAP_FACTOR * sample._summary[0], *rest)
-                for (params, converged, *rest), eta, sample in zip(fits, etas, fitted)]
+        taus = [max(sample._summary[1], math.exp(-_LOG_TAU_BOUND)) for sample in samples]
+        return [(Params(nu=1.0, tau=tau), math.log(tau) > -_LOG_TAU_BOUND * (1.0 - 1e-9), 0,
+                 False, len(sample) * (math.log(tau) + sample._summary[1] / tau))
+                for sample, tau in zip(samples, taus)]
+    # One Newton batch for the fits on each number of slots, which share a box.
+    newton = {}
+    for i, (free, (lo, _), _) in enumerate(boxes):
+        if free[_THETA] and hasattr(kernel, "nll_hessian_rows"):
+            newton.setdefault(len(lo), []).append(i)
+    runs = {}
+    for batch in newton.values():
+        _, (lo, hi), _ = boxes[batch[0]]
+        runs.update(zip(batch, _fit_by_newton(kernel, [samples[i].values for i in batch],
+                                              [boxes[i][2] for i in batch], lo, hi)))
+    for i, (sample, (free, bounds, starts)) in enumerate(zip(samples, boxes)):
+        if i not in runs:
+            score, box = _score(kernel, free, sample.values), Bounds(*bounds)
+            runs[i] = [_fit_quasi_newton(score, start, box) for start in starts]
+    return [_best(free, bounds, runs[i]) for i, (free, bounds, _) in enumerate(boxes)]
+
+
+def _fit_free_location(family: Family, samples, opts: FitOptions):
+    """The fit of ``family`` with a free location to each of ``samples``, as
+    ``_fit_fixed`` gives it, with eta-hat minimising the profile NLL: the NLL
+    of the fixed-location fit of x - eta.
+
+    The search runs in log(least - eta), the log of the gap below the least
+    point.  It fits the edge, eta = least (1 - 1e-12) - 1e-300, and, for a
+    family with beta, a grid of gaps a decade apart from 1e-12 to 100 times
+    the mean (those wider than the edge's that leave x - eta finite), in one
+    ``_fit_fixed`` batch.  Where a grid point is lowest, ``minimize_scalar``
+    searches between its neighbours, the edge below the first.  The lowest
+    fit of all wins, and ``iterations`` sums every fit's.  A win at the edge
+    with beta < 1, or with tau below ``_GAP_FACTOR`` times the gap, is
+    unconverged."""
+    uses_beta, counts = _KERNELS[family].uses_beta, _WORK.get()
+
+    def fit_at(sample, etas, tried):
+        """Add (eta, the fit of x - eta) at each of ``etas``, one batch, to
+        ``tried``; the last fit's NLL."""
+        if counts is not None:
+            counts["location_fits"] += len(etas)
+        shifted = [Sample(sample.values - eta) for eta in etas]
+        tried.extend(zip(etas, _fit_fixed(family, shifted, opts)))
+        return tried[-1][1][-1]
+
+    located = []
+    for sample in samples:
+        least, mean, _ = sample._summary
+        edge = least * (1.0 - 1e-12) - 1e-300
+        grid = [least - mean * 10.0 ** k for k in range(-12, 3)] if uses_beta else []
+        etas = [edge] + [eta for eta in grid
+                         if eta < edge and math.isfinite(sample.values.max() - eta)]
+        tried = []
+        fit_at(sample, etas, tried)
+        low = min(range(len(etas)), key=lambda i: tried[i][1][-1])
+        if low > 0:
+            bounds = [math.log(least - etas[i]) for i in (low - 1, min(low + 1, len(etas) - 1))]
+            minimize_scalar(lambda log_gap: fit_at(sample, [least - math.exp(log_gap)], tried),
+                            bounds=bounds, method="bounded")
+        eta, (params, converged, _, at_bound, nll) = min(tried, key=lambda t: t[1][-1])
+        if eta == edge:
+            # A tau below _GAP_FACTOR times the gap is at a mode made by the edge's
+            # margin, and with beta < 1 the likelihood has no maximum.
+            converged = (converged and params.tau >= _GAP_FACTOR * (least - eta)
+                         and params.beta >= 1.0)
+        located.append((replace(params, eta=eta), converged, sum(fit[2] for _, fit in tried),
+                        at_bound, nll))
+    return located
+
+
+def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
+    """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives:
+    ``_fit_free_location`` with a free eta, ``_fit_fixed`` otherwise.  The
+    reported NLLs come from ``_neg_log_likelihoods`` on the samples."""
+    fits = (_fit_free_location if opts.free_eta else _fit_fixed)(family, samples, opts)
     nlls = _neg_log_likelihoods(family, samples, [params for params, *_ in fits])
     # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
     return [FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
                       iterations=iterations, at_nu_bound=at_bound)
-            for (params, converged, iterations, at_bound), nll in zip(fits, nlls)]
+            for (params, converged, iterations, at_bound, _), nll in zip(fits, nlls)]
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
-    A free location of a family without beta (exp, genexp, Lomax, genexp2)
-    is closed-form: eta at the box's upper edge just below the smallest
-    point, where the likelihood is highest at every other slot, and the
-    other slots from the fit of x - eta at a fixed location.  A fit with tau
-    under 1e6 times the gap between eta and the smallest point is at a mode
-    made by the box's margin, and is unconverged.  At a fixed location the
-    exponential has a closed form, tau = mean, held to tau's lower bound
-    e^-40.  Every other fit works on the free slots of (log_tau, theta,
-    log_beta, eta), the others pinned at theta = 1, log_beta = 0 and eta =
-    0.  At a fixed location on a kernel with a closed-form Hessian it runs
-    projected Newton: on two slots, (log_tau, theta), for genexp and Lomax,
-    and for genweibull and Burr XII on a sample holding 0; on three, with
-    log_beta, for genweibull and Burr XII otherwise.  Every other fit
-    (genexp2, gengamma, cgamma, or a free location with beta) runs L-BFGS-B
-    on the kernel's closed-form score, from the base and heavy-tail starts.
-    Below 20 points Newton also starts from the two lowest local minima of a
-    coarse likelihood grid.  Two-slot Newton runs
+    At a fixed location the exponential has a closed form, tau = mean, held
+    to tau's lower bound e^-40.  Every other fit works on the free slots of
+    (log_tau, theta, log_beta), the others pinned at theta = 1 and log_beta
+    = 0.  On a kernel with a closed-form Hessian it runs projected Newton:
+    on two slots, (log_tau, theta), for genexp and Lomax, and for genweibull
+    and Burr XII on a sample holding 0; on three, with log_beta, for
+    genweibull and Burr XII otherwise.  Every other fit (genexp2, gengamma,
+    cgamma) runs L-BFGS-B on the kernel's closed-form score, from the base
+    and heavy-tail starts.  Below 20 points Newton also starts from the two
+    lowest local minima of a coarse likelihood grid.  Two-slot Newton runs
     from the base start, and from the heavy start only if the best run is
     unconverged or stops with theta below 1e-4.  Three-slot Newton runs
     from both fixed starts from the outset, and from the edge start, theta
     at its upper bound, only if the best run is unconverged or stops with
     theta above 3 or, below 20 points, below 1e-4.  A fit that fails the
-    convergence test, stops with beta at its bound, theta at its upper bound
-    1e3, tau at its lower bound e^-40 or eta at its upper bound with
-    beta < 1, or has no finite NLL, is returned with ``converged`` False
-    (see the module docstring).
+    convergence test, stops with beta at its bound, theta at its upper
+    bound 1e3 or tau at its lower bound e^-40, or has no finite NLL, is
+    returned with ``converged`` False (see the module docstring).
+
+    A free location minimises the profile NLL, the NLL of the fixed-location
+    fit of x - eta.  A family without beta (exp, genexp, Lomax, genexp2)
+    puts eta at the edge just below the smallest point, where its profile
+    is lowest.  A family with beta searches log(least - eta) from the edge,
+    over a grid a decade apart from 1e-12 to 100 times the mean, and by a
+    bounded scalar search around the grid's lowest point.  A fit with eta at
+    the edge is unconverged if beta < 1, where the likelihood has no
+    maximum, or if tau is under 1e6 times the gap between eta and the
+    smallest point, a mode made by the edge's margin.
 
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The
     families with a shape beta (genweibull, gengamma, Burr XII, cgamma) are
     then fitted at beta = 1, where they are genexp or the Lomax.  A sample
-    with fewer points than free slots raises ``DomainError``.
+    with fewer points than free slots, counting eta, raises ``DomainError``.
     """
     return _fit_samples(Family.parse(family), [sample], options or FitOptions())[0]
 

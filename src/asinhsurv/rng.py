@@ -20,9 +20,9 @@ _SEED_MAX = 2**64 - 1
 
 def make_stream(seed: int, *key: int) -> np.random.Generator:
     """PCG64 generator derived deterministically from ``seed`` and ``key``."""
-    if not isinstance(seed, (int, np.integer)):
-        raise DomainError("seed must be an integer")
-    if not 0 <= int(seed) <= _SEED_MAX:
-        raise DomainError("seed must fit in an unsigned 64-bit integer")
+    if not all(isinstance(value, (int, np.integer)) for value in (seed, *key)):
+        raise DomainError("the seed and spawn key entries must be integers")
+    if not 0 <= int(seed) <= _SEED_MAX or any(k < 0 for k in key):
+        raise DomainError("the seed must fit in an unsigned 64-bit integer, key entries >= 0")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(ss))

@@ -227,3 +227,7 @@ class TestSeedSplitting:
             make_stream(-1)
         with pytest.raises(DomainError):
             make_stream(2 ** 64)
+        # The spawn key is checked as the seed is: a float, negative or NaN entry raises.
+        for key in (1.5, -1, float("nan")):
+            with pytest.raises(DomainError):
+                make_stream(1, key)

@@ -14,6 +14,7 @@ from asinhsurv import (
     ExperimentConfig,
     Family,
     FitOptions,
+    Params,
     Sample,
     fit_all,
     fit_mle,
@@ -270,27 +271,22 @@ def _mp_log_density(family, y, nu, beta):
     return shape - (nu + 1) * mp.log1p(z)  # lomax, burr12
 
 
-def _mp_gradient(family, x, log_tau, theta, log_beta=0.0, eta=None):
+def _mp_gradient(family, x, log_tau, theta, log_beta=0.0):
     """Central differences at 50 digits of the NLL of ``x`` in (log_tau, theta,
-    log_beta), and eta if it is given; genexp, genexp2 and Lomax take beta = 1.
-    The eta step is at most 1e-6 of the gap between eta and the least point,
-    with as many more digits as it is below 1e-15."""
+    log_beta); genexp, genexp2 and Lomax take beta = 1."""
     import mpmath as mp
     ignores_beta = family in ("genexp", "genexp2", "lomax")
 
-    def nll(log_tau, theta, log_beta, eta):
+    def nll(log_tau, theta, log_beta):
         tau, beta = mp.exp(log_tau), 1 if ignores_beta else mp.exp(log_beta)
-        return len(x) * log_tau - mp.fsum(_mp_log_density(family, (mp.mpf(float(v)) - eta) / tau,
+        return len(x) * log_tau - mp.fsum(_mp_log_density(family, mp.mpf(float(v)) / tau,
                                                           1 / theta, beta) for v in x)
 
-    gap = float(np.min(x)) - (eta or 0.0)
-    eta_step = min(1e-15 * max(1.0, abs(eta or 0.0)), 1e-6 * gap)
-    with mp.workdps(50 + max(0, round(-math.log10(eta_step)) - 15)):
-        point = [mp.mpf(log_tau), mp.mpf(theta), mp.mpf(log_beta), mp.mpf(eta or 0.0)]
+    with mp.workdps(50):
+        point = [mp.mpf(log_tau), mp.mpf(theta), mp.mpf(log_beta)]
         grad = []
-        for i in range(3 if eta is None else 4):
-            h = mp.mpf(eta_step) if i == 3 else mp.mpf("1e-15") * (
-                point[1] if i == 1 else max(1, abs(point[i])))
+        for i in range(3):
+            h = mp.mpf("1e-15") * (point[1] if i == 1 else max(1, abs(point[i])))
             up, down = list(point), list(point)
             up[i] += h
             down[i] -= h
@@ -428,51 +424,6 @@ def test_new_nll_scores_at_far_points(family):
     assert list(grad) == pytest.approx(_mp_gradient(family, x, 0.5, 0.5, 1.0), rel=1e-10)
 
 
-# The kernels whose score has an eta component: genexp2 fits a free location
-# in closed form, at the box's edge, and its score has none.
-_SCORE_FAMILIES = ["genexp", "lomax", "genweibull", "burr12", "gengamma", "cgamma"]
-
-
-@pytest.mark.parametrize("x", [_POSITIVE_BODY, _POSITIVE_WITH_EXTREMES], ids=["body", "with-1e6"])
-@pytest.mark.parametrize("family", _SCORE_FAMILIES)
-@pytest.mark.parametrize("theta, log_beta", [(1e-3, -1.0), (0.5, 0.0), (5.0, 1.0)])
-@pytest.mark.parametrize("gap", [1e-9, 1e-3, 1.0])
-def test_nll_score_eta_component(x, family, theta, log_beta, gap):
-    # eta just below the smallest point, where (beta - 1)/y dominates the eta component.
-    # genexp and Lomax run the genweibull and Burr XII scores, so they are
-    # handed log_beta = 0, as the fitter hands them.
-    eta, log_tau = float(np.min(x)) - gap, 0.5
-    kernel = fitting._KERNELS[Family.parse(family)]
-    log_beta = log_beta if kernel.uses_beta else 0.0
-    nll, grad = kernel.nll_score(x, log_tau, theta, log_beta, eta=eta)
-    handle = make_handle(family, nu=1.0 / theta, beta=math.exp(log_beta), tau=math.exp(log_tau),
-                         eta=eta)
-    assert nll == pytest.approx(neg_log_likelihood(handle, Sample(x)), rel=1e-12)
-    reference = _mp_gradient(family, x, log_tau, theta, log_beta, eta)
-    keep = [0, 1, 2, 3] if kernel.uses_beta else [0, 1, 3]
-    assert [grad[i] for i in keep] == pytest.approx([reference[i] for i in keep], rel=1e-10)
-    # Without eta the score is the eta = 0 score, less its eta component.
-    assert len(kernel.nll_score(x, log_tau, theta, log_beta)[1]) == 3
-
-
-@pytest.mark.parametrize("family", ["genexp", "lomax", "genweibull", "burr12"])
-@pytest.mark.parametrize("log_tau", [19.0, 25.0, 39.0])
-def test_power_tail_eta_component_at_the_box_edge(family, log_tau):
-    # At eta = -1e-300, the box's edge below a point at 0, y = 1e-300/tau is
-    # subnormal and 1/y overflows where k is 0: the component is formed as k/y.
-    # At log tau 39 that y keeps 21 of its 53 bits, and so do its terms.
-    x, eta = np.array(_WITH_ZERO, dtype=float), -1e-300
-    kernel = fitting._KERNELS[Family.parse(family)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        nll, grad = kernel.nll_score(x, log_tau, 0.5, 0.0, eta=eta)
-    assert math.isfinite(nll) and np.all(np.isfinite(grad))
-    reference = _mp_gradient(family, x, log_tau, 0.5, 0.0, eta)
-    keep = [0, 1, 2, 3] if kernel.uses_beta else [0, 1, 3]  # genexp and Lomax ignore log beta
-    assert [grad[i] for i in keep] == pytest.approx([reference[i] for i in keep],
-                                                    rel=1e-6 if log_tau == 39.0 else 1e-10)
-
-
 @pytest.mark.parametrize("x", [_BODY, _WITH_EXTREMES], ids=["body", "with-0-and-1e6"])
 @pytest.mark.parametrize("family, beta_one", [("gengamma", "genexp"), ("cgamma", "lomax")])
 @pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 5.0, 1e3])
@@ -492,15 +443,40 @@ def _study_like(n, outliers, rep):
     return np.concatenate([x, [20.0, 10.0][:outliers]])
 
 
+def _box4(family, opts, sample):
+    """The fitter's box at location 0 with a fourth slot, eta: free with a free
+    location, on [least - 100 (mean + 1), least (1 - 1e-12) - 1e-300], from 0
+    clipped to that range, and pinned at 0 otherwise.  The oracles search
+    eta alongside the other slots, independently of the fitter's profile."""
+    free, (lo, hi), starts = fitting._box(family, opts, sample)
+    if opts.free_eta:
+        least, mean = float(np.min(sample.values)), float(np.mean(sample.values))
+        lo, hi = lo + [least - 100.0 * (mean + 1.0)], hi + [least * (1.0 - 1e-12) - 1e-300]
+        starts = [start + [min(max(0.0, lo[-1]), hi[-1])] for start in starts]
+    return np.append(free, opts.free_eta), (lo, hi), starts
+
+
+def _slots4(free, vec):
+    """The slots (log_tau, theta, log_beta, eta) of a ``_box4`` point."""
+    slots = np.array([0.0, 1.0, 0.0, 0.0])
+    slots[free] = vec
+    return slots
+
+
+def _params4(free, vec):
+    log_tau, theta, log_beta, eta = _slots4(free, vec)
+    return Params(nu=1.0 / theta, beta=math.exp(log_beta), tau=math.exp(log_tau), eta=eta)
+
+
 def _nelder_mead_oracle(family, x, opts=FitOptions()):
     """The lowest NLL scipy's Nelder-Mead reaches from each of the fitter's
     two starts, each run restarted once from where it stopped."""
     family = Family.parse(family)
     sample = Sample(x)
-    free, (lo, hi), starts = fitting._box(family, opts, sample)
+    free, (lo, hi), starts = _box4(family, opts, sample)
 
     def objective(vec):
-        handle = DistributionHandle(family, fitting._params(fitting._slots(free, vec)))
+        handle = DistributionHandle(family, _params4(free, vec))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return neg_log_likelihood(handle, sample)
 
@@ -564,21 +540,42 @@ def test_score_families_take_newton(monkeypatch):
         methods.clear()
 
 
+def _genexp_located_score(x):
+    """The genexp NLL of ``x`` and its gradient in (log_tau, theta, eta): the
+    kernel's score of x - eta, and the eta component sum (log f)'(y)/tau at
+    y = (x - eta)/tau, z = theta y, where (log f)'(y) = -1/hypot(1, z) -
+    theta z/(1 + z^2)."""
+    kernel = fitting._KERNELS[Family.GEN_EXP]
+
+    def score(vec):
+        log_tau, theta, eta = vec
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            nll, grad = kernel.nll_score(x - eta, log_tau, theta)
+            z = theta * ((x - eta) / math.exp(log_tau))
+            d_eta = -np.sum(1.0 / np.hypot(1.0, z) + theta * z / (1.0 + z * z))
+        return nll, np.array([grad[0], grad[1], d_eta / math.exp(log_tau)])
+    return score
+
+
 def _two_start_runs(family, x, opts=FitOptions()):
     """(nll, converged, at_nu_bound) of L-BFGS-B on the kernel's score from each
     of the fitter's two starts, without the fitter's start rule; a run that
     stops with log beta at its bound or theta at its upper bound 1e3 is
-    unconverged."""
+    unconverged.  A free location is searched as a third slot of genexp."""
     family = Family.parse(family)
-    free, (lo, hi), starts = fitting._box(family, opts, Sample(x))
-    score = fitting._score(fitting._KERNELS[family], free, x)
+    free, (lo, hi), starts = _box4(family, opts, Sample(x))
+    if opts.free_eta:
+        assert family is Family.GEN_EXP
+        score = _genexp_located_score(np.asarray(x, dtype=float))
+    else:
+        score = fitting._score(fitting._KERNELS[family], free[:3], x)
     runs = []
     for start in starts:
         res = scipy.optimize.minimize(
             score, start, method="L-BFGS-B", jac=True, bounds=scipy.optimize.Bounds(lo, hi),
             options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 4000})
         projected = np.clip(res.x - res.jac, lo, hi) - res.x
-        _, theta, log_beta, _ = fitting._slots(free, res.x)
+        _, theta, log_beta, _ = _slots4(free, res.x)
         converged = (np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))
                      and abs(log_beta) < 7.0 * (1.0 - 1e-9) and theta < 1e3 * (1.0 - 1e-9))
         runs.append((res.fun, bool(converged), bool(theta <= 1e-6 * (1.0 + 1e-9))))
@@ -971,10 +968,24 @@ def test_work_counters_match_outside_counts(monkeypatch):
     monkeypatch.setattr(fitting, "_score", counted_score)
     x = Sample(_study_like(100, 2, 1))
     with fitting._counting() as counts:
-        for family, free_eta in (("genexp2", False), ("cgamma", False), ("burr12", True)):
+        for family, free_eta in (("genexp2", False), ("cgamma", False), ("genexp2", True)):
             fit_mle(family, x, FitOptions(free_eta=free_eta))
     assert counts["score_calls"] == outside["score_calls"] > 0
     assert counts["lbfgsb_iterations"] == outside["lbfgsb_iterations"] > 0
+    # A free location's profile counts each fixed-location fit of x - eta it runs:
+    # the edge alone for genexp, and for Burr XII the grid and the scalar search too.
+    fit_fixed = fitting._fit_fixed
+
+    def counted_fixed(family, samples, opts):
+        outside["location_fits"] += len(samples)
+        return fit_fixed(family, samples, opts)
+
+    monkeypatch.setattr(fitting, "_fit_fixed", counted_fixed)
+    for family, least in (("genexp", 1), ("burr12", 16)):
+        outside["location_fits"] = 0
+        with fitting._counting() as counts:
+            fit_mle(family, x, FitOptions(free_eta=True))
+        assert counts["location_fits"] == outside["location_fits"] >= least, family
 
 
 @pytest.mark.parametrize("family", ["genexp", "lomax", "genweibull", "burr12"])
@@ -1408,20 +1419,25 @@ _BETA = ("genweibull", "burr12", "gengamma", "cgamma")  # the families with a sh
 
 @pytest.mark.parametrize("free_eta", [False, True], ids=["fixed", "free_eta"])
 def test_every_fit_runs_on_a_closed_form_score(monkeypatch, free_eta):
-    # The exponential has a closed form at either location.  genexp and Lomax
-    # at either location (a free one is closed-form, at the box's edge), and
-    # genweibull and Burr XII at a fixed location, run Newton on the kernel's
-    # closed-form Hessian; every other fit runs L-BFGS-B on its closed-form score.
-    calls = []
+    # The exponential has a closed form at either location.  A free location
+    # is a profile over fixed-location fits of x - eta, so at either location
+    # genexp, Lomax, genweibull and Burr XII run Newton on the kernel's
+    # closed-form Hessian, and every other fit runs L-BFGS-B on its
+    # closed-form score.  No optimiser sees eta: no Newton box and no
+    # L-BFGS-B start has more than three slots.
+    calls, widths = [], []
     minimize, fit_newton = fitting.minimize, fitting._fit_newton
 
     def recording(fun, x0, **kwargs):
         calls.append(kwargs.get("jac"))
+        widths.append(len(x0))
         return minimize(fun, x0, **kwargs)
 
-    def recording_newton(*args):
-        runs = fit_newton(*args)
+    def recording_newton(kernel, xs, starts, late, lo, hi):
+        runs = fit_newton(kernel, xs, starts, late, lo, hi)
         calls.extend(["Newton"] * sum(map(len, runs)))
+        widths.extend([len(lo), len(hi)] + [len(start) for start in late]
+                      + [len(start) for sample_starts in starts for start in sample_starts])
         return runs
 
     monkeypatch.setattr(fitting, "minimize", recording)
@@ -1433,8 +1449,9 @@ def test_every_fit_runs_on_a_closed_form_score(monkeypatch, free_eta):
         if family is Family.EXPONENTIAL:
             assert not calls
             continue
-        newton = family in _POWER_TAIL_FAMILIES and not (free_eta and family.value in _BETA)
+        newton = family in _POWER_TAIL_FAMILIES
         assert calls and all(call == ("Newton" if newton else True) for call in calls), family
+    assert widths and max(widths) <= 3
 
 
 @pytest.mark.parametrize("family", [f.value for f in Family])
@@ -1468,19 +1485,86 @@ def _free_location_draws():
                     yield family, handle.sample(n, make_stream(31, n, rep, int(10 * nu)))
 
 
+def _beta_location_draws():
+    """(family, sample): a draw at n = 30, 100 and 1000 and nu = 1.5 and 5 of
+    each family with beta, at beta 1.5 and location 0.5."""
+    for family in _BETA:
+        for n in (30, 100, 1000):
+            for nu in (1.5, 5.0):
+                handle = make_handle(family, nu=nu, beta=1.5, eta=0.5)
+                yield family, handle.sample(n, make_stream(31, n, 0, int(10 * nu)))
+
+
 def test_free_location_fits_are_scale_equivariant():
-    # eta at the box's edge scales with the data, so the fit of c x has the
-    # NLL of the fit of x plus n log c, with the same flags.
+    # eta's profile runs in log(least - eta), from the edge and a grid that
+    # scale with the data, so the fit of c x has the NLL of the fit of x
+    # plus n log c, with the same flags.  The edge's gap, 1e-12 of the least
+    # point, carries the least point's rounding, 2e-4 of the gap; an edge
+    # fit with beta < 1, whose NLL moves with (1 - beta) n log(gap), is
+    # flagged, and its NLL is not compared.
     opts = FitOptions(free_eta=True)
-    for family, x in _free_location_draws():
+    for family, x in [*_free_location_draws(), *_beta_location_draws()]:
         result = fit_mle(family, Sample(x), opts)
         for c in (1e-6, 1e6):
             scaled = fit_mle(family, Sample(c * x), opts)
             case = (family, x.size, c)
             want = result.neg_log_lik + x.size * math.log(c)
-            assert scaled.neg_log_lik == pytest.approx(want, rel=1e-10), case
+            if scaled.converged or family not in _BETA:
+                assert scaled.neg_log_lik == pytest.approx(want, rel=1e-10), case
             assert ((scaled.converged, scaled.at_nu_bound)
                     == (result.converged, result.at_nu_bound)), case
+
+
+def test_free_location_reaches_the_unbounded_edge():
+    # On these ten Burr XII draws a four-slot L-BFGS-B search stopped
+    # converged at an interior optimum, NLL 1.898, while the likelihood grows
+    # without bound as eta nears the least point with beta < 1 (Smith 1985).
+    # The profile's edge fit lies below -6.72 there, flagged.
+    x = make_handle("burr12", nu=1.5, beta=1.5, eta=0.5).sample(10, make_stream(6, 10, 15, 7))
+    result = fit_mle("burr12", Sample(x), FitOptions(free_eta=True))
+    assert not result.converged and result.neg_log_lik <= -6.72
+    assert result.estimates.beta < 1.0
+    assert result.estimates.eta == float(np.min(x)) * (1.0 - 1e-12) - 1e-300
+
+
+# Degenerate samples, each with the free-location NLLs of genweibull, Burr XII,
+# gengamma and cgamma that a four-slot L-BFGS-B search reached on it.
+_DEGENERATE = [
+    (np.zeros(5), [-3414.938498587469, -3414.9381772935067, -3416.490321541882,
+                   -3416.4903214329515]),
+    (np.full(5, 2.5), [-83.26304417466577, -83.05206052396366, -137.90216584419142,
+                       -135.96018848656686]),
+    (1e-300 * np.array([1.0, 2.0, 3.0, 5.0, 8.0]),
+     [-3409.4662774896383, -3409.4659550072033, -3411.0181133025285, -3411.0181132120874]),
+    (1e300 * np.array([1.0, 2.0, 3.0, 5.0, 8.0]),
+     [3496.795521403896, 3496.792055667993, 3496.783446613699, 3496.7490870972397]),
+]
+
+
+@pytest.mark.parametrize("x, nlls", _DEGENERATE, ids=["zeros", "equal", "near-1e-300", "near-1e300"])
+def test_free_location_fits_of_degenerate_samples(x, nlls):
+    # No grid point lies below the edge of an all-zero sample, and the edge's
+    # 1e-300 margin is wider than the grid's first gaps near 1e-300.  No
+    # likelihood here has a maximum, so every fit is flagged.
+    for family, reached in zip(_BETA, nlls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = fit_mle(family, Sample(x), FitOptions(free_eta=True))
+        assert result.neg_log_lik <= reached + 1e-10 * abs(reached), family
+        assert not result.converged, family
+
+
+def test_free_location_grid_keeps_x_less_eta_finite():
+    # Near the float maximum the sample's mean overflows, and with it the
+    # grid's widest gaps: the grid keeps only the gaps that leave x - eta
+    # finite.  Each NLL is no higher than a four-slot L-BFGS-B search reached.
+    # The mean's overflow warns at any location (numpy's sum), so it is muted.
+    x = np.array([1e308, 1.5e308, 1.7e308, 1.2e308, 1.1e308])
+    reached = [3584.7649727138423, 3584.7615069779404, 3584.7524161792826, 3584.7189592726063]
+    for family, nll in zip(_BETA, reached):
+        with np.errstate(over="ignore"):
+            result = fit_mle(family, Sample(x), FitOptions(free_eta=True))
+        assert result.neg_log_lik <= nll and not result.converged, family
 
 
 def test_free_location_is_the_box_edge():

@@ -39,6 +39,8 @@ _POINTS = st.lists(
 # The incomplete-beta argument underflows here while the survival is still
 # 7.7e-11: the cdf must come from the far tail, not from betainc's 1.
 @example(nu=0.0625, beta=1.0, tau=1.0, eta=0.0, points=[1.9882577825594556e160])
+# genexp2's survival at 0 once rounded to 1 + 2^-51.
+@example(nu=11.479388968116062, beta=1.0, tau=1.0, eta=0.0, points=[0.0])
 @settings(max_examples=150, deadline=None)
 def test_cdf_and_survival_are_complementary_probabilities(family, nu, beta, tau, eta, points):
     handle = make_handle(family, nu=nu, beta=beta, tau=tau, eta=eta)
