@@ -7,17 +7,18 @@ location 0) on x >= 0; location-scale wrapping happens in
 :class:`asinhsurv.distributions.DistributionHandle`.  Kernel methods take
 vectorized x and scalar shape parameters ``nu`` (tail index) and ``beta``
 (Weibull/gamma shape, ignored where ``uses_beta`` is false).  The Burr XII
-runs ``_PowerTail`` at the link log1p, the kernel and likelihood score it
+runs ``_PowerTail`` at the link log1p, the kernel and likelihood rows it
 shares with the generalised Weibull (link asinh).  The Lomax is the beta = 1
 Burr XII: it subclasses :class:`BurrXII`, adds nothing, and is handed
 beta = 1.  The compound gamma runs ``_IncompleteBeta``, the kernel it shares
-with the generalised gamma: survival, density and likelihood score from one
-log v(x), and its link arithmetic (log v, the score's terms and sums) from
-the power-tail kernel it equals at beta = 1, named as ``_BETA_ONE``: the
-Lomax.  Every kernel the fitter optimises has a closed-form ``nll_score``
-in (log tau, theta, log beta) at location 0; the exponential has none,
-since its fit is closed-form.  No kernel sees a free location: the fitter
-profiles it over fixed-location fits of x - eta.
+with the generalised gamma: survival, density and likelihood rows from one
+log v(x), and its link arithmetic (log v, the rows' point terms and sums)
+from the power-tail kernel it equals at beta = 1, named as ``_BETA_ONE``:
+the Lomax.  Every kernel the fitter optimises gives ``nll_hessian_rows``,
+the NLL at location 0 with its gradient and Hessian in (log tau, theta) or
+(log tau, theta, log beta), and ``nll_grid``, the NLL at beta = 1 on a grid;
+the exponential has neither, since its fit is closed-form.  No kernel sees a
+free location: the fitter profiles it over fixed-location fits of x - eta.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import polygamma
 
-from .numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder, digamma,
-                       log_beta, log_gamma, reg_inc_beta, reg_inc_beta_inv)
+from .numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder,
+                       _psi_remainder_slopes, digamma, log_beta, log_gamma, reg_inc_beta,
+                       reg_inc_beta_inv)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -48,6 +51,15 @@ def _log1p_tail(q, first, last):
         out *= q
     out *= q if first == 2 else q * q
     return out
+
+
+def _row_sums(terms, lengths):
+    """Each row's sums of ``terms``, a (terms x points) array whose points are
+    the rows' in turn, ``lengths[i]`` (at least 1) of them in row i: one
+    ``np.add.reduceat``, so a row's sums do not depend on the rows beside it."""
+    offsets = lengths.cumsum()
+    offsets -= lengths
+    return np.add.reduceat(terms, offsets, axis=1)
 
 
 class Exponential:
@@ -97,11 +109,8 @@ class _PowerTail:
     ``_link`` and ``_inverse``, ``_LINK_FAR`` = g(z) - log z far out,
     ``_log_inv_slope(z)`` = log(1/g'(z)), ``_subtract_log_density(out, z,
     nu)``, which takes nu g(z) + log(1/g'(z)) from ``out`` in the link's own
-    rounding order, ``_ratio(z, far)``, which gives t = z g'(z) and
-    c = 1/g'(z) as new arrays, ``_less_ratio(z)``, the series of g(z) - t
-    below z = ``_RATIO_SERIES_BELOW``, where the difference cancels, the sums
-    ``_score_terms``, which is handed t and c, and for ``nll_hessian_rows``
-    the ``_HESSIAN_POINT_TERMS`` per-point terms ``_hessian_point_terms``, the
+    rounding order, and for ``nll_hessian_rows`` the
+    ``_HESSIAN_POINT_TERMS`` per-point terms ``_hessian_point_terms``, the
     per-row sums ``_hessian_row_sums`` formed from theirs, and, for log beta,
     the slices ``_U_TERMS`` and ``_U2_TERMS`` of the point terms weighted by
     u and u^2 and the sums ``_beta_row_sums`` formed from theirs; each may
@@ -158,19 +167,6 @@ class _PowerTail:
         return out
 
     @classmethod
-    def _g_less_t(cls, z, far, log_z, t):
-        """The sum of g(z) and the array g(z) - t, in place over z, by the
-        link's series where z < ``_RATIO_SERIES_BELOW``."""
-        small = z < cls._RATIO_SERIES_BELOW
-        zs = z[small]
-        g = cls._g(z, far, log_z)
-        sum_g = g.sum()
-        g -= t
-        if zs.size:
-            g[small] = cls._less_ratio(zs)
-        return sum_g, g
-
-    @classmethod
     def log_survival(cls, x, nu, beta):
         out = cls._g(*cls._scaled_power(x, nu, beta))
         out *= -nu
@@ -196,31 +192,21 @@ class _PowerTail:
         return np.exp(out, out=out).reshape(np.shape(x))
 
     @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta
-        and beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
-
-        With y = x/tau, z = theta y^beta, t = z g'(z), m = -z g''(z)/g'(z) and
-        k = nu t + m: NLL = n log tau - n log beta - (beta - 1) sum log y
-        + sum (nu g(z) - log g'(z)), and its gradient is beta (n - sum k),
-        nu sum m - nu^2 sum (g(z) - t) and beta sum (k - 1) log y - n.
-        """
-        nu, beta, tau = 1.0 / theta, math.exp(log_beta), math.exp(log_tau)
-        n = x.size
-        # y before the power: tau^-beta alone can overflow.
-        y = x / tau
-        z, far, log_z = cls._scaled_power(y, nu, beta)
-        # log y is -inf at a point x = 0; the link's terms overflow only where far.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_y = np.log(y, out=y)
-            nll_link, nll_slope, sum_k, sum_m, g_less_t, k = cls._score_terms(
-                z, far, log_z, nu, *cls._ratio(z, far))
-        nll = n * (log_tau - log_beta) + nll_link + nll_slope
-        if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
-            nll -= (beta - 1.0) * log_y.sum()
-        k -= 1.0
-        return nll, np.array([beta * (n - sum_k), nu * sum_m - nu * nu * g_less_t.sum(),
-                              beta * k.dot(log_y) - n])
+    def _beta_one_terms(cls, x, lengths, log_tau, theta, spare=0):
+        """The point terms at beta = 1 of rows as ``nll_hessian_rows`` takes
+        them, in the first ``_HESSIAN_POINT_TERMS`` rows of a new (terms +
+        ``spare``) x points buffer, and z = theta x/tau, inf where it overflows."""
+        # z, and the link's terms, overflow only where far.  The array methods
+        # skip the wrappers of np.repeat and np.cumsum, a cost paid per call.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x * (theta * np.exp(-log_tau)).repeat(lengths)
+            far = z > 1e150
+            log_z = np.log(x[far])
+            if log_z.size:
+                log_z += (np.log(theta) - log_tau).repeat(lengths)[far]
+            terms = np.empty((cls._HESSIAN_POINT_TERMS + spare, x.size))
+            cls._hessian_point_terms(z, far, log_z, terms[:cls._HESSIAN_POINT_TERMS])
+        return terms, z
 
     @classmethod
     def nll_hessian_rows(cls, x, lengths, log_tau, theta, log_beta=None):
@@ -262,22 +248,15 @@ class _PowerTail:
         log_tau, theta = np.asarray(log_tau, dtype=float), np.asarray(theta, dtype=float)
         nu = 1.0 / theta
         size = cls._HESSIAN_POINT_TERMS
-        # z, and the link's terms, overflow only where far.  The array methods
-        # skip the wrappers of np.repeat and np.cumsum, a cost paid per call.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if log_beta is None:
-                z = x * (theta * np.exp(-log_tau)).repeat(lengths)
-                far = z > 1e150
-                log_z = np.log(x[far])
-                if log_z.size:
-                    log_z += (np.log(theta) - log_tau).repeat(lengths)[far]
-                terms = np.empty((size, x.size))
-            else:
-                log_beta = np.asarray(log_beta, dtype=float)
-                beta = np.exp(log_beta)
-                # the point terms, then u, the _U_TERMS times u and the _U2_TERMS of those times u
-                once = len(range(size)[cls._U_TERMS])
-                terms = np.empty((size + 1 + once + len(range(once)[cls._U2_TERMS]), x.size))
+        if log_beta is None:
+            terms, _ = cls._beta_one_terms(x, lengths, log_tau, theta)
+        else:
+            log_beta = np.asarray(log_beta, dtype=float)
+            beta = np.exp(log_beta)
+            # the point terms, then u, the _U_TERMS times u and the _U2_TERMS of those times u
+            once = len(range(size)[cls._U_TERMS])
+            terms = np.empty((size + 1 + once + len(range(once)[cls._U2_TERMS]), x.size))
+            with np.errstate(over="ignore", invalid="ignore"):  # only where far
                 u = np.log(x, out=terms[size])
                 u -= log_tau.repeat(lengths)
                 u *= beta.repeat(lengths)
@@ -285,14 +264,11 @@ class _PowerTail:
                 far = z > math.log(1e150)
                 log_z = z[far]
                 np.exp(z, out=z)
-            cls._hessian_point_terms(z, far, log_z, terms[:size])
-        if log_beta is not None:
+                cls._hessian_point_terms(z, far, log_z, terms[:size])
             weighted = terms[size + 1:size + 1 + once]
             np.multiply(terms[cls._U_TERMS], u, out=weighted)
             np.multiply(weighted[cls._U2_TERMS], u, out=terms[size + 1 + once:])
-        offsets = lengths.cumsum()
-        offsets -= lengths
-        sums = np.add.reduceat(terms, offsets, axis=1)
+        sums = _row_sums(terms, lengths)
         (nll_link, sum_t, sum_m, sum_g_less_t, sum_dt, sum_dm, sum_t_less_dt, sum_dm_less_m,
          sum_w) = cls._hessian_row_sums(sums[:size], nu)
         nu2 = nu * nu
@@ -358,7 +334,6 @@ class BurrXII(_PowerTail):
     _link = np.log1p
     _inverse = np.expm1
     _LINK_FAR = 0.0
-    _RATIO_SERIES_BELOW = 1e-4
 
     @staticmethod
     def _log_inv_slope(z):
@@ -369,27 +344,6 @@ class BurrXII(_PowerTail):
         log1p_z = np.log1p(z, out=z)  # once: g and log(1/g') are the same array
         log1p_z *= nu + 1.0
         out -= log1p_z
-
-    @staticmethod
-    def _ratio(z, far):  # t = m = q = z/(1 + z), 1 where far, and c = 1 + z
-        c = z + 1.0
-        q = np.divide(z, c)
-        q[far] = 1.0
-        return q, c
-
-    @staticmethod
-    def _less_ratio(z):  # log1p z - q to q^5 at q = z/(1 + z) < 1e-4, within q^4/3 of it
-        return _log1p_tail(z / (z + 1.0), 2, 5)
-
-    @classmethod
-    def _score_terms(cls, z, far, log_z, nu, q, c):
-        """The sums of ``nll_score`` at g = log1p, where t = m = q: (nu + 1) sum
-        log1p z, which holds the sum of log(1/g') too, 0, (nu + 1) sum q, sum q,
-        the array log1p z - q and the array k = (nu + 1) q."""
-        sum_g, g_less_q = cls._g_less_t(z, far, log_z, q)
-        sum_q = q.sum()
-        q *= nu + 1.0
-        return (nu + 1.0) * sum_g, 0.0, (nu + 1.0) * sum_q, sum_q, g_less_q, q
 
     _HESSIAN_POINT_TERMS = 5
 
@@ -449,7 +403,7 @@ class Lomax(BurrXII):
     The single parameter plays both the shape and the scale role, which is
     what makes the family tend to the unit exponential as nu grows.  It is
     the beta = 1 Burr XII, which supplies every kernel method and the
-    likelihood score.
+    likelihood rows.
     """
 
     uses_beta = False
@@ -460,12 +414,12 @@ class _IncompleteBeta:
     in x, so that v(X) ~ Beta(a, beta), whose beta = 1 member, where
     I_v(a, 1) = v^a, is the power-tail kernel ``_BETA_ONE``: with a = ``_A`` nu
     and g its link, log v = -g(z)/A at z = x/nu.  The member gives every piece
-    of link arithmetic: log v up to the float maximum of x, and the score's
-    t = z g'(z), c = 1/g'(z), m, g - t and their sums.  A subclass gives
-    ``_A``, ``_BETA_ONE``, ``_x_from(w, v, nu)``, the x with (1 - v(x))/v(x)
-    = w/v, ``_log_h(log_v)`` = log h(v) = g - log c, and ``_log_complement(z,
-    c)`` = -log(1 - v) as a new array, the one term that depends on both the
-    link and A.  The density's 1 - v = (x/s) v^k and -d log v/dx = (v^k/s) h(v)
+    of link arithmetic: log v up to the float maximum of x, and the point
+    terms of the likelihood rows and their sums.  A subclass gives ``_A``,
+    ``_BETA_ONE``, ``_x_from(w, v, nu)``, the x with (1 - v(x))/v(x) = w/v,
+    ``_log_h(log_v)`` = log h(v) = g - log c, and ``_log_complement(z)`` =
+    -log(1 - v) as a new array, the one term that depends on both the link
+    and A.  The density's 1 - v = (x/s) v^k and -d log v/dx = (v^k/s) h(v)
     hold with k = A and s = A nu in both families, so ``_A`` serves for both."""
 
     uses_beta = True
@@ -530,40 +484,60 @@ class _IncompleteBeta:
         return out.reshape(shape)
 
     @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau), nu = 1/theta
-        and beta = exp(log_beta), and its gradient in (log_tau, theta, log_beta).
+    def nll_hessian_rows(cls, x, lengths, log_tau, theta, log_beta):
+        """``_PowerTail.nll_hessian_rows`` with ``log_beta``: the rows' NLL at
+        location 0, gradient in (log_tau, theta, log_beta) and Hessian's upper
+        triangle by rows, a (10 x rows) array.  A point x = 0 makes g_beta and
+        h_beta_beta infinite, and the NLL too unless beta = 1.
 
-        With y = x/tau, z = y/nu, the member's t, m and c at z, and
-        nu' = nu + beta - 1: log h = g - log c turns the NLL into n log tau
-        + n (beta log s + ln B(a, beta)) - (beta - 1) sum log y plus the member's
-        link sums at nu', nu' sum g + sum log c.  The gradient is n beta - sum k,
-        with k = nu' t + m the member's k at nu', nu ((beta - 1) sum t + sum m)
-        - nu^2 (sum (g - t) + n A R(a, beta)) with R the psi remainder, and
-        beta (sum -log(1 - v) - n (psi(a + beta) - psi(beta))).  Each is a sum
-        of terms of one size: at small theta the theta component is O(n), not
-        O(n/theta) terms that cancel.
+        z = theta x/tau does not depend on beta.  With nu' = nu + beta - 1,
+        y = x/tau and the member's point terms at z, the NLL is n log tau +
+        nu' sum g + sum log c - (beta - 1) sum log y + n (beta log s + ln B(a,
+        beta)).  The gradient is n beta - nu' sum t - sum m, nu ((beta - 1) sum
+        t + sum m) - nu^2 (sum (g - t) + n A R) and beta (sum -log(1 - v) - n
+        (psi(a + beta) - psi(beta))), with R the psi remainder.  The Hessian is
+        nu' sum dt + sum dm, nu^2 sum (t - dt) - nu ((beta - 1) sum dt + sum
+        dm), beta (n - sum t), nu^2 (sum (dm - m) - (beta - 1) sum (t - dt)) +
+        nu^3 (sum w + n A (2R + a R_a)), nu beta sum t - n nu^2 A beta R_b and
+        g_beta - n beta^2 (psi'(a + beta) - psi'(beta)); 2R + a R_a, which
+        cancels twice at large nu, and R_b come from ``_psi_remainder_slopes``.
         """
-        one = cls._BETA_ONE
-        nu, beta, tau = 1.0 / theta, math.exp(log_beta), math.exp(log_tau)
-        a, n = cls._A * nu, x.size
-        y = x / tau
-        # log y and -log(1 - v) are -inf and inf at a point x = 0; z^2 overflows where far.
+        one, size = cls._BETA_ONE, cls._BETA_ONE._HESSIAN_POINT_TERMS
+        lengths = np.asarray(lengths)
+        log_tau, theta, log_beta = (np.asarray(v, dtype=float) for v in (log_tau, theta, log_beta))
+        nu, beta = 1.0 / theta, np.exp(log_beta)
+        a, nu2, less = cls._A * nu, nu * nu, beta - 1.0
+        terms, z = one._beta_one_terms(x, lengths, log_tau, theta, spare=2)
+        # log x and -log(1 - v) are -inf and inf at a point x = 0, and 0 * inf is NaN
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z, far, log_z = one._scaled_power(y, nu, 1.0)
-            t, c = one._ratio(z, far)
-            log_complement = cls._log_complement(z, c)
-            sum_t = t.sum()  # before the member's sums overwrite t
-            nll_link, nll_slope, sum_k, sum_m, g_less_t, _ = one._score_terms(
-                z, far, log_z, nu + beta - 1.0, t, c)
-            nll = n * (log_tau + cls._log_norm(nu, beta)) + nll_link + nll_slope
-            if beta != 1.0:  # 0 * log 0 at a point x = 0 adds nothing
-                nll -= (beta - 1.0) * np.log(y).sum()
-            return nll, np.array([
-                n * beta - sum_k,
-                nu * ((beta - 1.0) * sum_t + sum_m)
-                - nu * nu * (g_less_t.sum() + n * cls._A * _psi_remainder(a, beta)),
-                beta * (log_complement.sum() - n * (digamma(a + beta) - digamma(beta)))])
+            np.log(x, out=terms[size])
+            terms[size + 1] = cls._log_complement(z)
+            sums = _row_sums(terms, lengths)
+            log_y = np.where(less == 0.0, 0.0, less * (sums[size] - lengths * log_tau))
+        (nll_link, sum_t, sum_m, sum_g_less_t, sum_dt, sum_dm, sum_t_less_dt, sum_dm_less_m,
+         sum_w) = one._hessian_row_sums(sums[:size], nu + less)
+        # each row's density constant, R, 2R + a R_a and R_b
+        norm, remainder, slope_a, slope_b = np.array([
+            (cls._log_norm(n, b), _psi_remainder(cls._A * n, b),
+             *_psi_remainder_slopes(cls._A * n, b)) for n, b in zip(nu.tolist(), beta.tolist())]).T
+        g_beta = beta * (sums[size + 1] - lengths * (digamma(a + beta) - digamma(beta)))
+        n_a = lengths * cls._A
+        return np.array([
+            lengths * (log_tau + norm) + nll_link - log_y,
+            lengths * beta - (nu + less) * sum_t - sum_m,
+            nu * (less * sum_t + sum_m) - nu2 * (sum_g_less_t + n_a * remainder),
+            g_beta,
+            (nu + less) * sum_dt + sum_dm,
+            nu2 * sum_t_less_dt - nu * (less * sum_dt + sum_dm),
+            beta * (lengths - sum_t),
+            nu2 * (sum_dm_less_m - less * sum_t_less_dt) + nu2 * nu * (sum_w + n_a * slope_a),
+            nu * beta * sum_t - nu2 * n_a * beta * slope_b,
+            g_beta - lengths * beta * beta * (polygamma(1, a + beta) - polygamma(1, beta))])
+
+    @classmethod
+    def nll_grid(cls, x, log_tau, theta):
+        """The member's ``nll_grid``: the grid is at beta = 1."""
+        return cls._BETA_ONE.nll_grid(x, log_tau, theta)
 
     @classmethod
     def hazard(cls, x, nu, beta):
@@ -623,7 +597,7 @@ class CompoundGamma(_IncompleteBeta):
         return 0.0
 
     @staticmethod
-    def _log_complement(z, c):  # log1p(1/z), as 1 - v = z/(1 + z)
+    def _log_complement(z):  # log1p(1/z), as 1 - v = z/(1 + z)
         out = np.reciprocal(z)
         return np.log1p(out, out=out)
 

@@ -15,19 +15,21 @@ them share one evaluation contract through :class:`DistributionHandle`,
 which also applies the location-scale extension x -> (x - eta)/tau.
 
 The generalised Weibull and the Burr XII share one power-tail kernel and
-likelihood score, ``baselines._PowerTail``, for S(x) = exp(-nu g(x^beta/nu)),
+likelihood rows, ``baselines._PowerTail``, for S(x) = exp(-nu g(x^beta/nu)),
 and differ only in the link g: asinh or log1p.  The generalised exponential
 is the generalised Weibull at beta = 1, as the Lomax is the Burr XII at
 beta = 1: each is a subclass that runs its parent's kernel and likelihood
-score (genexp adds only its closed-form variance, skewness and entropy),
+rows (genexp adds only its closed-form variance, skewness and entropy),
 and the handle passes beta = 1 to the kernel of every family that ignores
 beta.  The generalised gamma runs the compound gamma's incomplete-beta
 kernel: q(X) ~ Beta(nu/2, beta) gives exact draws and the density is that
 Beta density of q(x) times |dq/dx|.  At beta = 1 the generalised gamma is
 the generalised exponential, as the compound gamma is the Lomax, and each
 names that family as its ``_BETA_ONE``: log q = -2 asinh(x/nu) and the
-likelihood score come from the genexp kernel's link, so only -log(1 - q)
-is gengamma's own.  genexp2 has a score of its own, on genexp's link terms.
+likelihood rows' point terms come from the genexp kernel's link, so only
+-log(1 - q) is gengamma's own.  genexp2's likelihood rows are sums of
+genexp's point terms, and its likelihood grid is the power-tail kernel's
+pass on its own log density.
 
 Handles are immutable and safe to share across threads; sampling mutates
 only the caller's generator.
@@ -160,34 +162,12 @@ class _GenWeibull(baselines._PowerTail):
         out -= nu_asinh
 
     @staticmethod
-    def _ratio(z, far):  # t = z/c, 1 where far, and c = sqrt(1 + z^2), inf where z^2 overflows
-        c = np.multiply(z, z)
-        c += 1.0
-        np.sqrt(c, out=c)
-        t = np.divide(z, c)
-        t[far] = 1.0
-        return t, c
-
-    @staticmethod
     def _less_ratio(z):
         """asinh(z) - z/sqrt(1 + z^2) by its series z^3/3 - 3z^5/10 + 15z^7/56 - 35z^9/144."""
         if not z.size:
             return z
         zz = z * z
         return z * zz * (1.0 / 3.0 + zz * (-0.3 + zz * (15.0 / 56.0 - zz * (35.0 / 144.0))))
-
-    @classmethod
-    def _score_terms(cls, z, far, log_z, nu, t, c):
-        """The sums of ``nll_score`` at g = asinh, where m = t^2 and k = t (nu + t):
-        nu sum asinh z, sum log c, sum k, sum t^2, the array asinh z - t and
-        the array k."""
-        log_c = np.log(c, out=c)
-        sum_g, g_less_t = cls._g_less_t(z, far, log_z, t)
-        log_c[far] = log_z
-        sum_t2 = t.dot(t)
-        k = t + nu
-        k *= t
-        return nu * sum_g, log_c.sum(), k.sum(), sum_t2, g_less_t, k
 
     _HESSIAN_POINT_TERMS = 9
 
@@ -258,8 +238,9 @@ class _GenWeibull(baselines._PowerTail):
 
 class _GenExp(_GenWeibull):
     """Generalised exponential: survival exp(-nu asinh(x/nu)), the beta = 1
-    generalised Weibull, whose kernel and score it runs.  It adds the closed
-    forms that exist only at beta = 1: variance, skewness and entropy."""
+    generalised Weibull, whose kernel and likelihood rows it runs.  It adds
+    the closed forms that exist only at beta = 1: variance, skewness and
+    entropy."""
 
     uses_beta = False
 
@@ -299,8 +280,9 @@ class _GenGamma(baselines._IncompleteBeta):
         return _LN2 - np.log1p(np.exp(log_v))
 
     @staticmethod
-    def _log_complement(z, c):  # log1p(1/(2 z (c + z))), as 1 - q = 2z/(c + z)
-        out = c + z
+    def _log_complement(z):  # log1p(1/(2 z (c + z))), as 1 - q = 2z/(c + z)
+        out = np.hypot(1.0, z)
+        out += z
         out *= z
         out *= 2.0
         np.reciprocal(out, out=out)
@@ -363,26 +345,40 @@ class _GenExpType2:
         out += math.log((nu + 2.0) / (nu + 1.0))
         return out
 
-    @classmethod
-    def nll_score(cls, x, log_tau, theta, log_beta=0.0):
-        """Negative log likelihood of ``x`` at tau = exp(log_tau) and nu = 1/theta,
-        and its gradient in (log_tau, theta, log_beta); beta is ignored.
+    @staticmethod
+    def _subtract_log_density(out, z, nu):  # nll_grid's: (nu + 1) asinh z - log((nu + 2)/(nu + 1))
+        nu_asinh = np.arcsinh(z, out=z)
+        nu_asinh *= nu + 1.0
+        out -= nu_asinh
+        out += np.log((nu + 2.0) / (nu + 1.0))
 
-        With y = x/tau, z = y/nu, c = sqrt(1 + z^2) and t = z/c: NLL = n log tau
-        - n log((nu + 2)/(nu + 1)) + (nu + 1) sum asinh z, and its gradient is
-        n - (nu + 1) sum t, nu sum t - nu^2 sum (asinh z - t)
-        - n nu^2/((nu + 1)(nu + 2)) and 0.
-        """
-        nu, tau, n = 1.0 / theta, math.exp(log_tau), x.size
-        z, far, log_z = _GenExp._scaled_power(x / tau, nu, 1.0)
-        with np.errstate(over="ignore"):  # c = inf where z^2 overflows
-            t, _ = _GenExp._ratio(z, far)
-        sum_asinh, asinh_less_t = _GenExp._g_less_t(z, far, log_z, t)
-        sum_t = t.sum()
-        nll = n * (log_tau - math.log((nu + 2.0) / (nu + 1.0))) + (nu + 1.0) * sum_asinh
-        grad = [n - (nu + 1.0) * sum_t,
-                nu * sum_t - nu * nu * (asinh_less_t.sum() + n / ((nu + 1.0) * (nu + 2.0))), 0.0]
-        return nll, np.array(grad)
+    nll_grid = classmethod(baselines._PowerTail.nll_grid.__func__)
+
+    @staticmethod
+    def nll_hessian_rows(x, lengths, log_tau, theta):
+        """The rows' NLL, gradient and Hessian in (log_tau, theta) at location
+        0, a (6 x rows) array, as the power-tail ``nll_hessian_rows`` gives
+        them without log beta.  With z = theta x/tau, t = z/c and dt = t/c^2,
+        c = sqrt(1 + z^2), the NLL is n log tau - n log((nu + 2)/(nu + 1)) +
+        (nu + 1) sum asinh z, its gradient n - (nu + 1) sum t and nu sum t -
+        nu^2 sum (asinh z - t) - n r, r = nu^2/((nu + 1)(nu + 2)), and its
+        Hessian (nu + 1) sum dt, nu^2 sum t^3 - nu sum dt and nu^3 sum w - nu^2
+        sum t^3 + n r nu (3 nu + 4)/((nu + 1)(nu + 2)), with t - dt = t^3 and
+        w = 2 (asinh z - t) - t^3: sums of genexp's point terms."""
+        lengths = np.asarray(lengths)
+        log_tau, theta = np.asarray(log_tau, dtype=float), np.asarray(theta, dtype=float)
+        nu = 1.0 / theta
+        terms, _ = _GenExp._beta_one_terms(x, lengths, log_tau, theta)
+        g, _, g_less_t, _, t, _, dt, _, t3 = baselines._row_sums(terms, lengths)
+        nu1, nu2 = nu + 1.0, nu * nu
+        ratio = nu2 / (nu1 * (nu + 2.0))
+        return np.array([lengths * (log_tau - np.log((nu + 2.0) / nu1)) + nu1 * g,
+                         lengths - nu1 * t,
+                         nu * t - nu2 * g_less_t - lengths * ratio,
+                         nu1 * dt,
+                         nu2 * t3 - nu * dt,
+                         nu2 * (nu * (2.0 * g_less_t - t3) - t3)
+                         + lengths * ratio * nu * (3.0 * nu + 4.0) / (nu1 * (nu + 2.0))])
 
     @staticmethod
     def hazard(x, nu, beta):

@@ -1,10 +1,10 @@
 """Maximum-likelihood fitting of any family member to a univariate sample.
 
 Every fit at a fixed location works on three slots, (log tau, theta, log
-beta), the order of every kernel's score gradient.  A free mask marks the
-slots the family fits; a slot that is not free holds its pinned value,
-theta = 1 or log beta = 0, which gives nu = beta = 1 where a family ignores
-them.  The tail index is fitted as theta = 1/nu on [1e-6, 1e3], so that
+beta), the order of every kernel's gradient and Hessian rows.  A free mask
+marks the slots the family fits; a slot that is not free holds its pinned
+value, theta = 1 or log beta = 0, which gives nu = beta = 1 where a family
+ignores them.  The tail index is fitted as theta = 1/nu on [1e-6, 1e3], so that
 the exponential limit nu -> infinity is a reachable boundary point (theta
 -> 1e-6, i.e. nu capped at ``FitOptions.nu_cap`` = 1e6).  Light-tailed
 data drives theta to that bound; ``FitResult.at_nu_bound`` flags it.
@@ -29,19 +29,16 @@ because of the edge's margin.
 
 The exponential's MLE at a fixed location is closed-form, tau = mean, held
 to tau's lower bound e^-40, where it is flagged as every other fit is.
-Every other fit runs one of two bounded optimisers, chosen by the free mask
-and the kernel.  A fit on a kernel with ``nll_hessian_rows`` (the
-power-tail kernel) runs projected Newton (Bertsekas 1982) in a trust region
-on the closed-form NLL, gradient and Hessian: on two slots, (log_tau,
-theta), for genexp and the Lomax, and for genweibull and Burr XII on a
-sample holding 0, where beta is pinned and each fit is its beta = 1
-member's; on three slots, (log_tau, theta, log_beta), for every other
-genweibull and Burr XII fit.  Every other fit (genexp2, gengamma and
-cgamma) falls back to the bounded quasi-Newton method L-BFGS-B on the
-kernel's closed-form score: ``nll_score`` gives the NLL and its gradient in
-(log_tau, theta, log_beta), and the fit keeps the components of its free
-slots.  genexp and Lomax run the genweibull and Burr XII kernels at
-log_beta = 0, and genexp2's score ignores log_beta.  The reported NLL is
+Every other fit runs one optimiser, projected Newton (Bertsekas 1982) in a
+trust region, on the kernel's closed-form NLL, gradient and Hessian,
+``nll_hessian_rows``: on two slots, (log_tau, theta), for genexp, the
+Lomax and genexp2, and for genweibull and Burr XII on a sample holding 0,
+where beta is pinned and each fit is its beta = 1 member's; on three
+slots, (log_tau, theta, log_beta), for every other genweibull, Burr XII,
+gengamma and cgamma fit.  genexp and Lomax run the genweibull and Burr XII
+kernels at log_beta = 0.  A gengamma or cgamma fit of a sample holding 0
+at a fixed location is the fit of its beta = 1 member, genexp or the
+Lomax (``_MEMBERS``), its NLL included.  The reported NLL is
 ``neg_log_likelihood`` of the fitted handle on the sample, to the bit; the
 fits at location 0 of the exponential, genexp and Lomax in a batch take it
 from one log-density pass over their samples (``_neg_log_likelihoods``).
@@ -51,17 +48,14 @@ not at its upper bound 1e3 (nu = 1e-3), tau is not at its lower bound
 e^-40, and the reported NLL is finite.  Those bounds are edges of the box,
 not optima: a point at 0 has density 1/tau, so a sample holding 0 can drive
 the NLL down without bound as tau -> 0.  The kernel's NLL stays finite
-where x/tau overflows, while the handle's does not.  The optimiser's own
-status is not used, because its line search can stop at the optimum with
-an "abnormal termination" when the likelihood is flat.  Newton runs
-further, to a projected gradient of at most 1e-10 (1 + |nll|).
+where x/tau overflows, while the handle's does not.  Newton runs further
+than that test, to a projected gradient of at most 1e-10 (1 + |nll|).
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3) and
-the heavy-tail start (median-matched scale, nu = 2).  L-BFGS-B and
-three-slot Newton run both from the outset: with log beta free the NLL's
-infimum can lie on an edge of the box (log beta at its bound) even when the
-base fit is a converged interior optimum, and a genexp2 sample can hold a
-second, lower optimum.  Two-slot
+the heavy-tail start (median-matched scale, nu = 2).  Three-slot Newton
+runs both from the outset: with log beta free the NLL's infimum can lie on
+an edge of the box (log beta at its bound) even when the base fit is a
+converged interior optimum.  Two-slot
 Newton adds the heavy start only when its best run is unconverged or stops
 with theta below 1e-4, at or beside the nu cap: the genexp log-survival is
 even in theta to second order, so a fit can stop at a stationary point
@@ -118,7 +112,11 @@ fit that fails the convergence test from every start it ran is returned with
 to its bound e^7 on a small sample; on ten draws with a tail index near
 1/4 the likelihood rises along a ridge, nu -> 0 and beta -> infinity, to
 theta's bound; or, with a free location and beta < 1, the profile falls
-without bound toward the edge, where the fit stops.
+without bound toward the edge, where the fit stops.  Newton and L-BFGS-B
+from the same starts can stop at different local optima: Newton stops
+higher than L-BFGS-B from both starts on two of the tests' 1,008 oracle
+fits, gengamma fits to 30 points, and on two of 1,620 further genexp2,
+gengamma and cgamma fits to draws of 10 to 1,000 points, lower on nine.
 """
 
 from __future__ import annotations
@@ -132,8 +130,10 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import Bounds, minimize, minimize_scalar
+from scipy.optimize import minimize  # noqa: F401  bench/tracing.py wraps this name by attribute
+from scipy.optimize import minimize_scalar
 
+from .baselines import _PowerTail
 from .distributions import _KERNELS, DistributionHandle, Family, Params
 from .errors import DomainError
 
@@ -143,7 +143,6 @@ _THETA_MIN = 1e-6
 _THETA_MAX = 1e3
 _LOG_TAU_BOUND = 40.0
 _LOG_BETA_BOUND = 7.0
-_MAX_ITER = 4000  # per L-BFGS-B run
 _NEWTON_MAX_ITER = 200  # per Newton run
 _NEWTON_RADIUS = 0.1  # the first trust radius of a Newton run
 _NEWTON_MIN_SIZE = 20  # smaller samples also start from a likelihood grid (module docstring)
@@ -158,7 +157,7 @@ _GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid 
 # A free-location fit with eta at the edge is unconverged if tau is below this
 # many times the gap between eta and the least point.
 _GAP_FACTOR = 1e6
-# The slots of every fit, in the order of every score's gradient, and the
+# The slots of every fit, in the order of every kernel's rows, and the
 # values of the slots a family does not fit: nu = beta = 1.
 _LOG_TAU, _THETA, _LOG_BETA = range(3)
 _PINNED = np.array([0.0, 1.0, 0.0])
@@ -176,11 +175,10 @@ def _counting():
     of ``nll_hessian_rows``, ``newton_steps`` (trial points, one kernel row
     each; the other rows are the runs' starts), ``grid_passes`` of
     ``nll_grid``, ``nll_passes``, the log-density passes that give the
-    reported NLLs (one per batch and one per fit that takes its handle),
-    ``score_calls``, the evaluations of ``nll_score`` by L-BFGS-B,
-    ``lbfgsb_iterations``, and ``location_fits``, the fixed-location fits of
-    x - eta that a free location's profile runs.  Outside such a block each
-    count costs one branch."""
+    reported NLLs (one per batch and one per fit that takes its handle), and
+    ``location_fits``, the fixed-location fits of x - eta that a free
+    location's profile runs.  Outside such a block each count costs one
+    branch."""
     counts = collections.Counter()
     token = _WORK.set(counts)
     try:
@@ -218,7 +216,11 @@ class Sample:
         middle = np.partition(x, [(x.size - 1) // 2, half])
         median = (float(middle[half]) if x.size % 2
                   else float(middle[half - 1] + middle[half]) / 2.0)
-        return float(x.min()), float(x.sum()) / x.size, median
+        with np.errstate(over="ignore"):  # the sum can overflow where the mean does not
+            mean = float(x.sum()) / x.size
+        if not math.isfinite(mean):
+            mean = float((x / x.size).sum())
+        return float(x.min()), mean, median
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,9 @@ class FitOptions:
 class FitResult:
     """Estimates and diagnostics from one maximum-likelihood fit.
 
-    ``iterations`` counts the Newton or L-BFGS-B iterations over every start
-    that ran: the base start, the heavy-tail start, the grid starts of a
-    small Newton fit and the edge start of a three-slot Newton fit.  With a
+    ``iterations`` counts the Newton iterations over every start that ran,
+    rejected steps included: the base start, the heavy-tail start, the grid
+    starts of a small fit and the edge start of a three-slot fit.  With a
     free location it sums them over every fixed-location fit of x - eta
     that the profile search ran.
     """
@@ -299,35 +301,9 @@ def _slots(free: np.ndarray, vec) -> np.ndarray:
     return slots
 
 
-def _score(kernel, free: np.ndarray, x: np.ndarray):
-    """The kernel's NLL and its gradient in the free slots, as a function of
-    the free slots' values."""
-    slots, pick, counts = _PINNED.copy(), np.flatnonzero(free), _WORK.get()
-
-    def score(vec):
-        if counts is not None:
-            counts["score_calls"] += 1
-        slots[pick] = vec
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            nll, grad = kernel.nll_score(x, *slots.tolist())
-        return nll, grad[pick]
-    return score
-
-
 def _projected_gradient(vec, grad, lo, hi) -> float:
     """The infinity norm of the projected gradient clip(vec - grad, lo, hi) - vec."""
     return max(abs(min(max(v - g, l), h) - v) for v, g, l, h in zip(vec, grad, lo, hi))
-
-
-def _fit_quasi_newton(score, start, bounds: Bounds):
-    """L-BFGS-B on ``score`` from ``start``: (the end point, its NLL, its
-    gradient, the iterations)."""
-    res = minimize(score, start, method="L-BFGS-B", jac=True, bounds=bounds,
-                   options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": _MAX_ITER})
-    counts = _WORK.get()
-    if counts is not None:
-        counts["lbfgsb_iterations"] += res.nit
-    return res.x.tolist(), res.fun, res.jac.tolist(), res.nit
 
 
 def _trust_step(grad, hess, radius) -> list[float]:
@@ -774,7 +750,7 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
     kernel = _KERNELS[family]
     counts = _WORK.get()
     nlls = [None] * len(samples)
-    power_tail = hasattr(kernel, "_subtract_log_density")
+    power_tail = issubclass(kernel, _PowerTail)
     batch = [i for i, p in enumerate(params) if p.beta == 1.0 and p.eta == 0.0
              and (power_tail or family is Family.EXPONENTIAL)]
     if batch:
@@ -811,10 +787,9 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
 def _fit_fixed(family: Family, samples, opts: FitOptions):
     """The fit of ``family`` at location 0 to each of ``samples``, in its
     ``_box``: (``Params``, converged, iterations, at_nu_bound, the NLL it
-    reached).  The exponential has a closed form.  Fits on a kernel with
-    ``nll_hessian_rows`` run Newton, one batch for the fits on two slots
-    (log_tau, theta) and one for those on three, with log_beta; every other
-    fit runs L-BFGS-B from the base and heavy-tail starts, one at a time."""
+    reached).  The exponential has a closed form.  Every other fit runs
+    Newton, one batch for the fits on two slots (log_tau, theta) and one for
+    those on three, with log_beta."""
     kernel = _KERNELS[family]
     boxes = [_box(family, opts, sample) for sample in samples]
     if family is Family.EXPONENTIAL:
@@ -826,18 +801,13 @@ def _fit_fixed(family: Family, samples, opts: FitOptions):
                 for sample, tau in zip(samples, taus)]
     # One Newton batch for the fits on each number of slots, which share a box.
     newton = {}
-    for i, (free, (lo, _), _) in enumerate(boxes):
-        if free[_THETA] and hasattr(kernel, "nll_hessian_rows"):
-            newton.setdefault(len(lo), []).append(i)
+    for i, (_, (lo, _), _) in enumerate(boxes):
+        newton.setdefault(len(lo), []).append(i)
     runs = {}
     for batch in newton.values():
         _, (lo, hi), _ = boxes[batch[0]]
         runs.update(zip(batch, _fit_by_newton(kernel, [samples[i].values for i in batch],
                                               [boxes[i][2] for i in batch], lo, hi)))
-    for i, (sample, (free, bounds, starts)) in enumerate(zip(samples, boxes)):
-        if i not in runs:
-            score, box = _score(kernel, free, sample.values), Bounds(*bounds)
-            runs[i] = [_fit_quasi_newton(score, start, box) for start in starts]
     return [_best(free, bounds, runs[i]) for i, (free, bounds, _) in enumerate(boxes)]
 
 
@@ -872,7 +842,7 @@ def _fit_free_location(family: Family, samples, opts: FitOptions):
         edge = least * (1.0 - 1e-12) - 1e-300
         grid = [least - mean * 10.0 ** k for k in range(-12, 3)] if uses_beta else []
         etas = [edge] + [eta for eta in grid
-                         if eta < edge and math.isfinite(sample.values.max() - eta)]
+                         if eta < edge and math.isfinite(float(sample.values.max()) - eta)]
         tried = []
         fit_at(sample, etas, tried)
         low = min(range(len(etas)), key=lambda i: tried[i][1][-1])
@@ -891,16 +861,32 @@ def _fit_free_location(family: Family, samples, opts: FitOptions):
     return located
 
 
+# At a fixed location a sample holding 0 pins beta at 1, where gengamma and
+# cgamma are their ``_BETA_ONE`` member: genexp and the Lomax.
+_MEMBERS = {family: next(f for f, k in _KERNELS.items() if k is kernel._BETA_ONE)
+            for family, kernel in _KERNELS.items() if hasattr(kernel, "_BETA_ONE")}
+
+
 def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
     """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives:
     ``_fit_free_location`` with a free eta, ``_fit_fixed`` otherwise.  The
-    reported NLLs come from ``_neg_log_likelihoods`` on the samples."""
-    fits = (_fit_free_location if opts.free_eta else _fit_fixed)(family, samples, opts)
-    nlls = _neg_log_likelihoods(family, samples, [params for params, *_ in fits])
-    # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
-    return [FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
-                      iterations=iterations, at_nu_bound=at_bound)
-            for (params, converged, iterations, at_bound, _), nll in zip(fits, nlls)]
+    reported NLLs come from ``_neg_log_likelihoods`` on the samples.  A
+    gengamma or cgamma fit of a sample holding 0 at a fixed location is its
+    ``_MEMBERS`` fit, the NLL included."""
+    fitted = [_MEMBERS[family] if family in _MEMBERS and not opts.free_eta
+              and sample._summary[0] == 0.0 else family for sample in samples]
+    results = [None] * len(samples)
+    for member in dict.fromkeys(fitted):
+        batch = [i for i, f in enumerate(fitted) if f is member]
+        part = [samples[i] for i in batch]
+        fits = (_fit_free_location if opts.free_eta else _fit_fixed)(member, part, opts)
+        nlls = _neg_log_likelihoods(member, part, [params for params, *_ in fits])
+        # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
+        for i, (params, converged, iterations, at_bound, _), nll in zip(batch, fits, nlls):
+            results[i] = FitResult(family, params, nll,
+                                   converged=bool(converged and math.isfinite(nll)),
+                                   iterations=iterations, at_nu_bound=at_bound)
+    return results
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
@@ -909,13 +895,12 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     At a fixed location the exponential has a closed form, tau = mean, held
     to tau's lower bound e^-40.  Every other fit works on the free slots of
     (log_tau, theta, log_beta), the others pinned at theta = 1 and log_beta
-    = 0.  On a kernel with a closed-form Hessian it runs projected Newton:
-    on two slots, (log_tau, theta), for genexp and Lomax, and for genweibull
-    and Burr XII on a sample holding 0; on three, with log_beta, for
-    genweibull and Burr XII otherwise.  Every other fit (genexp2, gengamma,
-    cgamma) runs L-BFGS-B on the kernel's closed-form score, from the base
-    and heavy-tail starts.  Below 20 points Newton also starts from the two
-    lowest local minima of a coarse likelihood grid.  Two-slot Newton runs
+    = 0.  It runs projected Newton on the kernel's closed-form Hessian: on
+    two slots, (log_tau, theta), for genexp, Lomax and genexp2, and for
+    genweibull and Burr XII on a sample holding 0; on three, with log_beta,
+    for genweibull, Burr XII, gengamma and cgamma otherwise.  Below 20
+    points Newton also starts from the two lowest local minima of a coarse
+    likelihood grid.  Two-slot Newton runs
     from the base start, and from the heavy start only if the best run is
     unconverged or stops with theta below 1e-4.  Three-slot Newton runs
     from both fixed starts from the outset, and from the edge start, theta
@@ -938,8 +923,9 @@ def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitRes
     With the location fixed, a sample holding an exact 0 has no maximum in
     beta: its likelihood is 0 for beta > 1 and unbounded for beta < 1.  The
     families with a shape beta (genweibull, gengamma, Burr XII, cgamma) are
-    then fitted at beta = 1, where they are genexp or the Lomax.  A sample
-    with fewer points than free slots, counting eta, raises ``DomainError``.
+    then fitted at beta = 1, where they are genexp or the Lomax; gengamma
+    and cgamma take that member's fit, NLL included.  A sample with fewer
+    points than free slots, counting eta, raises ``DomainError``.
     """
     return _fit_samples(Family.parse(family), [sample], options or FitOptions())[0]
 

@@ -8,11 +8,12 @@ arrays, return a float for scalar input, raise :class:`DomainError` outside
 their domain or on NaN, and are the single source of these quantities for
 the distribution formulas.  ``log_beta`` alone leaves scipy where the larger
 shape is at least 100, for Stirling's series of lgamma(a + b) - lgamma(a):
-there ``betaln`` is off by up to 2.6e-9, noise that the line search on a
-gengamma or cgamma likelihood reads as slope.  The series is within 5e-14 of
-40-digit mpmath for shapes in [1e-3, 1e6], and ``_psi_remainder`` gives the
-tail-index derivative of ln B that those likelihoods' scores need, free of
-the cancellation between two psi values.  Where ``betainc`` underflows,
+there ``betaln`` is off by up to 2.6e-9, noise that a fit of a gengamma or
+cgamma likelihood reads as slope.  The series is within 5e-14 of 40-digit
+mpmath for shapes in [1e-3, 1e6].  ``_psi_remainder`` gives the tail-index
+derivative of ln B that those likelihoods' gradients need, free of the
+cancellation between two psi values, and ``_psi_remainder_slopes`` its own
+derivatives, which their Hessians need.  Where ``betainc`` underflows,
 ``_log_inc_beta_far`` gives log I_x(a, b) from log x; the families' link
 arithmetic lives in their power-tail kernels.  The quadrature,
 maximizer and root-finder are deliberately independent of any closed forms
@@ -117,6 +118,16 @@ def _log_beta(a: float, b: float) -> float:
 _log_beta_array = np.vectorize(_log_beta, otypes=[float])
 
 
+def _atanh_tail(w2: float) -> float:
+    """(atanh w - w)/w^3 = 1/3 + w^2/5 + w^4/7 + ... at w2 = w^2 < 1."""
+    total, power, k = 1.0 / 3.0, w2, 5.0
+    while power > 1e-17:
+        total += power / k
+        power *= w2
+        k += 2.0
+    return total
+
+
 def _x_less_log1p(x: float) -> float:
     """x - log1p(x) for x >= 0; below x = 1 from w = x/(2 + x), as x w - 2 w^3 (1/3
     + w^2/5 + w^4/7 + ...), since log1p x = 2 atanh w: free of the cancellation."""
@@ -124,12 +135,7 @@ def _x_less_log1p(x: float) -> float:
         return x - math.log1p(x)
     w = x / (2.0 + x)
     w2 = w * w
-    total, power, k = 1.0 / 3.0, w2, 5.0
-    while power > 1e-17:
-        total += power / k
-        power *= w2
-        k += 2.0
-    return x * w - 2.0 * w * w2 * total
+    return x * w - 2.0 * w * w2 * _atanh_tail(w2)
 
 
 def _psi_remainder(a: float, b: float) -> float:
@@ -141,7 +147,7 @@ def _psi_remainder(a: float, b: float) -> float:
     R(a, b) = b (b - 1) sum_j 1/((a + j)(a + j + 1)(a + j + b)) + R(a + m, b) over
     j < m; from a >= 100, R = (x - log1p x) - b/(2 a (a + b)) + c'(a) - c'(a + b)
     with x = b/a and c the Stirling tail that ``log_beta`` uses, so that the
-    score of a gengamma or cgamma likelihood is the gradient of its NLL.  0 at
+    gradient of a gengamma or cgamma likelihood is that of its NLL.  0 at
     b = 1 exactly; within 1e-15 b (b + 1)/a^2 of 50-digit mpmath over a
     in [1e-3, 1e6] and b in [0.05, 1100].
     """
@@ -161,6 +167,42 @@ def _psi_remainder(a: float, b: float) -> float:
         - (alpha * alpha + alpha * sigma + sigma * sigma) / 252.0
         + (alpha + sigma) * (alpha * alpha + sigma * sigma) / 240.0)
     return head + (_x_less_log1p(b / a) - b / (2.0 * a * s)) + stirling
+
+
+def _psi_remainder_slopes(a: float, b: float) -> tuple[float, float]:
+    """(2R + a dR/da, dR/db) for R = ``_psi_remainder(a, b)`` and scalar a, b > 0:
+    b/a - 2 (psi(a + b) - psi(a)) - a (psi'(a + b) - psi'(a)), about b (b - 1)
+    (2b - 1)/(6 a^3) although its terms are near b/a, and 1/a - psi'(a + b).
+    Both differentiate R's head sum and Stirling tail term by term; below
+    a = 100 the tail at a' = a + m enters as 2 (m/a') R(a') + (a/a') (2R +
+    a' dR/da)(a').  The first is 0 at b = 1.  Within 5e-15 b (b + 1)(2b + 1)/a^3
+    and 1e-15 (b + 1)/a^2 of 50-digit mpmath on ``_psi_remainder``'s box.
+    """
+    if a < 100.0:
+        p = a + np.arange(math.ceil(100.0 - a))
+        q, top = p + b, float(p[-1]) + 1.0
+        head = b * (b - 1.0) / (p * (p + 1.0) * q)
+        # 2h + a dh/da and dh/db of each head term h
+        slope_a = float(np.sum(head * ((p - a) / p + (p + 1.0 - a) / (p + 1.0) + (q - a) / q
+                                       - 1.0)))
+        slope_b = float(np.sum(((2.0 * b - 1.0) * p + b * b) / (p * (p + 1.0) * q * q)))
+        tail_a, tail_b = _psi_remainder_slopes(top, b)
+        return (slope_a + 2.0 * (top - a) / top * _psi_remainder(top, b) + a / top * tail_a,
+                slope_b + tail_b)
+    s, x, u = a + b, b / a, 2.0 + b / a
+    alpha, sigma = 1.0 / (a * a), 1.0 / (s * s)
+    # c''(z) = 1/(6 z^3) - 1/(30 z^5) + 1/(42 z^7) - 1/(30 z^9) at z = s
+    curvature = (1.0 / 6.0 - sigma * (1.0 / 30.0 - sigma * (1.0 / 42.0 - sigma / 30.0))) / s ** 3
+    slope_b = ((2.0 * b - 1.0) * a + 2.0 * b * b) / (2.0 * a * s * s) - curvature
+    if b == 1.0:
+        return 0.0, slope_b
+    # 2 (x - log1p x) - x^2/(1 + x), about x^3/3: below x = 1 from w = x/(2 + x)
+    log1p_part = (2.0 * (x - math.log1p(x)) - x * x / (1.0 + x) if x >= 1.0 else
+                  x * x * x * (1.0 / (u * (1.0 + x)) - 4.0 * _atanh_tail((x / u) ** 2) / u ** 3))
+    # P(z) = 2c'(z) + z c''(z) = -1/(60 z^4) + 1/(63 z^6) - 1/(40 z^8)
+    stirling = (sigma * sigma * (1.0 / 60.0 - sigma * (1.0 / 63.0 - sigma / 40.0))
+                - alpha * alpha * (1.0 / 60.0 - alpha * (1.0 / 63.0 - alpha / 40.0)))
+    return log1p_part - b * b / (2.0 * a * s * s) + stirling + b * curvature, slope_b
 
 
 def log_beta(a, b):
@@ -187,13 +229,7 @@ def beta_fn(a, b):
 
 
 def digamma(a):
-    """Digamma (psi) function for a > 0 (``scipy.special.psi``).  Scalars stay
-    off numpy's array checks, as in ``log_beta``: the likelihood scores call it
-    per evaluation."""
-    if isinstance(a, (int, float)):
-        if not a > 0.0:
-            raise DomainError("digamma requires a > 0 (not NaN)")
-        return float(sc.psi(a))
+    """Digamma (psi) function for a > 0 (``scipy.special.psi``)."""
     arr, scalar = _as_float_array(a)
     if not (arr > 0.0).all():
         raise DomainError("digamma requires a > 0 (not NaN)")

@@ -20,7 +20,7 @@ from asinhsurv import (
     stable_asinh_scaled,
 )
 from asinhsurv.numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder,
-                                log_beta, reg_inc_beta_inv)
+                                _psi_remainder_slopes, log_beta, reg_inc_beta_inv)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -129,6 +129,29 @@ class TestPsiRemainder:
 
     def test_is_zero_at_b_one(self):
         assert all(_psi_remainder(a, 1.0) == 0.0 for a in (1e-3, 0.75, 99.5, 100.0, 1e6))
+
+    def test_slopes_match_mpmath(self):
+        # 2R + a dR/da = b/a - 2 (psi(a + b) - psi(a)) - a (psi'(a + b) - psi'(a))
+        # is about b (b - 1)(2b - 1)/(6 a^3), and its error is measured on the
+        # scale b (b + 1)(2b + 1)/a^3; dR/db = 1/a - psi'(a + b), about
+        # (b - 1/2)/a^2, on the scale (b + 1)/a^2.  Both over R's own box.
+        import mpmath
+        a, b = np.meshgrid(np.geomspace(1e-3, 1e6, 46), np.geomspace(0.05, 1100.0, 23))
+        a = np.concatenate([a.ravel(), [50.0, 99.9, 100.0, 1e4, 0.5, 99.0, 1e6]])
+        b = np.concatenate([b.ravel(), [1.0 - 1e-9, 1.0 + 1e-6, 2.0, 0.999, 0.5, 0.5, 0.5]])
+        with mpmath.workdps(50):
+            ref = np.array([[float(q / p - 2 * (mpmath.digamma(p + q) - mpmath.digamma(p))
+                                   - p * (mpmath.psi(1, p + q) - mpmath.psi(1, p))),
+                             float(1 / p - mpmath.psi(1, p + q))]
+                            for p, q in zip(map(mpmath.mpf, a), map(mpmath.mpf, b))])
+        got = np.array([_psi_remainder_slopes(p, q) for p, q in zip(a.tolist(), b.tolist())])
+        err = np.abs(got - ref) / np.stack([b * (b + 1.0) * (2.0 * b + 1.0) / a ** 3,
+                                            (b + 1.0) / (a * a)], axis=1)
+        assert np.max(err[:, 0]) <= 5e-15, (a[np.argmax(err[:, 0])], b[np.argmax(err[:, 0])])
+        assert np.max(err[:, 1]) <= 1e-15, (a[np.argmax(err[:, 1])], b[np.argmax(err[:, 1])])
+
+    def test_slope_in_a_is_zero_at_b_one(self):
+        assert all(_psi_remainder_slopes(a, 1.0)[0] == 0.0 for a in (1e-3, 0.75, 99.5, 100.0, 1e6))
 
 
 class TestRegIncBeta:
