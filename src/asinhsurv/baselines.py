@@ -53,6 +53,15 @@ def _log1p_tail(q, first, last):
     return out
 
 
+def _log1p_reciprocal(u):
+    """log1p(1/u) for u >= 0 as a new array; -log u where 1/u overflows."""
+    out = np.reciprocal(u)
+    far = np.isinf(out)
+    np.log1p(out, out=out)
+    out[far] = -np.log(u[far])
+    return out
+
+
 def _row_sums(terms, lengths):
     """Each row's sums of ``terms``, a (terms x points) array whose points are
     the rows' in turn, ``lengths[i]`` (at least 1) of them in row i: one
@@ -484,11 +493,12 @@ class _IncompleteBeta:
         return out.reshape(shape)
 
     @classmethod
-    def nll_hessian_rows(cls, x, lengths, log_tau, theta, log_beta):
+    def nll_hessian_rows(cls, x, lengths, log_tau, theta, log_beta=None):
         """``_PowerTail.nll_hessian_rows`` with ``log_beta``: the rows' NLL at
         location 0, gradient in (log_tau, theta, log_beta) and Hessian's upper
         triangle by rows, a (10 x rows) array.  A point x = 0 makes g_beta and
-        h_beta_beta infinite, and the NLL too unless beta = 1.
+        h_beta_beta infinite, and the NLL too unless beta = 1.  Without
+        ``log_beta``, beta = 1: the member's rows in (log_tau, theta).
 
         z = theta x/tau does not depend on beta.  With nu' = nu + beta - 1,
         y = x/tau and the member's point terms at z, the NLL is n log tau +
@@ -503,6 +513,8 @@ class _IncompleteBeta:
         cancels twice at large nu, and R_b come from ``_psi_remainder_slopes``.
         """
         one, size = cls._BETA_ONE, cls._BETA_ONE._HESSIAN_POINT_TERMS
+        if log_beta is None:
+            return one.nll_hessian_rows(x, lengths, log_tau, theta)
         lengths = np.asarray(lengths)
         log_tau, theta, log_beta = (np.asarray(v, dtype=float) for v in (log_tau, theta, log_beta))
         nu, beta = 1.0 / theta, np.exp(log_beta)
@@ -598,8 +610,7 @@ class CompoundGamma(_IncompleteBeta):
 
     @staticmethod
     def _log_complement(z):  # log1p(1/z), as 1 - v = z/(1 + z)
-        out = np.reciprocal(z)
-        return np.log1p(out, out=out)
+        return _log1p_reciprocal(z)
 
     @staticmethod
     def raw_moment(n, nu, beta):

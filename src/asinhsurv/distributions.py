@@ -285,8 +285,7 @@ class _GenGamma(baselines._IncompleteBeta):
         out += z
         out *= z
         out *= 2.0
-        np.reciprocal(out, out=out)
-        return np.log1p(out, out=out)
+        return baselines._log1p_reciprocal(out)
 
     @staticmethod
     def raw_moment(n, nu, beta):

@@ -32,16 +32,17 @@ to tau's lower bound e^-40, where it is flagged as every other fit is.
 Every other fit runs one optimiser, projected Newton (Bertsekas 1982) in a
 trust region, on the kernel's closed-form NLL, gradient and Hessian,
 ``nll_hessian_rows``: on two slots, (log_tau, theta), for genexp, the
-Lomax and genexp2, and for genweibull and Burr XII on a sample holding 0,
-where beta is pinned and each fit is its beta = 1 member's; on three
-slots, (log_tau, theta, log_beta), for every other genweibull, Burr XII,
-gengamma and cgamma fit.  genexp and Lomax run the genweibull and Burr XII
-kernels at log_beta = 0.  A gengamma or cgamma fit of a sample holding 0
-at a fixed location is the fit of its beta = 1 member, genexp or the
-Lomax (``_MEMBERS``), its NLL included.  The reported NLL is
-``neg_log_likelihood`` of the fitted handle on the sample, to the bit; the
-fits at location 0 of the exponential, genexp and Lomax in a batch take it
-from one log-density pass over their samples (``_neg_log_likelihoods``).
+Lomax and genexp2, and for every family with beta on a sample holding 0,
+where beta is pinned and each fit is its beta = 1 member's (gengamma and
+cgamma run the rows of genexp and the Lomax); on three slots, (log_tau,
+theta, log_beta), for every other genweibull, Burr XII, gengamma and
+cgamma fit.  genexp and Lomax run the genweibull and Burr XII kernels at
+log_beta = 0.  The reported NLL is ``neg_log_likelihood`` of the fitted
+handle on the sample, to the bit, but a gengamma or cgamma fit at beta = 1
+reports its member's (``_MEMBERS``), the same likelihood, which its own
+handle gives a few ulps apart; the fits at location 0 of the exponential,
+genexp and Lomax in a batch take it from one log-density pass over their
+samples (``_neg_log_likelihoods``).
 A fit is ``converged`` when the infinity norm of its projected gradient is
 at most 1e-6 (1 + |nll|), beta is not at its bound e^7 or e^-7, theta is
 not at its upper bound 1e3 (nu = 1e-3), tau is not at its lower bound
@@ -69,7 +70,15 @@ likelihood can rise along a ridge, nu -> 0 and beta -> infinity, to
 theta's bound past an interior optimum that every other start reaches.
 Without the edge start, Newton stopped higher than L-BFGS-B from both
 starts on five of 792 genweibull and Burr XII fits to 10-100 points: four
-inside, below such a ridge, and one at the nu cap.
+inside, below such a ridge, and one at the nu cap.  From 20 to 99 points
+(``_HIGH_BETA_MAX_SIZE``) three-slot Newton also runs the high-beta start,
+the heavy start at log beta = 2, from the outset: a lower optimum, or a
+descent to beta's bound, can lie at a larger beta than the point both
+fixed starts reach.  On 7,680 draws of 20 to 60 points of the four beta
+families, Newton stopped higher than L-BFGS-B from both starts on ten fits
+without it and on three with it; on 1,920 of 100 points, on none without
+it.  Below 20 points a converged high-beta run can win before the edge
+start's test and keep a fit from the lower edge that start reaches.
 
 Below ``_NEWTON_MIN_SIZE`` = 20 points the genexp and Lomax likelihoods
 often hold several local optima, and two local runs from the fixed starts
@@ -112,11 +121,7 @@ fit that fails the convergence test from every start it ran is returned with
 to its bound e^7 on a small sample; on ten draws with a tail index near
 1/4 the likelihood rises along a ridge, nu -> 0 and beta -> infinity, to
 theta's bound; or, with a free location and beta < 1, the profile falls
-without bound toward the edge, where the fit stops.  Newton and L-BFGS-B
-from the same starts can stop at different local optima: Newton stops
-higher than L-BFGS-B from both starts on two of the tests' 1,008 oracle
-fits, gengamma fits to 30 points, and on two of 1,620 further genexp2,
-gengamma and cgamma fits to draws of 10 to 1,000 points, lower on nine.
+without bound toward the edge, where the fit stops.
 """
 
 from __future__ import annotations
@@ -152,6 +157,8 @@ _THETA_GRID = np.logspace(-6.0, 3.0, 37)  # that grid's theta, a quarter decade 
 # above _THETA_NEAR_EDGE runs at any size.
 _THETA_NEAR_EXP = 1e-4
 _THETA_NEAR_EDGE = 3.0
+_HIGH_BETA_MAX_SIZE = 100  # a three-slot fit of 20 points up to this size
+_LOG_BETA_HIGH = 2.0  # also starts from the heavy start at this log beta
 _POINT_CAP = 2 ** 14  # sample points in the rows of a lockstep Newton batch (module docstring)
 _GRID_CAP = 2 ** 18  # grid points, samples x theta x log tau x n, per nll_grid pass
 # A free-location fit with eta at the edge is unconverged if tau is below this
@@ -245,9 +252,9 @@ class FitResult:
 
     ``iterations`` counts the Newton iterations over every start that ran,
     rejected steps included: the base start, the heavy-tail start, the grid
-    starts of a small fit and the edge start of a three-slot fit.  With a
-    free location it sums them over every fixed-location fit of x - eta
-    that the profile search ran.
+    starts of a small fit and the high-beta and edge starts of a three-slot
+    fit.  With a free location it sums them over every fixed-location fit
+    of x - eta that the profile search ran.
     """
 
     family: Family
@@ -717,11 +724,14 @@ def _fit_by_newton(kernel, xs, fixed, lo, hi):
     slots, from each sample's base start ``fixed[i][0]`` and, below
     ``_NEWTON_MIN_SIZE`` points, its grid starts, then from its heavy-tail
     start ``fixed[i][1]`` where ``_needs_heavy``.  On three, from both fixed
-    starts and the grid starts at log beta = 0, then from the edge start
-    where ``_needs_edge``."""
+    starts, the grid starts at log beta = 0 and, from ``_NEWTON_MIN_SIZE``
+    to ``_HIGH_BETA_MAX_SIZE`` points, the high-beta start, then from the
+    edge start where ``_needs_edge``."""
     beta_free = len(lo) == 3
-    if beta_free:  # both fixed starts from the outset, and the edge start late
-        starts = [[base, heavy] for base, heavy in fixed]
+    if beta_free:  # both fixed starts from the outset, the high-beta one too, the edge one late
+        starts = [[base, heavy] + ([[heavy[0], heavy[1], _LOG_BETA_HIGH]]
+                                   if _NEWTON_MIN_SIZE <= x.size < _HIGH_BETA_MAX_SIZE else [])
+                  for x, (base, heavy) in zip(xs, fixed)]
         late = [[heavy[0], _THETA_MAX, 0.0] for _, heavy in fixed]
     else:
         starts = [[base] for base, _ in fixed]
@@ -736,9 +746,16 @@ def _fit_by_newton(kernel, xs, fixed, lo, hi):
     return _fit_newton(kernel, xs, starts, late, lo, hi)
 
 
+# gengamma and cgamma at beta = 1 are their ``_BETA_ONE`` member, genexp and the Lomax.
+_MEMBERS = {family: next(f for f, k in _KERNELS.items() if k is kernel._BETA_ONE)
+            for family, kernel in _KERNELS.items() if hasattr(kernel, "_BETA_ONE")}
+
+
 def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
     """``neg_log_likelihood(DistributionHandle(family, p), sample)`` of each
-    sample and its parameters ``p``, to the bit.
+    sample and its parameters ``p``, to the bit, but at beta = 1 a gengamma
+    or cgamma fit takes the NLL of its member (``_MEMBERS``), the same
+    likelihood, which the family's handle gives a few ulps apart.
 
     Fits of the exponential, or of a power-tail kernel at beta = 1, with
     location 0 take one log-density pass over their samples concatenated.
@@ -747,7 +764,8 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
     the handle, and so does a sample holding a point past z = 1e150, where
     the kernel switches to its far form.
     """
-    kernel = _KERNELS[family]
+    member = _MEMBERS.get(family, family)
+    kernel = _KERNELS[member]
     counts = _WORK.get()
     nlls = [None] * len(samples)
     power_tail = issubclass(kernel, _PowerTail)
@@ -778,7 +796,9 @@ def _neg_log_likelihoods(family: Family, samples, params) -> list[float]:
     for i, nll in enumerate(nlls):
         if nll is None:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                nlls[i] = neg_log_likelihood(DistributionHandle(family, params[i]), samples[i])
+                nlls[i] = neg_log_likelihood(
+                    DistributionHandle(member if params[i].beta == 1.0 else family, params[i]),
+                    samples[i])
             if counts is not None:
                 counts["nll_passes"] += 1
     return nlls
@@ -861,54 +881,29 @@ def _fit_free_location(family: Family, samples, opts: FitOptions):
     return located
 
 
-# At a fixed location a sample holding 0 pins beta at 1, where gengamma and
-# cgamma are their ``_BETA_ONE`` member: genexp and the Lomax.
-_MEMBERS = {family: next(f for f, k in _KERNELS.items() if k is kernel._BETA_ONE)
-            for family, kernel in _KERNELS.items() if hasattr(kernel, "_BETA_ONE")}
-
-
 def _fit_samples(family: Family, samples, opts: FitOptions) -> list[FitResult]:
     """The fit of ``family`` to each of ``samples`` that ``fit_mle`` gives:
     ``_fit_free_location`` with a free eta, ``_fit_fixed`` otherwise.  The
-    reported NLLs come from ``_neg_log_likelihoods`` on the samples.  A
-    gengamma or cgamma fit of a sample holding 0 at a fixed location is its
-    ``_MEMBERS`` fit, the NLL included."""
-    fitted = [_MEMBERS[family] if family in _MEMBERS and not opts.free_eta
-              and sample._summary[0] == 0.0 else family for sample in samples]
-    results = [None] * len(samples)
-    for member in dict.fromkeys(fitted):
-        batch = [i for i, f in enumerate(fitted) if f is member]
-        part = [samples[i] for i in batch]
-        fits = (_fit_free_location if opts.free_eta else _fit_fixed)(member, part, opts)
-        nlls = _neg_log_likelihoods(member, part, [params for params, *_ in fits])
-        # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
-        for i, (params, converged, iterations, at_bound, _), nll in zip(batch, fits, nlls):
-            results[i] = FitResult(family, params, nll,
-                                   converged=bool(converged and math.isfinite(nll)),
-                                   iterations=iterations, at_nu_bound=at_bound)
-    return results
+    reported NLLs come from ``_neg_log_likelihoods`` on the samples."""
+    fits = (_fit_free_location if opts.free_eta else _fit_fixed)(family, samples, opts)
+    nlls = _neg_log_likelihoods(family, samples, [params for params, *_ in fits])
+    # The kernel's NLL stays finite where x/tau overflows; the handle's need not.
+    return [FitResult(family, params, nll, converged=bool(converged and math.isfinite(nll)),
+                      iterations=iterations, at_nu_bound=at_bound)
+            for (params, converged, iterations, at_bound, _), nll in zip(fits, nlls)]
 
 
 def fit_mle(family, sample: Sample, options: FitOptions | None = None) -> FitResult:
     """Fit one family to ``sample`` by minimising the negative log likelihood.
 
     At a fixed location the exponential has a closed form, tau = mean, held
-    to tau's lower bound e^-40.  Every other fit works on the free slots of
-    (log_tau, theta, log_beta), the others pinned at theta = 1 and log_beta
-    = 0.  It runs projected Newton on the kernel's closed-form Hessian: on
-    two slots, (log_tau, theta), for genexp, Lomax and genexp2, and for
-    genweibull and Burr XII on a sample holding 0; on three, with log_beta,
-    for genweibull, Burr XII, gengamma and cgamma otherwise.  Below 20
-    points Newton also starts from the two lowest local minima of a coarse
-    likelihood grid.  Two-slot Newton runs
-    from the base start, and from the heavy start only if the best run is
-    unconverged or stops with theta below 1e-4.  Three-slot Newton runs
-    from both fixed starts from the outset, and from the edge start, theta
-    at its upper bound, only if the best run is unconverged or stops with
-    theta above 3 or, below 20 points, below 1e-4.  A fit that fails the
-    convergence test, stops with beta at its bound, theta at its upper
-    bound 1e3 or tau at its lower bound e^-40, or has no finite NLL, is
-    returned with ``converged`` False (see the module docstring).
+    to tau's lower bound e^-40.  Every other fit runs projected Newton on
+    the kernel's closed-form Hessian over the free slots of (log_tau,
+    theta, log_beta), from the starts the module docstring lists: two slots
+    for genexp, Lomax and genexp2 and for a family with beta on a sample
+    holding 0, three otherwise.  A fit that fails the convergence test,
+    stops at beta's bound, theta's upper bound 1e3 or tau's lower bound
+    e^-40, or has no finite NLL, is returned with ``converged`` False.
 
     A free location minimises the profile NLL, the NLL of the fixed-location
     fit of x - eta.  A family without beta (exp, genexp, Lomax, genexp2)
