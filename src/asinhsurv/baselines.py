@@ -19,6 +19,9 @@ the NLL at location 0 with its gradient and Hessian in (log tau, theta) or
 (log tau, theta, log beta), and ``nll_grid``, the NLL at beta = 1 on a grid;
 the exponential has neither, since its fit is closed-form.  No kernel sees a
 free location: the fitter profiles it over fixed-location fits of x - eta.
+This module imports no scipy: its special functions come from ``numerics``,
+which imports ``scipy.special`` at their first call.  Of its kernels only
+the compound gamma's evaluation and rows, and the moments, call them.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import polygamma
 
 from .numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder,
                        _psi_remainder_slopes, digamma, log_beta, log_gamma, reg_inc_beta,
-                       reg_inc_beta_inv)
+                       reg_inc_beta_inv, trigamma)
 
 __all__ = ["Exponential", "Lomax", "BurrXII", "CompoundGamma"]
 
@@ -544,7 +546,7 @@ class _IncompleteBeta:
             beta * (lengths - sum_t),
             nu2 * (sum_dm_less_m - less * sum_t_less_dt) + nu2 * nu * (sum_w + n_a * slope_a),
             nu * beta * sum_t - nu2 * n_a * beta * slope_b,
-            g_beta - lengths * beta * beta * (polygamma(1, a + beta) - polygamma(1, beta))])
+            g_beta - lengths * beta * beta * (trigamma(a + beta) - trigamma(beta))])
 
     @classmethod
     def nll_grid(cls, x, log_tau, theta):

@@ -19,13 +19,15 @@ just below the least point, least (1 - 1e-12) - 1e-300: eta is put there.
 For a family with beta the search runs in log(least - eta): the edge, a
 grid of gaps least - eta a decade apart from 1e-12 to 100 times the mean,
 fitted as one batch, and a bounded scalar search between the grid points
-either side of the lowest.  Each scale in it is the data's, so the fit of
-c x has the NLL of the fit of x plus n log c.  A fit with eta at the edge
-is unconverged if beta < 1, where the likelihood grows without bound as eta
-approaches the least point (Smith 1985, Biometrika 72:67), or if tau is
-below ``_GAP_FACTOR`` = 1e6 times the gap: below 20 points the fit of
-x - eta can stop at a mode with tau a few times the gap, which exists only
-because of the edge's margin.
+either side of the lowest: scipy's ``minimize_scalar``, the only part of
+``scipy.optimize`` a fit uses, imported there so that no other fit loads
+it.  Each scale in it is the data's, so the fit of c x has the NLL of the
+fit of x plus n log c.  A fit with eta at the edge is unconverged if
+beta < 1, where the likelihood grows without bound as eta approaches the
+least point (Smith 1985, Biometrika 72:67), or if tau is below
+``_GAP_FACTOR`` = 1e6 times the gap: below 20 points the fit of x - eta can
+stop at a mode with tau a few times the gap, which exists only because of
+the edge's margin.
 
 The exponential's MLE at a fixed location is closed-form, tau = mean, held
 to tau's lower bound e^-40, where it is flagged as every other fit is.
@@ -45,12 +47,14 @@ genexp and Lomax in a batch take it from one log-density pass over their
 samples (``_neg_log_likelihoods``).
 A fit is ``converged`` when the infinity norm of its projected gradient is
 at most 1e-6 (1 + |nll|), beta is not at its bound e^7 or e^-7, theta is
-not at its upper bound 1e3 (nu = 1e-3), tau is not at its lower bound
-e^-40, and the reported NLL is finite.  Those bounds are edges of the box,
-not optima: a point at 0 has density 1/tau, so a sample holding 0 can drive
-the NLL down without bound as tau -> 0.  The kernel's NLL stays finite
-where x/tau overflows, while the handle's does not.  Newton runs further
-than that test, to a projected gradient of at most 1e-10 (1 + |nll|).
+not at its upper bound 1e3 (nu = 1e-3), tau is not at either of its bounds
+e^-40 and e^40, and the reported NLL is finite.  Those bounds are edges of
+the box, not optima: a point at 0 has density 1/tau, so a sample holding 0
+can drive the NLL down without bound as tau -> 0, and on data of scale
+1e308 genexp, the Lomax and genexp2 stop at tau = e^40, above the
+exponential's NLL.  The kernel's NLL stays finite where x/tau overflows,
+while the handle's does not.  Newton runs further than that test, to a
+projected gradient of at most 1e-10 (1 + |nll|).
 
 A fit starts from the base start (the sample mean as scale, nu = 1e3) and
 the heavy-tail start (median-matched scale, nu = 2).  Three-slot Newton
@@ -135,8 +139,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  bench/tracing.py wraps this name by attribute
-from scipy.optimize import minimize_scalar
 
 from .baselines import _PowerTail
 from .distributions import _KERNELS, DistributionHandle, Family, Params
@@ -170,6 +172,15 @@ _LOG_TAU, _THETA, _LOG_BETA = range(3)
 _PINNED = np.array([0.0, 1.0, 0.0])
 _NEWTON_FREE = np.array([True, True, False])  # the slots a two-slot Newton fit runs on
 _BETA_FREE = np.array([True, True, True])  # and a three-slot one
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, which this imports when called.  No fit
+    calls it: it stays a module attribute because ``bench/tracing.py`` wraps
+    it by name."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
 
 # The work counts of the fits made inside ``_counting``; None outside one.
 _WORK = contextvars.ContextVar("asinhsurv_fitting_work", default=None)
@@ -698,13 +709,13 @@ def _grid_starts(kernel, xs, lo, hi) -> list[list[list[float]]]:
 def _converged_at(free, lo, hi, vec, nll, grad) -> bool:
     """The convergence test of the module docstring: a small projected
     gradient, and log beta not at its bound, theta not at its upper bound
-    and log tau not at its lower bound, which are edges of the box, not
+    and log tau not at either bound, which are edges of the box, not
     optima."""
     log_tau, theta, log_beta = _slots(free, vec).tolist()
     return (_projected_gradient(vec, grad, lo, hi) <= 1e-6 * (1.0 + abs(nll))
             and abs(log_beta) < _LOG_BETA_BOUND * (1.0 - 1e-9)
             and theta < _THETA_MAX * (1.0 - 1e-9)
-            and log_tau > -_LOG_TAU_BOUND * (1.0 - 1e-9))
+            and abs(log_tau) < _LOG_TAU_BOUND * (1.0 - 1e-9))
 
 
 def _best(free, bounds, runs):
@@ -867,6 +878,7 @@ def _fit_free_location(family: Family, samples, opts: FitOptions):
         fit_at(sample, etas, tried)
         low = min(range(len(etas)), key=lambda i: tried[i][1][-1])
         if low > 0:
+            from scipy.optimize import minimize_scalar
             bounds = [math.log(least - etas[i]) for i in (low - 1, min(low + 1, len(etas) - 1))]
             minimize_scalar(lambda log_gap: fit_at(sample, [least - math.exp(log_gap)], tried),
                             bounds=bounds, method="bounded")

@@ -2,11 +2,14 @@
 
 Everything here is pure and re-entrant: no global mutable state, safe to
 call concurrently.  The special functions (``log_gamma``, ``log_beta``,
-``beta_fn``, ``reg_inc_beta``, ``reg_inc_beta_inv``, ``digamma``) are thin
-checked wrappers over ``scipy.special``: they accept scalars or numpy
-arrays, return a float for scalar input, raise :class:`DomainError` outside
-their domain or on NaN, and are the single source of these quantities for
-the distribution formulas.  ``log_beta`` alone leaves scipy where the larger
+``beta_fn``, ``reg_inc_beta``, ``reg_inc_beta_inv``, ``digamma``,
+``trigamma``) are thin checked wrappers over ``scipy.special``: they accept
+scalars or numpy arrays, return a float for scalar input, raise
+:class:`DomainError` outside their domain or on NaN, and are the single
+source of these quantities for the distribution formulas.  This is the
+only module that touches ``scipy.special``, and it imports it inside each
+wrapper, so importing the package loads no scipy module and the first call
+loads it once per process.  ``log_beta`` alone leaves scipy where the larger
 shape is at least 100, for Stirling's series of lgamma(a + b) - lgamma(a):
 there ``betaln`` is off by up to 2.6e-9, noise that a fit of a gengamma or
 cgamma likelihood reads as slope.  The series is within 5e-14 of 40-digit
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.special as sc
 
 from .errors import ConvergenceError, DomainError
 
@@ -40,6 +42,7 @@ __all__ = [
     "reg_inc_beta",
     "reg_inc_beta_inv",
     "digamma",
+    "trigamma",
     "stable_asinh_scaled",
     "adaptive_quadrature",
     "find_max_1d",
@@ -92,7 +95,8 @@ def log_gamma(a):
     arr, scalar = _as_float_array(a)
     if not (arr > 0.0).all():
         raise DomainError("log_gamma requires a > 0 (not NaN)")
-    return _maybe_scalar(sc.gammaln(arr), scalar)
+    from scipy.special import gammaln
+    return _maybe_scalar(gammaln(arr), scalar)
 
 
 def _stirling_tail(z: float) -> float:
@@ -107,7 +111,8 @@ def _log_beta(a: float, b: float) -> float:
     if a < b:
         a, b = b, a
     if not 100.0 <= a < math.inf:
-        return float(sc.betaln(a, b))
+        from scipy.special import betaln
+        return float(betaln(a, b))
     # lgamma(a + b) - lgamma(a) by Stirling's series, free of the cancellation
     # between two large lgamma values.
     s = a + b
@@ -225,7 +230,8 @@ def beta_fn(a, b):
     """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b) for a, b > 0
     (``scipy.special.beta``)."""
     arr_a, arr_b, scalar = _shape_pair("beta_fn", a, b)
-    return _maybe_scalar(sc.beta(arr_a, arr_b), scalar)
+    from scipy.special import beta
+    return _maybe_scalar(beta(arr_a, arr_b), scalar)
 
 
 def digamma(a):
@@ -233,7 +239,17 @@ def digamma(a):
     arr, scalar = _as_float_array(a)
     if not (arr > 0.0).all():
         raise DomainError("digamma requires a > 0 (not NaN)")
-    return _maybe_scalar(sc.psi(arr), scalar)
+    from scipy.special import psi
+    return _maybe_scalar(psi(arr), scalar)
+
+
+def trigamma(a):
+    """Trigamma function psi'(a) for a > 0 (``scipy.special.polygamma(1, a)``)."""
+    arr, scalar = _as_float_array(a)
+    if not (arr > 0.0).all():
+        raise DomainError("trigamma requires a > 0 (not NaN)")
+    from scipy.special import polygamma
+    return _maybe_scalar(polygamma(1, arr), scalar)
 
 
 def reg_inc_beta(x, a, b):
@@ -242,7 +258,8 @@ def reg_inc_beta(x, a, b):
     x = 0 and 1 at x = 1.
     """
     arr, scalar, a, b = _unit_and_shapes("reg_inc_beta", x, a, b)
-    return _maybe_scalar(sc.betainc(a, b, arr), scalar)
+    from scipy.special import betainc
+    return _maybe_scalar(betainc(a, b, arr), scalar)
 
 
 def _near_one_from_complement(value, one_minus_x, a, b):
@@ -251,12 +268,13 @@ def _near_one_from_complement(value, one_minus_x, a, b):
     tail's digits: as 1 - I_{1-x}(b, a), or, below 1/2, as the ten times
     slower ``betaincc`` (up to a fifth of a gengamma or cgamma cdf's points
     land here)."""
+    from scipy.special import betainc, betaincc
     out = np.array(value, dtype=float)
     comp = np.broadcast_to(one_minus_x, out.shape)
     near_one = comp < 1e-4
-    tail = 1.0 - sc.betainc(b, a, comp[near_one])
+    tail = 1.0 - betainc(b, a, comp[near_one])
     small = tail < 0.5
-    tail[small] = sc.betaincc(b, a, comp[near_one][small])
+    tail[small] = betaincc(b, a, comp[near_one][small])
     out[near_one] = tail
     return out
 
@@ -290,7 +308,8 @@ def reg_inc_beta_inv(p, a, b):
     (``scipy.special.betaincinv``).  Vectorized over p.
     """
     arr, scalar, a, b = _unit_and_shapes("reg_inc_beta_inv", p, a, b)
-    return _maybe_scalar(sc.betaincinv(a, b, arr), scalar)
+    from scipy.special import betaincinv
+    return _maybe_scalar(betaincinv(a, b, arr), scalar)
 
 
 def stable_asinh_scaled(x, nu):

@@ -580,7 +580,8 @@ def _two_start_runs(family, x, opts=FitOptions()):
     """(nll, converged, at_nu_bound) of L-BFGS-B on ``_score`` from each of
     the fitter's two starts, without the fitter's start rule; a run that
     stops with log beta at its bound or theta at its upper bound 1e3 is
-    unconverged.  A free location is searched as a third slot of genexp."""
+    unconverged, and so is one that stops with log tau at either bound.  A free
+    location is searched as a third slot of genexp."""
     family = Family.parse(family)
     free, (lo, hi), starts = _box4(family, opts, Sample(x))
     if opts.free_eta:
@@ -594,9 +595,10 @@ def _two_start_runs(family, x, opts=FitOptions()):
             score, start, method="L-BFGS-B", jac=True, bounds=scipy.optimize.Bounds(lo, hi),
             options={"ftol": 1e-15, "gtol": 1e-9, "maxiter": 4000})
         projected = np.clip(res.x - res.jac, lo, hi) - res.x
-        _, theta, log_beta, _ = _slots4(free, res.x)
+        log_tau, theta, log_beta, _ = _slots4(free, res.x)
         converged = (np.max(np.abs(projected)) <= 1e-6 * (1.0 + abs(res.fun))
-                     and abs(log_beta) < 7.0 * (1.0 - 1e-9) and theta < 1e3 * (1.0 - 1e-9))
+                     and abs(log_beta) < 7.0 * (1.0 - 1e-9) and theta < 1e3 * (1.0 - 1e-9)
+                     and abs(log_tau) < 40.0 * (1.0 - 1e-9))
         runs.append((res.fun, bool(converged), bool(theta <= 1e-6 * (1.0 + 1e-9))))
     return runs
 
@@ -1097,15 +1099,23 @@ def _very_heavy_samples():
 
 
 def test_newton_reaches_very_heavy_tails(monkeypatch):
+    # Two fits, genexp and Lomax on one 20-point sample, stop at tau's upper
+    # bound e^40, an edge of the box, so they are flagged; every other fit
+    # converges.  L-BFGS-B from both starts stops at the same points.
     methods = _record_methods(monkeypatch)
+    at_tau_bound = []
     for x in _very_heavy_samples():
         for family in ("genexp", "lomax"):
             methods.clear()
             result = fit_mle(family, Sample(x))
             case = (family, len(x), result.estimates.nu)
             assert set(methods) == {"Newton"} and result.iterations < fitting._NEWTON_MAX_ITER, case
-            assert result.converged and 1.0 / result.estimates.nu > 100.0, case
+            at_bound = result.estimates.tau == math.exp(fitting._LOG_TAU_BOUND)
+            if at_bound:
+                at_tau_bound.append((family, len(x)))
+            assert result.converged != at_bound and 1.0 / result.estimates.nu > 100.0, case
             _assert_matches_lbfgsb(family, x, result, case)
+    assert at_tau_bound == [("genexp", 20), ("lomax", 20)]
 
 
 def _new_score_samples():
@@ -1629,6 +1639,32 @@ def test_sample_mean_survives_an_overflowing_sum(free_eta):
     # Every other mean keeps its bits: x.sum() / n.
     y = _study_like(100, 2, 1)
     assert Sample(y)._summary[1] == float(y.sum()) / y.size
+
+
+def test_minimize_forwards_to_scipy():
+    # No fit calls ``fitting.minimize``; it imports scipy.optimize's when called.
+    def quadratic(v):
+        return float((v[0] - 1.0) ** 2 + 3.0 * (v[1] + 2.0) ** 2)
+
+    for method in ("Nelder-Mead", "BFGS"):
+        ours = fitting.minimize(quadratic, [0.0, 0.0], method=method)
+        theirs = scipy.optimize.minimize(quadratic, [0.0, 0.0], method=method)
+        np.testing.assert_array_equal(ours.x, theirs.x)
+        assert (ours.fun, ours.nit, ours.nfev) == (theirs.fun, theirs.nit, theirs.nfev)
+
+
+def test_fit_at_the_upper_tau_bound_is_flagged():
+    # On data of scale 1e308 every fixed-location fit but the exponential's
+    # closed form stops at tau's upper bound e^40, an edge of the box, and
+    # ends above the nested exponential limit's NLL (3584.78 against 3552.29
+    # for genexp), so each is flagged.
+    x = np.array([1e308, 1.5e308, 1.7e308, 1.2e308, 1.1e308])
+    exponential = fit_mle("exp", Sample(x))
+    assert exponential.converged
+    for family in [f for f in Family if f is not Family.EXPONENTIAL]:
+        result = fit_mle(family, Sample(x))
+        assert result.estimates.tau == math.exp(fitting._LOG_TAU_BOUND), family
+        assert result.neg_log_lik > exponential.neg_log_lik and not result.converged, family
 
 
 def test_free_location_is_the_box_edge():

@@ -20,7 +20,7 @@ from asinhsurv import (
     stable_asinh_scaled,
 )
 from asinhsurv.numerics import (_log_inc_beta_far, _near_one_from_complement, _psi_remainder,
-                                _psi_remainder_slopes, log_beta, reg_inc_beta_inv)
+                                _psi_remainder_slopes, log_beta, reg_inc_beta_inv, trigamma)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -338,6 +338,39 @@ class TestDigamma:
             digamma(0.0)
         with pytest.raises(DomainError):
             digamma(float("nan"))
+
+
+class TestTrigamma:
+    def test_known_values(self):
+        assert trigamma(1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-14)
+        assert trigamma(0.5) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-14)
+
+    def test_domain(self):
+        for a in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                trigamma(a)
+
+
+_SHAPES = [0.3, 1.0, 2.5, 40.0, 99.0]
+
+
+@pytest.mark.parametrize("a", _SHAPES)
+def test_deferred_wrappers_are_the_scipy_functions(a):
+    # Each wrapper imports its scipy.special function when called and returns
+    # that function's value to the bit, on scalars and on arrays; both shapes
+    # below 100 take log_beta's betaln branch.
+    shapes = np.array(_SHAPES)
+    x = np.array([0.0, 1e-6, 0.3, 0.7, 1.0])
+    assert log_gamma(a) == sc.gammaln(a)
+    assert digamma(a) == sc.psi(a)
+    assert trigamma(a) == sc.polygamma(1, a)
+    np.testing.assert_array_equal(trigamma(shapes), sc.polygamma(1, shapes))
+    np.testing.assert_array_equal(log_gamma(shapes), sc.gammaln(shapes))
+    for b in _SHAPES:
+        assert log_beta(a, b) == sc.betaln(a, b)
+        assert beta_fn(a, b) == sc.beta(a, b)
+        np.testing.assert_array_equal(reg_inc_beta(x, a, b), sc.betainc(a, b, x))
+        np.testing.assert_array_equal(reg_inc_beta_inv(x, a, b), sc.betaincinv(a, b, x))
 
 
 class TestStableAsinhScaled:
